@@ -49,14 +49,6 @@ class CommGraph:
             out[b].add(a)
         return out
 
-    def degree(self, weighted: bool = False) -> dict[str, float]:
-        deg: dict[str, float] = {n: 0 for n in self.nodes}
-        for (a, b), stat in self.edges.items():
-            inc = stat.count if weighted else 1
-            deg[a] += inc
-            deg[b] += inc
-        return deg
-
 
 def _interaction_targets(record: TweetRecord, include_mentions: bool) -> list[str]:
     targets: list[str] = []

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .corpus import TokenizedTweet
 from .errors import ConfigError, DataError
@@ -23,44 +22,32 @@ TOKEN_MODE = "token"
 
 # floor for k-NN edge weights so angular similarity never hits zero
 MIN_KNN_WEIGHT = 1e-6
+# rows of similarities computed per matrix product in build_knn_graph
+KNN_BLOCK = 1024
 
 
 @dataclass
 class CooccurrenceGraph:
     """Weighted undirected graph over vocabulary items.
 
-    Edge keys are ordered pairs (a, b) with a < b; weights are positive.
-    node_frequency maps every node (including isolated ones) to the number
-    of tweets containing it.
+    nodes is sorted and frequency[i] is the number of tweets containing
+    nodes[i] (0 for k-NN graphs). weights is a symmetric CSR matrix with
+    sorted indices, positive entries and an empty diagonal, so row i lists
+    the neighbors of nodes[i] in name order.
     """
 
     mode: str
-    node_frequency: dict[str, int]
-    edges: dict[tuple[str, str], float] = field(default_factory=dict)
-
-    def nodes(self) -> list[str]:
-        return sorted(self.node_frequency)
+    nodes: list[str]
+    frequency: list[int]
+    weights: sp.csr_matrix
 
     @property
     def num_nodes(self) -> int:
-        return len(self.node_frequency)
+        return len(self.nodes)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
-
-    def weight(self, a: str, b: str) -> float:
-        return self.edges.get((a, b) if a < b else (b, a), 0.0)
-
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Neighbor lists for every node, sorted by neighbor name."""
-        adj: dict[str, list[tuple[str, float]]] = {n: [] for n in self.node_frequency}
-        for (a, b), w in self.edges.items():
-            adj[a].append((b, w))
-            adj[b].append((a, w))
-        for lst in adj.values():
-            lst.sort()
-        return adj
+        return self.weights.nnz // 2
 
 
 @dataclass
@@ -75,10 +62,6 @@ class EmbeddingTable:
         return int(self.vectors.shape[1]) if self.vectors.size else 0
 
 
-def _edge_key(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 def build_cooccurrence(
     tweets: Sequence[TokenizedTweet],
     mode: str = HASHTAG_MODE,
@@ -86,33 +69,38 @@ def build_cooccurrence(
 ) -> CooccurrenceGraph:
     """Count, per tweet, every unordered pair of distinct items.
 
-    Hashtag mode pairs the tweet's hashtags; token mode pairs the tweet's
-    deduplicated token set, restricted to the vocab_cap most frequent tokens
-    (ties broken lexicographically). Tweet order does not affect the result.
+    Hashtag mode pairs the tweet's distinct hashtags; token mode pairs the
+    tweet's distinct tokens, restricted to the vocab_cap most frequent tokens
+    (ties broken lexicographically). With X the binary tweet x item incidence
+    matrix, weights are the off-diagonal entries of X^T X and frequencies its
+    diagonal. Tweet order does not affect the result.
     """
     if mode not in (HASHTAG_MODE, TOKEN_MODE):
         raise ConfigError(f"unknown graph mode {mode!r}")
-    item_sets: list[list[str]] = []
-    freq: Counter[str] = Counter()
+    index: dict[str, int] = {}
+    cols: list[int] = []
+    indptr = [0]
     for tw in tweets:
-        items = tw.hashtags if mode == HASHTAG_MODE else sorted(set(tw.tokens))
-        item_sets.append(items)
-        freq.update(items)
-
-    if mode == TOKEN_MODE and vocab_cap is not None and len(freq) > vocab_cap:
-        ranked = sorted(freq, key=lambda t: (-freq[t], t))
-        kept = set(ranked[:vocab_cap])
-        item_sets = [[t for t in items if t in kept] for items in item_sets]
-        freq = Counter({t: freq[t] for t in kept})
-
-    edges: Counter[tuple[str, str]] = Counter()
-    for items in item_sets:
-        for a, b in combinations(sorted(items), 2):
-            edges[(a, b)] += 1
+        items = tw.hashtags if mode == HASHTAG_MODE else tw.tokens
+        cols.extend(index.setdefault(item, len(index)) for item in dict.fromkeys(items))
+        indptr.append(len(cols))
+    incidence = sp.csr_matrix(
+        (np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(index))
+    )
+    names = list(index)
+    kept: Sequence[int] = range(len(names))
+    if mode == TOKEN_MODE and vocab_cap is not None and len(names) > vocab_cap:
+        freq = np.asarray(incidence.sum(axis=0)).ravel()
+        kept = sorted(kept, key=lambda i: (-freq[i], names[i]))[:vocab_cap]
+    order = sorted(kept, key=names.__getitem__)
+    incidence = incidence[:, order]
+    counts = (incidence.T @ incidence).tocsr()
+    frequency = counts.diagonal().astype(np.int64).tolist()
+    counts.setdiag(0)
+    counts.eliminate_zeros()
+    counts.sort_indices()
     return CooccurrenceGraph(
-        mode=mode,
-        node_frequency=dict(freq),
-        edges={pair: float(w) for pair, w in edges.items()},
+        mode=mode, nodes=[names[i] for i in order], frequency=frequency, weights=counts
     )
 
 
@@ -164,12 +152,13 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     return EmbeddingTable(vocabulary=vocab, vectors=vectors)
 
 
-def build_knn_graph(table: EmbeddingTable, k: int, block: int = 1024) -> CooccurrenceGraph:
+def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     """Connect each token to its k nearest neighbors by cosine similarity.
 
     Edge weight is the angular similarity 1 - arccos(cos)/pi in (0, 1],
-    clamped below at MIN_KNN_WEIGHT. Directed k-NN relations are unioned,
-    keeping the larger weight. Zero vectors are dropped with a logged count.
+    clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
+    comes first in the table. Directed k-NN relations are unioned, keeping
+    the larger weight. Zero vectors are dropped with a logged count.
     """
     norms = np.linalg.norm(table.vectors, axis=1)
     keep = norms > 0.0
@@ -185,47 +174,52 @@ def build_knn_graph(table: EmbeddingTable, k: int, block: int = 1024) -> Cooccur
         raise ConfigError(f"knn_k={k} must be smaller than the vocabulary size {n}")
 
     unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-    edges: dict[tuple[str, str], float] = {}
     pad = min(k + 8, n - 1)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        sims = unit[start:stop] @ unit.T
-        for local, row in enumerate(sims):
-            i = start + local
-            row[i] = -np.inf
-            if pad < n - 1:
-                cand = np.argpartition(-row, pad)[: pad + 1]
-            else:
-                cand = np.arange(n)
-            cand = sorted(cand, key=lambda j: (-row[j], j))
-            for j in cand[:k]:
-                cos = min(1.0, max(-1.0, float(row[j])))
-                w = max(MIN_KNN_WEIGHT, 1.0 - math.acos(cos) / math.pi)
-                key = _edge_key(vocab[i], vocab[j])
-                if w > edges.get(key, 0.0):
-                    edges[key] = w
+    best = np.empty((n, k), dtype=np.int64)
+    best_sim = np.empty((n, k))
+    for start in range(0, n, KNN_BLOCK):
+        sims = unit[start : start + KNN_BLOCK] @ unit.T
+        rows = np.arange(len(sims))
+        sims[rows, start + rows] = -np.inf
+        # row by row, since argpartition returns an index for every column
+        cand = np.empty((len(sims), pad + 1), dtype=np.int64)
+        for row, out in zip(sims, cand):
+            out[:] = np.argpartition(-row, pad)[: pad + 1]
+        cand_sim = np.take_along_axis(sims, cand, axis=1)
+        rank = np.lexsort((cand, -cand_sim), axis=1)[:, :k]
+        best[start + rows] = np.take_along_axis(cand, rank, axis=1)
+        best_sim[start + rows] = np.take_along_axis(cand_sim, rank, axis=1)
+    cos = np.clip(best_sim.ravel(), -1.0, 1.0).tolist()
+    angle = np.fromiter(map(math.acos, cos), dtype=np.float64, count=len(cos))
+    w = np.maximum(MIN_KNN_WEIGHT, 1.0 - angle / math.pi)
+    directed = sp.csr_matrix((w, (np.repeat(np.arange(n), k), best.ravel())), shape=(n, n))
+    order = sorted(range(n), key=vocab.__getitem__)
+    weights = directed.maximum(directed.T)[order][:, order]
+    weights.sort_indices()
     return CooccurrenceGraph(
-        mode=TOKEN_MODE,
-        node_frequency={t: 0 for t in vocab},
-        edges=edges,
+        mode=TOKEN_MODE, nodes=[vocab[i] for i in order], frequency=[0] * n, weights=weights
     )
 
 
 def write_graph(
     graph: CooccurrenceGraph, edges_path: str | Path, nodes_path: str | Path
 ) -> None:
-    """Write the tab-separated edge list and the node-frequency sidecar."""
+    """Write each edge once as a < b in sorted order, then the node-frequency sidecar."""
+    nodes = graph.nodes
+    # row-major with sorted columns, so the a < b pairs come out in name order
+    upper = sp.triu(graph.weights, k=1).tocoo()
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
-        for (a, b), w in sorted(graph.edges.items()):
-            fh.write(f"{a}\t{b}\t{fmt9(w)}\n")
+        for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
+            fh.write(f"{nodes[i]}\t{nodes[j]}\t{fmt9(w)}\n")
     with open(nodes_path, "w", encoding="utf-8") as fh:
-        for node in graph.nodes():
-            fh.write(f"{node}\t{graph.node_frequency[node]}\n")
+        for node, freq in zip(nodes, graph.frequency):
+            fh.write(f"{node}\t{freq}\n")
 
 
 def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGraph:
-    node_frequency: dict[str, int] = {}
+    """Read write_graph's files, rejecting duplicate node rows and duplicate edges."""
+    frequency: dict[str, int] = {}
     with open(nodes_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -233,9 +227,14 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise DataError(f"{nodes_path}: line {lineno}: expected 2 fields")
-            node_frequency[parts[0]] = int(parts[1])
+            if parts[0] in frequency:
+                raise DataError(f"{nodes_path}: line {lineno}: duplicate node {parts[0]!r}")
+            frequency[parts[0]] = int(parts[1])
     mode = HASHTAG_MODE
-    edges: dict[tuple[str, str], float] = {}
+    heads: list[str] = []
+    tails: list[str] = []
+    edge_weights: list[float] = []
+    seen: set[tuple[str, str]] = set()
     with open(edges_path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.startswith("#"):
@@ -256,7 +255,20 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
                 raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
             if not math.isfinite(w) or w <= 0:
                 raise DataError(f"{edges_path}: line {lineno}: non-positive weight")
-            for node in (a, b):
-                node_frequency.setdefault(node, 0)
-            edges[_edge_key(a, b)] = w
-    return CooccurrenceGraph(mode=mode, node_frequency=node_frequency, edges=edges)
+            pair = (a, b) if a < b else (b, a)
+            if pair in seen:
+                raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
+            seen.add(pair)
+            heads.append(a)
+            tails.append(b)
+            edge_weights.append(w)
+    nodes = sorted(frequency.keys() | set(heads) | set(tails))
+    index = {node: i for i, node in enumerate(nodes)}
+    rows = np.fromiter(map(index.__getitem__, heads), dtype=np.int64, count=len(heads))
+    cols = np.fromiter(map(index.__getitem__, tails), dtype=np.int64, count=len(tails))
+    one_way = sp.csr_matrix((np.array(edge_weights), (rows, cols)), shape=(len(nodes),) * 2)
+    weights = one_way + one_way.T
+    weights.sort_indices()
+    return CooccurrenceGraph(
+        mode=mode, nodes=nodes, frequency=[frequency.get(n, 0) for n in nodes], weights=weights
+    )

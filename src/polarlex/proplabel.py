@@ -76,23 +76,15 @@ class PolarityLexicon:
     status: dict[str, str]
     scale: tuple[float, float]
 
-    def labeled(self) -> dict[str, float]:
-        return self.scores
 
-    def items_with_status(self, wanted: str) -> list[str]:
-        return sorted(i for i, s in self.status.items() if s == wanted)
-
-
-def _seed_values_in_graph(
-    seeds: SeedLexicon, present: set[str]
-) -> dict[str, float]:
-    values: dict[str, float] = {}
+def _seed_values_in_graph(seeds: SeedLexicon, index: dict[str, int]) -> dict[int, float]:
+    values: dict[int, float] = {}
     for item in sorted(seeds.pole_a_items):
-        if item in present:
-            values[item] = seeds.value_a
+        if item in index:
+            values[index[item]] = seeds.value_a
     for item in sorted(seeds.pole_b_items):
-        if item in present:
-            values[item] = seeds.value_b
+        if item in index:
+            values[index[item]] = seeds.value_b
     return values
 
 
@@ -116,22 +108,25 @@ def propagate_greedy(
         raise ConfigError("gamma must be >= 1")
     if max_outer < 1:
         raise ConfigError("max_outer must be >= 1")
-    adj = graph.adjacency()
-    labels = _seed_values_in_graph(seeds, set(adj))
+    nodes = graph.nodes
+    indptr = graph.weights.indptr.tolist()
+    indices = graph.weights.indices.tolist()
+    data = graph.weights.data.tolist()
+    labels = _seed_values_in_graph(seeds, {node: i for i, node in enumerate(nodes)})
     if not labels:
         raise DataError(f"{seeds.dimension_name}: no seeds reachable in the graph")
     lo, hi = seeds.scale
-    status = {n: STATUS_UNLABELED for n in adj}
-    for item in labels:
-        status[item] = STATUS_SEED
+    status = {node: STATUS_UNLABELED for node in nodes}
+    for i in labels:
+        status[nodes[i]] = STATUS_SEED
 
-    deg = {n: len(nbrs) for n, nbrs in adj.items()}
-    max_deg = max(deg.values(), default=0)
-    labeled_count = {n: 0 for n in adj}
+    deg = np.diff(indptr).tolist()
+    max_deg = max(deg, default=0)
+    labeled_count = [0] * len(nodes)
     for n in labels:
-        for nbr, _ in adj[n]:
+        for nbr in indices[indptr[n] : indptr[n + 1]]:
             labeled_count[nbr] += 1
-    candidates = {n for n in adj if n not in labels and labeled_count[n] >= 1}
+    candidates = {n for n, c in enumerate(labeled_count) if c >= 1 and n not in labels}
 
     i = 0
     while i < max_outer and candidates:
@@ -145,13 +140,15 @@ def propagate_greedy(
             c = labeled_count[n]
             if c < 1 or c + slack < deg[n]:
                 continue
-            num = math.fsum(labels[j] * w for j, w in adj[n] if j in labels)
-            den = math.fsum(w for j, w in adj[n] if j in labels)
+            start, stop = indptr[n], indptr[n + 1]
+            nbrs = list(zip(indices[start:stop], data[start:stop]))
+            num = math.fsum(labels[j] * w for j, w in nbrs if j in labels)
+            den = math.fsum(w for j, w in nbrs if j in labels)
             labels[n] = min(hi, max(lo, num / den))
-            status[n] = STATUS_PROPAGATED
+            status[nodes[n]] = STATUS_PROPAGATED
             changed = True
             candidates.discard(n)
-            for nbr, _ in adj[n]:
+            for nbr, _ in nbrs:
                 labeled_count[nbr] += 1
                 if nbr not in labels:
                     candidates.add(nbr)
@@ -169,7 +166,7 @@ def propagate_greedy(
 
     return PolarityLexicon(
         dimension_name=seeds.dimension_name,
-        scores=labels,
+        scores={nodes[n]: value for n, value in labels.items()},
         status=status,
         scale=(lo, hi),
     )
@@ -226,8 +223,8 @@ def propagate_random_walk(
             f"{seeds.dimension_name}: random-walk propagation requires "
             "value_a=1 and value_b=0"
         )
-    nodes = graph.nodes()
-    index = {n: i for i, n in enumerate(nodes)}
+    nodes = graph.nodes
+    index = {node: i for i, node in enumerate(nodes)}
     idx_a = [index[s] for s in sorted(seeds.pole_a_items) if s in index]
     idx_b = [index[s] for s in sorted(seeds.pole_b_items) if s in index]
     if not idx_a:
@@ -235,14 +232,7 @@ def propagate_random_walk(
     if not idx_b:
         raise DataError(f"{seeds.dimension_name}: pole_b has no seed items in the graph")
 
-    n = len(nodes)
-    rows, cols, data = [], [], []
-    for (a, b), w in graph.edges.items():
-        ia, ib = index[a], index[b]
-        rows.extend((ia, ib))
-        cols.extend((ib, ia))
-        data.extend((w, w))
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    matrix = graph.weights
     degree = np.asarray(matrix.sum(axis=1)).ravel()
     dangling = degree == 0.0
     inv_degree = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, degree))
@@ -253,7 +243,7 @@ def propagate_random_walk(
     total = p_a + p_b
     scores: dict[str, float] = {}
     status = {node: STATUS_UNLABELED for node in nodes}
-    for node, i in index.items():
+    for i, node in enumerate(nodes):
         if total[i] > 0.0:
             scores[node] = min(1.0, max(0.0, float(p_a[i] / total[i])))
             status[node] = STATUS_PROPAGATED

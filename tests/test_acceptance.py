@@ -16,7 +16,7 @@ from polarlex.cli import main as cli_main
 from polarlex.commnet import CommGraph, EdgeStat, k_core
 from polarlex.corpus import tokenize, write_corpus
 from polarlex.evalkit import GoldLabelSet, accuracy_soft, krippendorff_alpha, pole_metrics
-from polarlex.lexgraph import CooccurrenceGraph, build_cooccurrence
+from polarlex.lexgraph import build_cooccurrence
 from polarlex.polarity import (
     BY_ITEM,
     NEUTRAL,
@@ -41,6 +41,7 @@ from polarlex.proplabel import (
 )
 from polarlex.synthgen import NEUTRAL_LABEL, SynthSpec, generate
 
+from graphs import edge_dict, graph_of
 from oracles import dense_restart_walk, naive_k_core, reference_propagate, unitwise_alpha
 
 
@@ -81,9 +82,7 @@ def random_case(rng, max_nodes=30, max_seeds=4):
         value_a=1.0,
         value_b=-1.0,
     )
-    graph = CooccurrenceGraph(
-        mode="hashtag", node_frequency={v: 1 for v in nodes}, edges=edges
-    )
+    graph = graph_of(edges, extra_nodes=nodes)
     gamma = int(rng.choice([1, 2, 5, 100]))
     return graph, seeds, gamma
 
@@ -117,8 +116,8 @@ def test_c01_greedy_matches_pseudocode_reference():
             max_outer = 20_000
             lexicon = propagate_greedy(graph, seeds, gamma=gamma, max_outer=max_outer)
             expected = reference_propagate(
-                graph.nodes(),
-                graph.edges,
+                graph.nodes,
+                edge_dict(graph),
                 seed_values_of(seeds),
                 (seeds.value_a, seeds.value_b),
                 gamma,
@@ -135,7 +134,7 @@ def test_c02_seed_preservation_and_range():
             graph, seeds, gamma = random_case(rng)
             lexicon = propagate_greedy(graph, seeds, gamma=gamma)
             lo, hi = lexicon.scale
-            present = set(graph.node_frequency)
+            present = set(graph.nodes)
             for item in seeds.pole_a_items & present:
                 assert lexicon.scores[item] == seeds.value_a
                 assert lexicon.status[item] == STATUS_SEED
@@ -201,7 +200,7 @@ def test_c04_unreachable_neutral_hashtags():
             t for t, lab in truth.hashtag_labels.items() if lab == NEUTRAL_LABEL
         }
         assert neutral_tags
-        in_graph = set(graph.node_frequency)
+        in_graph = set(graph.nodes)
         assert neutral_tags <= in_graph
         unlabeled_neutral = {
             t for t in neutral_tags if lexicon.status[t] == STATUS_UNLABELED
@@ -314,10 +313,7 @@ def mirror_graph(depth):
         edges[(min(x, y), max(x, y))] = 1.0
     edges[("a", "sa")] = 2.0
     edges[("b", "sb")] = 2.0
-    nodes = set(chain) | {"sa", "sb"}
-    return CooccurrenceGraph(
-        mode="hashtag", node_frequency={n: 1 for n in nodes}, edges=edges
-    )
+    return graph_of(edges)
 
 
 def mirror_of(node, depth):
@@ -339,7 +335,7 @@ def test_c08_random_walk_symmetry_and_dense_oracle():
             graph = mirror_graph(depth)
             seeds = SeedLexicon("dim", {"a"}, {"b"}, 1.0, 0.0)
             lexicon = propagate_random_walk(graph, seeds, tol=1e-13, max_iter=200_000)
-            for node in graph.nodes():
+            for node in graph.nodes:
                 twin = mirror_of(node, depth)
                 assert abs(lexicon.scores[node] + lexicon.scores[twin] - 1.0) <= 1e-6
 
@@ -352,9 +348,7 @@ def test_c08_random_walk_symmetry_and_dense_oracle():
             for pair in combinations(nodes, 2):
                 if rng.random() < 0.3:
                     edges[pair] = float(rng.integers(1, 5))
-            graph = CooccurrenceGraph(
-                mode="hashtag", node_frequency={v: 1 for v in nodes}, edges=edges
-            )
+            graph = graph_of(edges, extra_nodes=nodes)
             seeds = SeedLexicon("dim", {nodes[0]}, {nodes[1]}, 1.0, 0.0)
             lexicon = propagate_random_walk(graph, seeds, tol=1e-13, max_iter=200_000)
             p_a = dense_restart_walk(nodes, edges, [nodes[0]], 0.15, 1e-13, 200_000)

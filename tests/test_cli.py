@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -280,3 +281,52 @@ def test_token_mode_pipeline(tmp_path, synth_dir):
     assert code == 0
     scores = read_score_csv(out / "tweet_scores.csv")
     assert "community" in scores
+
+
+# sha256 of the graph and lexicon artifacts; a change to graph building or
+# propagation must keep them unless it sets out to change the output
+GOLDEN_DIGESTS = {
+    "hashtag": {
+        "graph.edges.tsv": "801df20b6c172f1c049cfc1feb6fac22ab81f27c050f3e2860cb249d9f3cd2f5",
+        "graph.nodes.tsv": "28ab9f109a1e2646eb697af7fba38aa6b5859ca09169b717b33cf66fb714b4c6",
+        "lexicon_community.tsv": "8a99056f88f8685f69d78e1f6c87e4c9309bf0424dd9b5938a701264c17e50e4",
+    },
+    "token": {
+        "graph.edges.tsv": "c907f7b33e716d04833f188429c52eda959d9078367788cbf1079130bb54a455",
+        "graph.nodes.tsv": "b8d134722656cc70c7608ed7e3c58138248fcbc40be9e8824fbeb0b020f9fbbf",
+        "lexicon_community.tsv": "96d4e72aa2cbcc3d0795eddb1a1c7bdbb7de55363b0b964234e4a7c1f594745c",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
+def test_pipeline_golden_bytes(tmp_path, synth_dir, mode):
+    out = tmp_path / f"{mode}_run"
+    extra = ["--mode", mode] + (["--vocab-cap", "20"] if mode == "token" else [])
+    assert run_pipeline(
+        out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv", extra
+    ) == 0
+    names = ["graph.edges.tsv", "graph.nodes.tsv"] + sorted(
+        p.name for p in out.glob("lexicon_*.tsv")
+    )
+    digests = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names
+    }
+    assert digests == GOLDEN_DIGESTS[mode]
+
+
+def test_repeated_hashtag_in_tokenized_file_propagates(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "tokenized.tsv").write_text("t1\ta a b\t\nt2\tb c\t\n")
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text(
+        "#dimension=dim\tvalue_a=1.000000000\tvalue_b=-1.000000000\na\tA\nc\tB\n"
+    )
+    assert main(["build-graph", "--out-dir", str(out)]) == 0
+    assert (out / "graph.edges.tsv").read_text() == (
+        "#mode=hashtag\na\tb\t1.000000000\nb\tc\t1.000000000\n"
+    )
+    assert (out / "graph.nodes.tsv").read_text() == "a\t1\nb\t2\nc\t1\n"
+    assert main(["propagate", "--out-dir", str(out), "--seed-file", str(seeds)]) == 0
+    assert "b\t0.000000000\tpropagated" in (out / "lexicon_dim.tsv").read_text()

@@ -14,6 +14,7 @@ from polarlex.lexgraph import (
     write_graph,
 )
 
+from graphs import adjacency, edge_dict
 from oracles import brute_force_knn, brute_force_pairs
 
 
@@ -25,18 +26,23 @@ class TestBuildCooccurrence:
     def test_repeated_pair_accumulates(self):
         tweets = [tt("t1", ["a", "b"]), tt("t2", ["a", "b"])]
         graph = build_cooccurrence(tweets, "hashtag")
-        assert graph.edges == {("a", "b"): 2.0}
-        assert graph.node_frequency == {"a": 2, "b": 2}
+        assert edge_dict(graph) == {("a", "b"): 2.0}
+        assert (graph.nodes, graph.frequency) == (["a", "b"], [2, 2])
 
     def test_triangle_from_one_tweet(self):
         graph = build_cooccurrence([tt("t1", ["a", "b", "c"])], "hashtag")
-        assert graph.edges == {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}
+        assert edge_dict(graph) == {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}
 
     def test_isolated_node_kept(self):
         graph = build_cooccurrence([tt("t1", ["a"]), tt("t2", ["b", "c"])], "hashtag")
-        assert "a" in graph.node_frequency
-        assert graph.weight("b", "c") == 1.0
-        assert graph.adjacency()["a"] == []
+        assert "a" in graph.nodes
+        assert edge_dict(graph) == {("b", "c"): 1.0}
+        assert adjacency(graph)["a"] == []
+
+    def test_repeated_hashtag_in_tweet_counted_once(self):
+        graph = build_cooccurrence([tt("t1", ["a", "a", "b"])], "hashtag")
+        assert edge_dict(graph) == {("a", "b"): 1.0}
+        assert (graph.nodes, graph.frequency) == (["a", "b"], [1, 1])
 
     def test_no_usable_items_gives_empty_graph(self):
         graph = build_cooccurrence([tt("t1", [], ["x"])], "hashtag")
@@ -44,8 +50,8 @@ class TestBuildCooccurrence:
 
     def test_token_mode_dedupes_within_tweet(self):
         graph = build_cooccurrence([tt("t1", [], ["x", "x", "y"])], "token")
-        assert graph.edges == {("x", "y"): 1.0}
-        assert graph.node_frequency == {"x": 1, "y": 1}
+        assert edge_dict(graph) == {("x", "y"): 1.0}
+        assert (graph.nodes, graph.frequency) == (["x", "y"], [1, 1])
 
     def test_token_cap_by_frequency_then_lexicographic(self):
         tweets = [
@@ -55,8 +61,8 @@ class TestBuildCooccurrence:
         ]
         graph = build_cooccurrence(tweets, "token", vocab_cap=3)
         # b,c appear twice; tie between a and z broken lexicographically
-        assert set(graph.node_frequency) == {"a", "b", "c"}
-        assert graph.edges == {("b", "c"): 2.0}
+        assert graph.nodes == ["a", "b", "c"]
+        assert edge_dict(graph) == {("b", "c"): 2.0}
 
     def test_five_tweet_corpus_matches_brute_force(self):
         tweets = [
@@ -68,7 +74,7 @@ class TestBuildCooccurrence:
         ]
         graph = build_cooccurrence(tweets, "hashtag")
         expected = brute_force_pairs([tw.hashtags for tw in tweets])
-        assert graph.edges == {pair: float(n) for pair, n in expected.items()}
+        assert edge_dict(graph) == {pair: float(n) for pair, n in expected.items()}
 
     @given(
         st.lists(
@@ -83,9 +89,9 @@ class TestBuildCooccurrence:
         graph = build_cooccurrence(tweets, "hashtag")
         shuffled = list(tweets)
         rnd.shuffle(shuffled)
-        assert build_cooccurrence(shuffled, "hashtag").edges == graph.edges
+        assert edge_dict(build_cooccurrence(shuffled, "hashtag")) == edge_dict(graph)
         expected = brute_force_pairs([tw.hashtags for tw in tweets])
-        assert graph.edges == {pair: float(n) for pair, n in expected.items()}
+        assert edge_dict(graph) == {pair: float(n) for pair, n in expected.items()}
 
 
 class TestLoadEmbeddings:
@@ -132,19 +138,19 @@ class TestKnnGraph:
     def test_identical_vectors_weight_one(self):
         table = EmbeddingTable(["a", "b", "c"], np.array([[1.0, 0], [1.0, 0], [0, 1.0]]))
         graph = build_knn_graph(table, k=1)
-        assert graph.weight("a", "b") == pytest.approx(1.0)
+        assert edge_dict(graph)[("a", "b")] == pytest.approx(1.0)
 
     def test_orthogonal_vectors_weight_half(self):
         table = EmbeddingTable(["a", "b"], np.array([[1.0, 0], [0, 1.0]]))
         graph = build_knn_graph(table, k=1)
-        assert graph.weight("a", "b") == pytest.approx(0.5)
+        assert edge_dict(graph)[("a", "b")] == pytest.approx(0.5)
 
     def test_opposite_vectors_clamped_positive(self):
         table = EmbeddingTable(
             ["a", "b", "c"], np.array([[1.0, 0], [-1.0, 0], [1.0, 1e-9]])
         )
         graph = build_knn_graph(table, k=2)
-        assert 0 < graph.weight("a", "b") <= 1e-6
+        assert 0 < edge_dict(graph)[("a", "b")] <= 1e-6
 
     def test_k_must_be_small(self):
         table = EmbeddingTable(["a", "b"], np.eye(2))
@@ -156,7 +162,7 @@ class TestKnnGraph:
             ["a", "b", "z"], np.array([[1.0, 0], [0, 1.0], [0.0, 0.0]])
         )
         graph = build_knn_graph(table, k=1)
-        assert "z" not in graph.node_frequency
+        assert "z" not in graph.nodes
 
     def test_random_vectors_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -164,16 +170,30 @@ class TestKnnGraph:
         vectors = rng.normal(size=(6, 3))
         graph = build_knn_graph(EmbeddingTable(vocab, vectors), k=2)
         expected = brute_force_knn(vocab, vectors, k=2)
-        assert set(graph.edges) == set(expected)
+        edges = edge_dict(graph)
+        assert set(edges) == set(expected)
         for key, w in expected.items():
-            assert graph.edges[key] == pytest.approx(w, abs=1e-12)
+            assert edges[key] == pytest.approx(w, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_duplicated_vectors_tie_on_lowest_index(self, k):
+        # axis-aligned copies give exact similarities of 0 and 1, so each
+        # node's k-th and (k+1)-th best neighbors tie; the lower row wins
+        sizes = [4, 5, 6, 4, 5]
+        rows = [np.eye(5)[axis] for axis, size in enumerate(sizes) for _ in range(size)]
+        order = np.random.default_rng(3).permutation(len(rows))
+        vectors = np.array([rows[i] for i in order])
+        vocab = [f"w{(7 * i) % len(rows):02d}" for i in range(len(rows))]
+        graph = build_knn_graph(EmbeddingTable(vocab, vectors), k=k)
+        expected = brute_force_knn(vocab, vectors, k=k)
+        assert edge_dict(graph) == expected
 
     def test_degree_at_least_k(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(30)]
         graph = build_knn_graph(EmbeddingTable(vocab, rng.normal(size=(30, 4))), k=3)
         degree = {n: 0 for n in vocab}
-        for a, b in graph.edges:
+        for a, b in edge_dict(graph):
             degree[a] += 1
             degree[b] += 1
         assert all(d >= 3 for d in degree.values())
@@ -187,8 +207,8 @@ class TestGraphFiles:
         write_graph(graph, edges, nodes)
         back = read_graph(edges, nodes)
         assert back.mode == graph.mode
-        assert back.edges == graph.edges
-        assert back.node_frequency == graph.node_frequency
+        assert edge_dict(back) == edge_dict(graph)
+        assert (back.nodes, back.frequency) == (graph.nodes, graph.frequency)
 
     def test_self_loop_rejected(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
@@ -204,3 +224,18 @@ class TestGraphFiles:
             edges.write_text(f"#mode=hashtag\na\tb\t{bad}\n")
             with pytest.raises(DataError, match="line 2"):
                 read_graph(edges, nodes)
+
+    @pytest.mark.parametrize("second", ["a\tb\t2.000000000", "b\ta\t2.000000000"])
+    def test_duplicate_edge_rejected(self, tmp_path, second):
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        edges.write_text(f"#mode=hashtag\na\tb\t1.000000000\n{second}\n")
+        nodes.write_text("a\t1\nb\t1\n")
+        with pytest.raises(DataError, match=r"g\.edges\.tsv: line 3: duplicate edge"):
+            read_graph(edges, nodes)
+
+    def test_duplicate_node_rejected(self, tmp_path):
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        edges.write_text("#mode=hashtag\na\tb\t1.000000000\n")
+        nodes.write_text("a\t1\nb\t1\na\t5\n")
+        with pytest.raises(DataError, match=r"g\.nodes\.tsv: line 3: duplicate node 'a'"):
+            read_graph(edges, nodes)

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlex.errors import ConfigError, DataError
-from polarlex.lexgraph import CooccurrenceGraph
 from polarlex.proplabel import (
     STATUS_PROPAGATED,
     STATUS_SEED,
@@ -20,18 +19,8 @@ from polarlex.proplabel import (
     write_seed_lexicon,
 )
 
+from graphs import adjacency, edge_dict, graph_of
 from oracles import dense_restart_walk, reference_propagate
-
-
-def graph_of(edges, extra_nodes=()):
-    nodes = set(extra_nodes)
-    for a, b in edges:
-        nodes.update((a, b))
-    return CooccurrenceGraph(
-        mode="hashtag",
-        node_frequency={n: 1 for n in nodes},
-        edges={(min(a, b), max(a, b)): float(w) for (a, b), w in edges.items()},
-    )
 
 
 @st.composite
@@ -61,7 +50,7 @@ def reachable_from(adj, starts):
     stack = list(starts)
     while stack:
         node = stack.pop()
-        for nbr, _ in adj[node]:
+        for nbr in adj[node]:
             if nbr not in seen:
                 seen.add(nbr)
                 stack.append(nbr)
@@ -129,7 +118,7 @@ class TestPropagateGreedy:
         for item in sorted(seeds.pole_b_items):
             seed_values[item] = seeds.value_b
         expected = reference_propagate(
-            graph.nodes(), graph.edges, seed_values,
+            graph.nodes, edge_dict(graph), seed_values,
             (seeds.value_a, seeds.value_b), gamma, max_outer,
         )
         assert lexicon.scores == expected
@@ -143,7 +132,7 @@ class TestPropagateGreedy:
             assert lexicon.status[item] == STATUS_SEED
         lo, hi = lexicon.scale
         assert all(lo <= v <= hi for v in lexicon.scores.values())
-        adj = graph.adjacency()
+        adj = adjacency(graph)
         reachable = reachable_from(adj, [n for n in lexicon.scores if lexicon.status[n] == STATUS_SEED])
         assert set(lexicon.scores) <= reachable
 
@@ -237,14 +226,14 @@ class TestPropagateRandomWalk:
             graph, seeds, restart_prob=restart_prob, tol=1e-12, max_iter=100_000
         )
         p_a = dense_restart_walk(
-            graph.nodes(), graph.edges, sorted(seeds.pole_a_items),
+            graph.nodes, edge_dict(graph), sorted(seeds.pole_a_items),
             restart_prob, 1e-12, 100_000,
         )
         p_b = dense_restart_walk(
-            graph.nodes(), graph.edges, sorted(seeds.pole_b_items),
+            graph.nodes, edge_dict(graph), sorted(seeds.pole_b_items),
             restart_prob, 1e-12, 100_000,
         )
-        for node in graph.nodes():
+        for node in graph.nodes:
             total = p_a[node] + p_b[node]
             if lexicon.status[node] == STATUS_PROPAGATED:
                 assert lexicon.scores[node] == pytest.approx(

@@ -9,12 +9,14 @@ from polarlex.polarity import POLE_A
 from polarlex.proplabel import propagate_greedy
 from polarlex.synthgen import NEUTRAL_LABEL, SynthSpec, generate
 
+from graphs import adjacency
+
 
 def connected_components(graph):
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     seen = set()
     components = []
-    for start in graph.nodes():
+    for start in graph.nodes:
         if start in seen:
             continue
         stack = [start]
@@ -23,7 +25,7 @@ def connected_components(graph):
         while stack:
             node = stack.pop()
             comp.add(node)
-            for nbr, _ in adj[node]:
+            for nbr in adj[node]:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append(nbr)
