@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__, commnet, corpus, evalkit, lexgraph, polarity, proplabel, synthgen
 from .errors import ConfigError, DataError
-from .ioutil import sha256_file
+from .ioutil import fmt9, sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +116,10 @@ class RunConfig:
 
 
 class _Runner:
-    """Tracks inputs and outputs of one run; removes partial outputs on failure."""
+    """Tracks inputs and outputs of one run; removes partial outputs on failure.
+
+    Keeps the values its stages make for its later stages to take from memory.
+    """
 
     def __init__(self, config: RunConfig, subcommand: str) -> None:
         self.config = config
@@ -124,6 +127,17 @@ class _Runner:
         self.out_dir = Path(config.out_dir)
         self.inputs: dict[str, str] = {}
         self.outputs: list[Path] = []
+        self.kept: dict[str, object] = {}
+
+    def get(self, name: str, load):
+        """The value kept under name, else load(self), kept for later stages."""
+        if name not in self.kept:
+            self.kept[name] = load(self)
+        return self.kept[name]
+
+    def take(self, name: str, load):
+        """Like get, for a value's last consumer: the run keeps it no longer."""
+        return self.kept.pop(name) if name in self.kept else load(self)
 
     def read(self, path: str | Path) -> Path:
         path = Path(path)
@@ -162,9 +176,16 @@ class _Runner:
 
 
 # ---------------------------------------------------------------------------
-# stages
+# loaders: what a stage reads when no earlier stage of its run kept the value
 
-def _load_tokenized(path: Path) -> list[corpus.TokenizedTweet]:
+def _read_records(run: _Runner) -> list[corpus.TweetRecord]:
+    return corpus.load_corpus(
+        run.read(run.config.corpus), include_retweets=run.config.include_retweets
+    )
+
+
+def _read_tokenized(run: _Runner) -> list[corpus.TokenizedTweet]:
+    path = run.read(run.out_dir / "tokenized.tsv")
     tweets: list[corpus.TokenizedTweet] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,18 +205,62 @@ def _load_tokenized(path: Path) -> list[corpus.TokenizedTweet]:
     return tweets
 
 
-def _write_tokenized(tweets: list[corpus.TokenizedTweet], path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for tw in tweets:
-            fh.write(f"{tw.tweet_id}\t{' '.join(tw.hashtags)}\t{' '.join(tw.tokens)}\n")
+def _read_graph(run: _Runner) -> lexgraph.CooccurrenceGraph:
+    return lexgraph.read_graph(
+        run.read(run.out_dir / "graph.edges.tsv"), run.read(run.out_dir / "graph.nodes.tsv")
+    )
 
+
+def _read_seeds(run: _Runner) -> list[proplabel.SeedLexicon]:
+    """The seed files in order; two files may not name the same dimension."""
+    paths = run.config.seed_files
+    seed_sets = [proplabel.read_seed_lexicon(run.read(path)) for path in paths]
+    dims = [seeds.dimension_name for seeds in seed_sets]
+    for i, dim in enumerate(dims):
+        if dim in dims[:i]:
+            first = paths[dims.index(dim)]
+            raise DataError(f"seed files {first} and {paths[i]} both name dimension {dim!r}")
+    return seed_sets
+
+
+def _read_lexicons(run: _Runner) -> list[proplabel.PolarityLexicon]:
+    paths = sorted(run.out_dir.glob("lexicon_*.tsv"))
+    if not paths:
+        raise ConfigError(f"no lexicon_*.tsv files in {run.out_dir}; run propagate first")
+    return [proplabel.read_lexicon(run.read(path)) for path in paths]
+
+
+def _read_scores(name: str):
+    """Loader of the score CSV <name>.csv."""
+    return lambda run: polarity.read_score_csv(run.read(run.out_dir / f"{name}.csv"))
+
+
+# A kept value must equal what its file reads back as, or pipeline would write
+# other bytes than the single-stage subcommands: kept floats go through fmt9.
+def _as_written(x: float) -> float:
+    return float(fmt9(x))
+
+
+def _as_read_back(
+    scores_by_dim: dict[str, dict[str, polarity.PolarityScore]],
+) -> dict[str, dict[str, polarity.PolarityScore]]:
+    for scores in scores_by_dim.values():
+        for s in scores.values():
+            if s.value is not None:
+                s.value = _as_written(s.value)
+    # a dimension with no rows leaves no trace in the file
+    return {dim: scores for dim, scores in scores_by_dim.items() if scores}
+
+
+# ---------------------------------------------------------------------------
+# stages
 
 def stage_ingest(run: _Runner) -> None:
-    records = corpus.load_corpus(
-        run.read(run.config.corpus), include_retweets=run.config.include_retweets
-    )
-    tweets = [corpus.tokenize(r) for r in records]
-    _write_tokenized(tweets, run.write("tokenized.tsv"))
+    records = run.get("records", _read_records)
+    tweets = run.kept["tweets"] = [corpus.tokenize(r) for r in records]
+    with open(run.write("tokenized.tsv"), "w", encoding="utf-8") as fh:
+        for tw in tweets:
+            fh.write(f"{tw.tweet_id}\t{' '.join(tw.hashtags)}\t{' '.join(tw.tokens)}\n")
     log.info("ingested %d tweets", len(records))
 
 
@@ -204,21 +269,22 @@ def stage_build_graph(run: _Runner) -> None:
     if cfg.mode == "embedding":
         table = lexgraph.load_embeddings(run.read(cfg.embeddings), cfg.vocab_cap)
         graph = lexgraph.build_knn_graph(table, cfg.knn_k)
+        weights = graph.weights.data
+        weights[:] = [_as_written(w) for w in weights.tolist()]
     else:
-        tweets = _load_tokenized(run.read(run.out_dir / "tokenized.tsv"))
+        tweets = run.get("tweets", _read_tokenized)
         cap = cfg.vocab_cap if cfg.mode == "token" else None
         graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cap)
+    run.kept["graph"] = graph
     lexgraph.write_graph(graph, run.write("graph.edges.tsv"), run.write("graph.nodes.tsv"))
     log.info("graph: %d nodes, %d edges", graph.num_nodes, graph.num_edges)
 
 
 def stage_propagate(run: _Runner) -> None:
     cfg = run.config
-    graph = lexgraph.read_graph(
-        run.read(run.out_dir / "graph.edges.tsv"), run.read(run.out_dir / "graph.nodes.tsv")
-    )
-    for seed_path in cfg.seed_files:
-        seeds = proplabel.read_seed_lexicon(run.read(seed_path))
+    graph = run.take("graph", _read_graph)
+    lexicons = run.kept["lexicons"] = []
+    for seeds in run.get("seeds", _read_seeds):
         if cfg.mode == "embedding":
             lexicon = proplabel.propagate_random_walk(
                 graph, seeds,
@@ -229,29 +295,23 @@ def stage_propagate(run: _Runner) -> None:
                 graph, seeds, gamma=cfg.gamma, max_outer=cfg.max_outer
             )
         proplabel.write_lexicon(lexicon, run.write(f"lexicon_{seeds.dimension_name}.tsv"))
-        n_labeled = len(lexicon.scores)
-        log.info(
-            "%s: labeled %d of %d nodes", seeds.dimension_name, n_labeled, graph.num_nodes
-        )
-
-
-def _lexicon_paths(out_dir: Path) -> list[Path]:
-    paths = sorted(out_dir.glob("lexicon_*.tsv"))
-    if not paths:
-        raise ConfigError(f"no lexicon_*.tsv files in {out_dir}; run propagate first")
-    return paths
+        for item, score in lexicon.scores.items():
+            lexicon.scores[item] = _as_written(score)
+        lexicon.scale = (_as_written(lexicon.scale[0]), _as_written(lexicon.scale[1]))
+        lexicons.append(lexicon)
+        log.info("%s: labeled %d of %d nodes",
+                 seeds.dimension_name, len(lexicon.scores), graph.num_nodes)
 
 
 def stage_score(run: _Runner) -> None:
     cfg = run.config
-    records = corpus.load_corpus(run.read(cfg.corpus), include_retweets=cfg.include_retweets)
-    tweets = [corpus.tokenize(r) for r in records]
+    records = run.get("records", _read_records)
+    tweets = run.take("tweets", lambda _: [corpus.tokenize(r) for r in records])
     item_mode = lexgraph.HASHTAG_MODE if cfg.mode == "hashtag" else lexgraph.TOKEN_MODE
     tweet_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     tallies: dict[str, list[polarity.TallyRow]] = {}
-    for path in _lexicon_paths(run.out_dir):
-        lexicon = proplabel.read_lexicon(run.read(path))
+    for lexicon in run.get("lexicons", _read_lexicons):
         dim = lexicon.dimension_name
         tweet_scores[dim] = polarity.score_tweets(tweets, lexicon, mode=item_mode)
         user_scores[dim] = polarity.score_users(records, tweet_scores[dim], cfg.weighting)
@@ -260,34 +320,28 @@ def stage_score(run: _Runner) -> None:
     polarity.write_score_csv(tweet_scores, run.write("tweet_scores.csv"), "tweet_id", order)
     polarity.write_score_csv(user_scores, run.write("user_scores.csv"), "user_id")
     polarity.write_tally_csv(tallies, run.write("tally.csv"))
+    run.kept["tweet_scores"] = _as_read_back(tweet_scores)
+    run.kept["user_scores"] = _as_read_back(user_scores)
 
 
 def stage_timeseries(run: _Runner) -> None:
     cfg = run.config
-    records = corpus.load_corpus(run.read(cfg.corpus), include_retweets=cfg.include_retweets)
+    records = run.get("records", _read_records)
     if cfg.membership:
         membership = polarity.read_membership(run.read(cfg.membership))
     else:
         membership = {r.user_id: "all" for r in records}
-    tweet_scores = polarity.read_score_csv(run.read(run.out_dir / "tweet_scores.csv"))
+    tweet_scores = run.take("tweet_scores", _read_scores("tweet_scores"))
     for dim in sorted(tweet_scores):
         series = polarity.daily_series(records, tweet_scores[dim], membership)
         polarity.write_daily_series_csv(series, run.write(f"daily_series_{dim}.csv"))
 
 
-def _load_scales(run: _Runner) -> dict[str, tuple[float, float]]:
-    scales: dict[str, tuple[float, float]] = {}
-    for path in _lexicon_paths(run.out_dir):
-        lexicon = proplabel.read_lexicon(run.read(path))
-        scales[lexicon.dimension_name] = lexicon.scale
-    return scales
-
-
 def stage_commnet(run: _Runner) -> None:
     cfg = run.config
-    records = corpus.load_corpus(run.read(cfg.corpus), include_retweets=cfg.include_retweets)
-    user_scores = polarity.read_score_csv(run.read(run.out_dir / "user_scores.csv"))
-    scales = _load_scales(run)
+    records = run.get("records", _read_records)
+    user_scores = run.get("user_scores", _read_scores("user_scores"))
+    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
     graph = commnet.build_comm_graph(
         records, user_scores, scales, include_mentions=not cfg.drop_mentions
     )
@@ -308,44 +362,30 @@ def stage_commnet(run: _Runner) -> None:
     )
 
 
-def _user_day_predictions(
-    records: list[corpus.TweetRecord],
-    tweet_scores: dict[str, polarity.PolarityScore],
-    scale: tuple[float, float],
-    weighting: str,
-) -> dict[str, str]:
-    groups = corpus.group_by_user_day(records)
-    out: dict[str, str] = {}
-    for key, ids in groups.items():
-        score = polarity.score_aggregate(ids, tweet_scores, weighting)
-        out[f"{key.user_id}@{key.day.isoformat()}"] = polarity.ternarize(score, scale)
-    return out
-
-
 def stage_eval(run: _Runner) -> None:
     cfg = run.config
     gold = evalkit.read_gold(run.read(cfg.gold), unit=cfg.eval_unit)
     annotations = (
         evalkit.read_annotations(run.read(cfg.annotations)) if cfg.annotations else None
     )
-    scales = _load_scales(run)
+    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
     reports = []
     if cfg.eval_unit == "account":
-        user_scores = polarity.read_score_csv(run.read(run.out_dir / "user_scores.csv"))
-        dims = sorted(user_scores)
+        scores_by_dim = run.get("user_scores", _read_scores("user_scores"))
     else:
-        records = corpus.load_corpus(run.read(cfg.corpus), include_retweets=cfg.include_retweets)
-        tweet_scores = polarity.read_score_csv(run.read(run.out_dir / "tweet_scores.csv"))
-        dims = sorted(tweet_scores)
-    for dim in dims:
-        scale = scales[dim]
+        days = corpus.group_by_user_day(run.get("records", _read_records))
+        scores_by_dim = run.get("tweet_scores", _read_scores("tweet_scores"))
+    for dim in sorted(scores_by_dim):
+        scale, scores = scales[dim], scores_by_dim[dim]
         if cfg.eval_unit == "account":
-            predictions = {
-                user: polarity.ternarize(score, scale)
-                for user, score in user_scores[dim].items()
-            }
+            predictions = {user: polarity.ternarize(s, scale) for user, s in scores.items()}
         else:
-            predictions = _user_day_predictions(records, tweet_scores[dim], scale, cfg.weighting)
+            predictions = {
+                f"{key.user_id}@{key.day.isoformat()}": polarity.ternarize(
+                    polarity.score_aggregate(ids, scores, cfg.weighting), scale
+                )
+                for key, ids in days.items()
+            }
         covered = {k: v for k, v in gold.labels.items() if k in predictions}
         dropped = len(gold.labels) - len(covered)
         if dropped:
@@ -504,6 +544,9 @@ def main(argv: list[str] | None = None) -> int:
         config.validate(args.subcommand)
         run = _Runner(config, args.subcommand)
         try:
+            if args.subcommand in ("propagate", "pipeline"):
+                # bad or clashing seed files fail the run before it writes anything
+                run.get("seeds", _read_seeds)
             if args.subcommand == "pipeline":
                 for stage in PIPELINE_STAGES:
                     stage(run)

@@ -13,14 +13,6 @@ from .errors import ConfigError, DataError
 from .ioutil import fmt9
 from .polarity import UNCLASSIFIED, PolarityScore, ternarize
 
-FILL_COLORS = {
-    "pole_a": "#d62728",
-    "pole_b": "#1f77b4",
-    "neutral": "#999999",
-    "unclassified": "#ffffff",
-}
-
-
 @dataclass
 class EdgeStat:
     """Interaction counts for one unordered user pair (a < b)."""
@@ -220,35 +212,6 @@ def _graphml_tree(graph: CommGraph) -> ET.ElementTree:
     return tree
 
 
-def _dot_quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _write_dot(graph: CommGraph, path: str | Path, color_dimension: str | None) -> None:
-    dims = graph.dimensions()
-    if color_dimension is None and dims:
-        color_dimension = dims[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("graph commnet {\n")
-        fh.write("  node [style=filled];\n")
-        for node in sorted(graph.nodes):
-            attrs = []
-            if color_dimension is not None:
-                lab = graph.label[color_dimension].get(node, UNCLASSIFIED)
-                attrs.append(f'fillcolor="{FILL_COLORS[lab]}"')
-            for dim in dims:
-                value = graph.polarity[dim].get(node)
-                if value is not None:
-                    attrs.append(f'polarity_{dim}="{fmt9(value)}"')
-                attrs.append(f'label_{dim}="{graph.label[dim].get(node, UNCLASSIFIED)}"')
-            joined = ", ".join(attrs)
-            fh.write(f"  {_dot_quote(node)} [{joined}];\n" if joined else f"  {_dot_quote(node)};\n")
-        for (a, b) in sorted(graph.edges):
-            stat = graph.edges[(a, b)]
-            fh.write(f"  {_dot_quote(a)} -- {_dot_quote(b)} [weight={stat.count}];\n")
-        fh.write("}\n")
-
-
 def _write_edge_csv(graph: CommGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -262,15 +225,12 @@ def export_graph(
     graph: CommGraph,
     path: str | Path,
     format: str = "graphml",
-    color_dimension: str | None = None,
 ) -> None:
-    """Write the graph as graphml, dot, or edge_csv with deterministic ordering."""
+    """Write the graph as graphml or edge_csv with deterministic ordering."""
     if format == "graphml":
         _graphml_tree(graph).write(path, encoding="unicode", xml_declaration=True)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("\n")
-    elif format == "dot":
-        _write_dot(graph, path, color_dimension)
     elif format == "edge_csv":
         _write_edge_csv(graph, path)
     else:

@@ -9,12 +9,12 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
 
-@dataclass
+@dataclass(slots=True)
 class TweetRecord:
     """One message. Interaction fields feed the communication network only."""
 
@@ -31,7 +31,7 @@ class TweetRecord:
         return self.timestamp.astimezone(timezone.utc).date()
 
 
-@dataclass
+@dataclass(slots=True)
 class TokenizedTweet:
     """Normalized hashtags (deduplicated) and tokens (occurrences kept) of one tweet."""
 
@@ -78,16 +78,11 @@ def record_from_json(obj: dict) -> TweetRecord:
     )
 
 
-def load_corpus(
-    path: str | Path, format: str = "jsonl", include_retweets: bool = True
-) -> list[TweetRecord]:
-    """Read a tweet corpus file, preserving input order.
+def load_corpus(path: str | Path, include_retweets: bool = True) -> list[TweetRecord]:
+    """Read a JSONL tweet corpus file, preserving input order.
 
     Rejects duplicate tweet_ids and malformed lines, naming the offender.
-    Only the jsonl format exists today.
     """
-    if format != "jsonl":
-        raise ConfigError(f"unsupported corpus format {format!r}")
     records: list[TweetRecord] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:

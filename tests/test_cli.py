@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polarlex.cli import main
@@ -283,18 +284,182 @@ def test_token_mode_pipeline(tmp_path, synth_dir):
     assert "community" in scores
 
 
-# sha256 of the graph and lexicon artifacts; a change to graph building or
-# propagation must keep them unless it sets out to change the output
+PIPELINE_STAGES = ["ingest", "build-graph", "propagate", "score", "timeseries", "commnet"]
+
+
+def mode_args(tmp_path, synth_dir, mode):
+    """Flags of a pipeline run on the synth corpus in one graph mode.
+
+    Embedding mode gets random vectors for the corpus hashtags plus 2000
+    filler tokens, and seeds on the [0, 1] scale the random walk needs.
+    """
+    seeds = synth_dir / "seeds_community.tsv"
+    extra = ["--vocab-cap", "20"] if mode == "token" else []
+    if mode == "embedding":
+        hashtags = [line.split("\t")[0]
+                    for line in (synth_dir / "gold_hashtags.tsv").read_text().splitlines()]
+        vocab = hashtags + [f"w{i:04d}" for i in range(2000)]
+        vectors = np.random.default_rng(5).standard_normal((len(vocab), 8))
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(
+            token + "".join(f" {x:.6f}" for x in row) + "\n" for token, row in zip(vocab, vectors)
+        ))
+        _, rows = seeds.read_text().split("\n", 1)
+        seeds = tmp_path / "seeds_walk.tsv"
+        seeds.write_text(
+            "#dimension=community\tvalue_a=1.000000000\tvalue_b=0.000000000\n" + rows
+        )
+        extra = ["--embeddings", str(emb), "--knn-k", "10"]
+    return [
+        "--corpus", str(synth_dir / "corpus.jsonl"), "--seed-file", str(seeds),
+        "--gamma", "2", "--kcore-k", "2", "--mode", mode, *extra,
+    ]
+
+
+def artifact_bytes(out_dir):
+    return {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"}
+
+
+def assert_pipeline_matches_stages(tmp_path, args):
+    # pipeline hands values from stage to stage in memory; each kept value
+    # must equal what its artifact file reads back as
+    assert main(["pipeline", "--out-dir", str(tmp_path / "piped"), *args]) == 0
+    for stage in PIPELINE_STAGES:
+        assert main([stage, "--out-dir", str(tmp_path / "staged"), *args]) == 0, stage
+    piped = artifact_bytes(tmp_path / "piped")
+    staged = artifact_bytes(tmp_path / "staged")
+    assert sorted(piped) == sorted(staged)
+    for name in piped:
+        assert piped[name] == staged[name], name
+
+
+@pytest.mark.parametrize("mode", ["hashtag", "token", "embedding"])
+def test_pipeline_matches_single_stages(tmp_path, synth_dir, mode):
+    assert_pipeline_matches_stages(tmp_path, mode_args(tmp_path, synth_dir, mode))
+
+
+def test_pipeline_matches_single_stages_without_tweets(tmp_path, synth_dir):
+    # an embedding graph needs no tweets, so scoring can run on none; its
+    # empty score files then name no dimension
+    args = mode_args(tmp_path, synth_dir, "embedding")
+    corpus = tmp_path / "retweets.jsonl"
+    corpus.write_text(
+        '{"tweet_id": "t1", "user_id": "u", "timestamp": "2020-01-01T00:00:00Z",'
+        ' "text": "#a", "is_retweet": true, "retweet_of_user": "v"}\n'
+    )
+    args[args.index("--corpus") + 1] = str(corpus)
+    assert_pipeline_matches_stages(tmp_path, [*args, "--no-include-retweets"])
+    assert not list((tmp_path / "piped").glob("daily_series_*.csv"))
+
+
+def test_pipeline_reads_no_file_it_wrote(tmp_path, synth_dir):
+    out = tmp_path / "run"
+    args = mode_args(tmp_path, synth_dir, "hashtag")
+    assert main(["pipeline", "--out-dir", str(out), *args]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["inputs"]) == sorted(
+        [str(synth_dir / "corpus.jsonl"), str(synth_dir / "seeds_community.tsv")]
+    )
+
+
+def test_pipeline_scores_only_its_own_lexicons(tmp_path, synth_dir):
+    corpus = synth_dir / "corpus.jsonl"
+    seeds = synth_dir / "seeds_community.tsv"
+    other = tmp_path / "seeds_other.tsv"
+    other.write_text(seeds.read_text().replace("#dimension=community", "#dimension=other", 1))
+    out = tmp_path / "run"
+    assert run_pipeline(out, corpus, other) == 0
+    assert run_pipeline(out, corpus, seeds) == 0
+    assert set(read_score_csv(out / "tweet_scores.csv")) == {"community"}
+    assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
+
+
+def test_seed_files_naming_one_dimension_exit_two(tmp_path, synth_dir, capsys):
+    seeds = synth_dir / "seeds_community.tsv"
+    again = tmp_path / "seeds_again.tsv"
+    again.write_bytes(seeds.read_bytes())
+    out = tmp_path / "run"
+    code = run_pipeline(out, synth_dir / "corpus.jsonl", seeds, ["--seed-file", str(again)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(seeds) in err and str(again) in err
+    assert not out.exists()
+
+
+# sha256 of every pipeline artifact but manifest.json; a change to any stage
+# must keep them unless it sets out to change the output
 GOLDEN_DIGESTS = {
+    "embedding": {
+        "commnet.graphml":
+            "2fc04f316b82f12dfa8bb602d26e9e7c89a2739122b9dd7bb3bea6bb29ecba30",
+        "commnet_edges.csv":
+            "29ecfe0748a30ec5ef118ba525ce82c1e6d6104e47e9a4e800414c1548ee37a1",
+        "daily_series_community.csv":
+            "108c21c800ecb8f723431e2f2c70fa824fb7a320cb4a555b39a42638c8b184df",
+        "graph.edges.tsv":
+            "24c060b0bdef7cc0e0faeae79ec50491f6316f32638489ef9ea4f8fddc147893",
+        "graph.nodes.tsv":
+            "ec7309624cf8dfbe4a9ce2fddbb54fc991deb0cdc0f2beeb4a63efe9994c2a97",
+        "homophily.csv":
+            "7cd13dc8677cf767445e38f858e6f225e706727ae5a446501708ca226844d410",
+        "lexicon_community.tsv":
+            "564365647d293faae9e5c0a694763e6ddb52756515c8fb881b1682494180899d",
+        "tally.csv":
+            "7fc9f5df1eaec3e56a3887d2e743b2dfa6f91bd9886cad7d910dcd43e5bab31e",
+        "tokenized.tsv":
+            "abf272edec4770980a10a19d9385a4346f73faec22072512b9362de71254a607",
+        "tweet_scores.csv":
+            "07a35141bc162851a73961e9ba317a78765496f92108a81f009407c5d0ea5369",
+        "user_scores.csv":
+            "ef7c35c580f112d971301e91b222d16048c7ecfcf9278b4712ce75af4e5a8eeb",
+    },
     "hashtag": {
-        "graph.edges.tsv": "801df20b6c172f1c049cfc1feb6fac22ab81f27c050f3e2860cb249d9f3cd2f5",
-        "graph.nodes.tsv": "28ab9f109a1e2646eb697af7fba38aa6b5859ca09169b717b33cf66fb714b4c6",
-        "lexicon_community.tsv": "8a99056f88f8685f69d78e1f6c87e4c9309bf0424dd9b5938a701264c17e50e4",
+        "commnet.graphml":
+            "034e7f5d1d00ce777e817d5d13ad697a9bd75a2f9da5a22f72abfeb2a5eceee7",
+        "commnet_edges.csv":
+            "29ecfe0748a30ec5ef118ba525ce82c1e6d6104e47e9a4e800414c1548ee37a1",
+        "daily_series_community.csv":
+            "deef2bac3e523814d2c02660a27ee7bf0e5b85b15141d12206f8b20ee460c6ee",
+        "graph.edges.tsv":
+            "801df20b6c172f1c049cfc1feb6fac22ab81f27c050f3e2860cb249d9f3cd2f5",
+        "graph.nodes.tsv":
+            "28ab9f109a1e2646eb697af7fba38aa6b5859ca09169b717b33cf66fb714b4c6",
+        "homophily.csv":
+            "b84bdfe13cd3bda3952d8f41930bbfaadd90af538a4045b507c4c7acdf0e3fb7",
+        "lexicon_community.tsv":
+            "8a99056f88f8685f69d78e1f6c87e4c9309bf0424dd9b5938a701264c17e50e4",
+        "tally.csv":
+            "08b94c756fc0c1fc61896b6ae7a47530046327f1034fb79286684808f2ab381f",
+        "tokenized.tsv":
+            "abf272edec4770980a10a19d9385a4346f73faec22072512b9362de71254a607",
+        "tweet_scores.csv":
+            "5b600e8dab148fc5f8c5ab8a6f2d1cb28060bfc9fc0102ad8b4c0aa38107f6f2",
+        "user_scores.csv":
+            "1e4ba716eb0826f17e3cda6438a9c437a2d8c6992060b549820485b55bc618a7",
     },
     "token": {
-        "graph.edges.tsv": "c907f7b33e716d04833f188429c52eda959d9078367788cbf1079130bb54a455",
-        "graph.nodes.tsv": "b8d134722656cc70c7608ed7e3c58138248fcbc40be9e8824fbeb0b020f9fbbf",
-        "lexicon_community.tsv": "96d4e72aa2cbcc3d0795eddb1a1c7bdbb7de55363b0b964234e4a7c1f594745c",
+        "commnet.graphml":
+            "1a2c00a5454e6dc9bcf5e185ba94f4a620552d3ef8503f9e1d460be5eadac0de",
+        "commnet_edges.csv":
+            "29ecfe0748a30ec5ef118ba525ce82c1e6d6104e47e9a4e800414c1548ee37a1",
+        "daily_series_community.csv":
+            "43293559efabec219bb33e66e49f3fb395883b12ada14f97d001accfca01760b",
+        "graph.edges.tsv":
+            "c907f7b33e716d04833f188429c52eda959d9078367788cbf1079130bb54a455",
+        "graph.nodes.tsv":
+            "b8d134722656cc70c7608ed7e3c58138248fcbc40be9e8824fbeb0b020f9fbbf",
+        "homophily.csv":
+            "b84bdfe13cd3bda3952d8f41930bbfaadd90af538a4045b507c4c7acdf0e3fb7",
+        "lexicon_community.tsv":
+            "96d4e72aa2cbcc3d0795eddb1a1c7bdbb7de55363b0b964234e4a7c1f594745c",
+        "tally.csv":
+            "799c5d353a582a13faac494610a0f529b0081d2dbaece19ded48c5b2a00dd35d",
+        "tokenized.tsv":
+            "abf272edec4770980a10a19d9385a4346f73faec22072512b9362de71254a607",
+        "tweet_scores.csv":
+            "f07a06c9c43b7eacda26f84524fb76ba1e10a121992516fc909aebf9fd792e47",
+        "user_scores.csv":
+            "ff49117bc0857c816ac857278e58ea22acc594506e4eb5dcc7c6ed01e6804b50",
     },
 }
 
@@ -302,15 +467,9 @@ GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
 def test_pipeline_golden_bytes(tmp_path, synth_dir, mode):
     out = tmp_path / f"{mode}_run"
-    extra = ["--mode", mode] + (["--vocab-cap", "20"] if mode == "token" else [])
-    assert run_pipeline(
-        out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv", extra
-    ) == 0
-    names = ["graph.edges.tsv", "graph.nodes.tsv"] + sorted(
-        p.name for p in out.glob("lexicon_*.tsv")
-    )
+    assert main(["pipeline", "--out-dir", str(out), *mode_args(tmp_path, synth_dir, mode)]) == 0
     digests = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names
+        name: hashlib.sha256(blob).hexdigest() for name, blob in artifact_bytes(out).items()
     }
     assert digests == GOLDEN_DIGESTS[mode]
 

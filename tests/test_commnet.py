@@ -254,15 +254,6 @@ class TestExport:
         back = read_edge_csv(path)
         assert back.edges == graph.edges
 
-    def test_dot_output_well_formed(self, tmp_path):
-        graph = self.full_graph(5)
-        path = tmp_path / "g.dot"
-        export_graph(graph, path, "dot")
-        text = path.read_text()
-        assert text.startswith("graph commnet {") and text.rstrip().endswith("}")
-        assert text.count(" -- ") == len(graph.edges)
-        assert 'fillcolor="#' in text
-
     def test_deterministic_bytes(self, tmp_path):
         graph = self.full_graph(30)
         blobs = []

@@ -75,12 +75,6 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="line 1"):
             load_corpus(path)
 
-    def test_unknown_format_rejected(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        write_jsonl(path, [base_row()])
-        with pytest.raises(Exception, match="format"):
-            load_corpus(path, format="parquet")
-
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(
