@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -170,46 +169,64 @@ def homophily_index(graph: CommGraph, dimension: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# export / import
+# export
 
 GRAPHML_NS = "http://graphml.graphdrawing.org/xmlns"
+# The escapes ElementTree applies, so the bytes match its serializer.
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
+_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
-def _key_element(root: ET.Element, key_id: str, target: str, name: str, kind: str) -> None:
-    ET.SubElement(
-        root,
-        "key",
-        {"id": key_id, "for": target, "attr.name": name, "attr.type": kind},
-    )
+def _write_graphml(graph: CommGraph, path: str | Path) -> None:
+    """Stream the document ElementTree would write after ET.indent, byte for byte.
 
-
-def _graphml_tree(graph: CommGraph) -> ET.ElementTree:
-    root = ET.Element("graphml", {"xmlns": GRAPHML_NS})
+    Two-space indentation, ` />` on empty elements, sorted nodes then sorted
+    edges, and `polarity_<dim>` data omitted for users without a score.
+    """
     dims = graph.dimensions()
-    for idx, dim in enumerate(dims):
-        _key_element(root, f"dp{idx}", "node", f"polarity_{dim}", "double")
-        _key_element(root, f"dl{idx}", "node", f"label_{dim}", "string")
-    for key_id, name in (("ec", "count"), ("ea", "count_src_to_dst"), ("eb", "count_dst_to_src")):
-        _key_element(root, key_id, "edge", name, "int")
-    gr = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
-    for node in sorted(graph.nodes):
-        el = ET.SubElement(gr, "node", {"id": node})
+    with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        fh.write(f"<?xml version='1.0' encoding='utf-8'?>\n<graphml xmlns=\"{GRAPHML_NS}\">\n")
         for idx, dim in enumerate(dims):
-            value = graph.polarity[dim].get(node)
-            if value is not None:
-                d = ET.SubElement(el, "data", {"key": f"dp{idx}"})
-                d.text = fmt9(value)
-            d = ET.SubElement(el, "data", {"key": f"dl{idx}"})
-            d.text = graph.label[dim].get(node, UNCLASSIFIED)
-    for (a, b) in sorted(graph.edges):
-        stat = graph.edges[(a, b)]
-        el = ET.SubElement(gr, "edge", {"source": a, "target": b})
-        for key_id, value in (("ec", stat.count), ("ea", stat.a_to_b), ("eb", stat.b_to_a)):
-            d = ET.SubElement(el, "data", {"key": key_id})
-            d.text = str(value)
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
-    return tree
+            name = dim.translate(_ATTR_ESCAPES)
+            fh.write(
+                f'  <key id="dp{idx}" for="node" attr.name="polarity_{name}" attr.type="double" />\n'
+                f'  <key id="dl{idx}" for="node" attr.name="label_{name}" attr.type="string" />\n'
+            )
+        fh.write(
+            '  <key id="ec" for="edge" attr.name="count" attr.type="int" />\n'
+            '  <key id="ea" for="edge" attr.name="count_src_to_dst" attr.type="int" />\n'
+            '  <key id="eb" for="edge" attr.name="count_dst_to_src" attr.type="int" />\n'
+        )
+        if not graph.nodes and not graph.edges:
+            fh.write('  <graph id="G" edgedefault="undirected" />\n</graphml>\n')
+            return
+        fh.write('  <graph id="G" edgedefault="undirected">\n')
+        for node in sorted(graph.nodes):
+            node_id = node.translate(_ATTR_ESCAPES)
+            if not dims:
+                fh.write(f'    <node id="{node_id}" />\n')
+                continue
+            fh.write(f'    <node id="{node_id}">\n')
+            for idx, dim in enumerate(dims):
+                value = graph.polarity[dim].get(node)
+                if value is not None:
+                    fh.write(f'      <data key="dp{idx}">{fmt9(value)}</data>\n')
+                label = graph.label[dim].get(node, UNCLASSIFIED).translate(_TEXT_ESCAPES)
+                fh.write(f'      <data key="dl{idx}">{label}</data>\n')
+            fh.write("    </node>\n")
+        for (a, b), stat in sorted(graph.edges.items()):
+            source, target = a.translate(_ATTR_ESCAPES), b.translate(_ATTR_ESCAPES)
+            fh.write(
+                f'    <edge source="{source}" target="{target}">\n'
+                f'      <data key="ec">{stat.count}</data>\n'
+                f'      <data key="ea">{stat.a_to_b}</data>\n'
+                f'      <data key="eb">{stat.b_to_a}</data>\n'
+                "    </edge>\n"
+            )
+        fh.write("  </graph>\n</graphml>\n")
 
 
 def _write_edge_csv(graph: CommGraph, path: str | Path) -> None:
@@ -228,71 +245,8 @@ def export_graph(
 ) -> None:
     """Write the graph as graphml or edge_csv with deterministic ordering."""
     if format == "graphml":
-        _graphml_tree(graph).write(path, encoding="unicode", xml_declaration=True)
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write("\n")
+        _write_graphml(graph, path)
     elif format == "edge_csv":
         _write_edge_csv(graph, path)
     else:
         raise ConfigError(f"unknown export format {format!r}")
-
-
-def read_graphml(path: str | Path) -> CommGraph:
-    """Round-trip reader for graphs written by export_graph(format='graphml')."""
-    ns = {"g": GRAPHML_NS}
-    root = ET.parse(path).getroot()
-    keys: dict[str, tuple[str, str]] = {}
-    for el in root.findall("g:key", ns):
-        keys[el.get("id")] = (el.get("attr.name"), el.get("for"))
-    graph = CommGraph()
-    gr = root.find("g:graph", ns)
-    if gr is None:
-        raise DataError(f"{path}: no <graph> element")
-    dims = sorted(
-        name[len("polarity_") :]
-        for name, target in keys.values()
-        if target == "node" and name.startswith("polarity_")
-    )
-    for dim in dims:
-        graph.polarity[dim] = {}
-        graph.label[dim] = {}
-    for el in gr.findall("g:node", ns):
-        node = el.get("id")
-        graph.nodes.add(node)
-        for dim in dims:
-            graph.polarity[dim][node] = None
-            graph.label[dim][node] = UNCLASSIFIED
-        for d in el.findall("g:data", ns):
-            name, _ = keys[d.get("key")]
-            if name.startswith("polarity_"):
-                graph.polarity[name[len("polarity_") :]][node] = float(d.text)
-            elif name.startswith("label_"):
-                graph.label[name[len("label_") :]][node] = d.text
-    for el in gr.findall("g:edge", ns):
-        a, b = el.get("source"), el.get("target")
-        values = {"count": 0, "count_src_to_dst": 0, "count_dst_to_src": 0}
-        for d in el.findall("g:data", ns):
-            name, _ = keys[d.get("key")]
-            values[name] = int(d.text)
-        graph.edges[(a, b)] = EdgeStat(
-            values["count"], values["count_src_to_dst"], values["count_dst_to_src"]
-        )
-    return graph
-
-
-def read_edge_csv(path: str | Path) -> CommGraph:
-    graph = CommGraph()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[:3] != ["user_a", "user_b", "count"]:
-            raise DataError(f"{path}: malformed edge csv header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise DataError(f"{path}: line {lineno}: expected 5 fields")
-            a, b, count, ab, ba = row
-            graph.nodes.update((a, b))
-            graph.edges[(a, b)] = EdgeStat(int(count), int(ab), int(ba))
-    return graph

@@ -61,13 +61,17 @@ def record_from_json(obj: dict) -> TweetRecord:
     for key in REQUIRED_KEYS:
         if key not in obj or obj[key] is None:
             raise DataError(f"missing required key {key!r}")
-    if not str(obj["tweet_id"]):
+    tweet_id = str(obj["tweet_id"])
+    if not tweet_id:
         raise DataError("empty tweet_id")
+    # tokenized.tsv holds one tab-separated row per tweet, keyed by tweet_id.
+    if any(ch in tweet_id for ch in "\t\n\r"):
+        raise DataError(f"tweet_id {tweet_id!r} contains a tab or line break")
     mentions = obj.get("mentions") or []
     if not isinstance(mentions, list):
         raise DataError("mentions must be an array")
     return TweetRecord(
-        tweet_id=str(obj["tweet_id"]),
+        tweet_id=tweet_id,
         user_id=str(obj["user_id"]),
         timestamp=parse_timestamp(str(obj["timestamp"])),
         text=str(obj["text"]),

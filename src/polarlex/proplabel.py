@@ -180,6 +180,8 @@ def _restart_walk(
     restart_prob: float,
     tol: float,
     max_iter: int,
+    dimension: str,
+    pole: str,
 ) -> np.ndarray:
     n = matrix.shape[0]
     s = np.zeros(n)
@@ -194,6 +196,12 @@ def _restart_walk(
         p = p_next
         if delta < tol:
             break
+    else:
+        log.warning(
+            "%s: random walk from %s did not converge in max_iter=%d iterations "
+            "(final delta %.3g, tol %.3g)",
+            dimension, pole, max_iter, delta, tol,
+        )
     return p
 
 
@@ -237,8 +245,13 @@ def propagate_random_walk(
     dangling = degree == 0.0
     inv_degree = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, degree))
 
-    p_a = _restart_walk(matrix, inv_degree, dangling, idx_a, restart_prob, tol, max_iter)
-    p_b = _restart_walk(matrix, inv_degree, dangling, idx_b, restart_prob, tol, max_iter)
+    dim = seeds.dimension_name
+    p_a = _restart_walk(
+        matrix, inv_degree, dangling, idx_a, restart_prob, tol, max_iter, dim, "pole_a"
+    )
+    p_b = _restart_walk(
+        matrix, inv_degree, dangling, idx_b, restart_prob, tol, max_iter, dim, "pole_b"
+    )
 
     total = p_a + p_b
     scores: dict[str, float] = {}

@@ -1,10 +1,21 @@
-"""Convert between CooccurrenceGraph and the {(a, b): weight} edge dicts the oracles use."""
+"""Build and read back the package's graph types in tests.
+
+Converts between CooccurrenceGraph and the {(a, b): weight} edge dicts the
+oracles use, and reads the communication-network exports back into a CommGraph.
+"""
 
 from __future__ import annotations
 
+import csv
+import xml.etree.ElementTree as ET
+from pathlib import Path
+
 import scipy.sparse as sp
 
+from polarlex.commnet import GRAPHML_NS, CommGraph, EdgeStat
+from polarlex.errors import DataError
 from polarlex.lexgraph import CooccurrenceGraph
+from polarlex.polarity import UNCLASSIFIED
 
 
 def graph_of(edges: dict[tuple[str, str], float], extra_nodes=()) -> CooccurrenceGraph:
@@ -37,3 +48,65 @@ def adjacency(graph: CooccurrenceGraph) -> dict[str, list[str]]:
         node: [graph.nodes[j] for j in w.indices[w.indptr[i] : w.indptr[i + 1]]]
         for i, node in enumerate(graph.nodes)
     }
+
+
+def read_graphml(path: str | Path) -> CommGraph:
+    """Round-trip reader for graphs written by export_graph(format='graphml')."""
+    ns = {"g": GRAPHML_NS}
+    root = ET.parse(path).getroot()
+    keys: dict[str, tuple[str, str]] = {}
+    for el in root.findall("g:key", ns):
+        keys[el.get("id")] = (el.get("attr.name"), el.get("for"))
+    graph = CommGraph()
+    gr = root.find("g:graph", ns)
+    if gr is None:
+        raise DataError(f"{path}: no <graph> element")
+    dims = sorted(
+        name[len("polarity_") :]
+        for name, target in keys.values()
+        if target == "node" and name.startswith("polarity_")
+    )
+    for dim in dims:
+        graph.polarity[dim] = {}
+        graph.label[dim] = {}
+    for el in gr.findall("g:node", ns):
+        node = el.get("id")
+        graph.nodes.add(node)
+        for dim in dims:
+            graph.polarity[dim][node] = None
+            graph.label[dim][node] = UNCLASSIFIED
+        for d in el.findall("g:data", ns):
+            name, _ = keys[d.get("key")]
+            if name.startswith("polarity_"):
+                graph.polarity[name[len("polarity_") :]][node] = float(d.text)
+            elif name.startswith("label_"):
+                graph.label[name[len("label_") :]][node] = d.text
+    for el in gr.findall("g:edge", ns):
+        a, b = el.get("source"), el.get("target")
+        values = {"count": 0, "count_src_to_dst": 0, "count_dst_to_src": 0}
+        for d in el.findall("g:data", ns):
+            name, _ = keys[d.get("key")]
+            values[name] = int(d.text)
+        graph.edges[(a, b)] = EdgeStat(
+            values["count"], values["count_src_to_dst"], values["count_dst_to_src"]
+        )
+    return graph
+
+
+def read_edge_csv(path: str | Path) -> CommGraph:
+    """Round-trip reader for graphs written by export_graph(format='edge_csv')."""
+    graph = CommGraph()
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or header[:3] != ["user_a", "user_b", "count"]:
+            raise DataError(f"{path}: malformed edge csv header")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise DataError(f"{path}: line {lineno}: expected 5 fields")
+            a, b, count, ab, ba = row
+            graph.nodes.update((a, b))
+            graph.edges[(a, b)] = EdgeStat(int(count), int(ab), int(ba))
+    return graph

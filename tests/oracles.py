@@ -6,7 +6,9 @@ operation and share no code with the package.
 
 from __future__ import annotations
 
+import io
 import math
+import xml.etree.ElementTree as ET
 from collections import Counter
 from itertools import combinations
 
@@ -178,3 +180,42 @@ def event_scan_edges(records) -> Counter:
             if t and t != r.user_id:
                 counts[tuple(sorted((r.user_id, t)))] += 1
     return counts
+
+
+def reference_graphml(graph) -> bytes:
+    """A CommGraph's GraphML document built as an ElementTree, indented and serialized.
+
+    Reads only the graph's attributes; the unscored label is spelled out here.
+    """
+    root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
+
+    def key(key_id: str, target: str, name: str, kind: str) -> None:
+        attrib = {"id": key_id, "for": target, "attr.name": name, "attr.type": kind}
+        ET.SubElement(root, "key", attrib)
+
+    dims = sorted(graph.polarity)
+    for idx, dim in enumerate(dims):
+        key(f"dp{idx}", "node", f"polarity_{dim}", "double")
+        key(f"dl{idx}", "node", f"label_{dim}", "string")
+    for key_id, name in (("ec", "count"), ("ea", "count_src_to_dst"), ("eb", "count_dst_to_src")):
+        key(key_id, "edge", name, "int")
+    gr = ET.SubElement(root, "graph", {"id": "G", "edgedefault": "undirected"})
+    for node in sorted(graph.nodes):
+        el = ET.SubElement(gr, "node", {"id": node})
+        for idx, dim in enumerate(dims):
+            value = graph.polarity[dim].get(node)
+            if value is not None:
+                ET.SubElement(el, "data", {"key": f"dp{idx}"}).text = f"{value:.9f}"
+            ET.SubElement(el, "data", {"key": f"dl{idx}"}).text = graph.label[dim].get(
+                node, "unclassified"
+            )
+    for (a, b) in sorted(graph.edges):
+        stat = graph.edges[(a, b)]
+        el = ET.SubElement(gr, "edge", {"source": a, "target": b})
+        for key_id, value in (("ec", stat.count), ("ea", stat.a_to_b), ("eb", stat.b_to_a)):
+            ET.SubElement(el, "data", {"key": key_id}).text = str(value)
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    out = io.BytesIO()
+    tree.write(out, encoding="utf-8", xml_declaration=True)
+    return out.getvalue() + b"\n"

@@ -133,10 +133,12 @@ def test_bad_flag_value_exit_one(tmp_path, capsys):
 
 def test_corrupt_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "bad.jsonl"
-    corpus.write_text("{not json\n")
-    code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
-    assert code == 2
-    assert "line 1" in capsys.readouterr().err
+    tab_id = '{"tweet_id": "t\\t1", "user_id": "u", "timestamp": "2020-01-01", "text": "x"}\n'
+    for text in ("{not json\n", tab_id):
+        corpus.write_text(text)
+        code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 def test_failed_run_removes_partial_outputs(tmp_path):
@@ -238,11 +240,12 @@ def test_env_var_selects_config(tmp_path, synth_dir, monkeypatch):
     assert (tmp_path / "envout" / "corpus.jsonl").is_file()
 
 
-def test_console_entry_point(tmp_path):
+def test_console_entry_point(src_env):
     result = subprocess.run(
         [sys.executable, "-m", "polarlex.cli", "--version"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert result.returncode == 0
     assert "polarlex" in result.stdout

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarlex.commnet import (
@@ -11,16 +11,18 @@ from polarlex.commnet import (
     export_graph,
     homophily_index,
     k_core,
-    read_edge_csv,
-    read_graphml,
 )
 from polarlex.corpus import TweetRecord, parse_timestamp
 from polarlex.errors import DataError
 from polarlex.polarity import POLE_A, POLE_B, UNCLASSIFIED, PolarityScore
 
-from oracles import event_scan_edges, naive_k_core
+from graphs import read_edge_csv, read_graphml
+from oracles import event_scan_edges, naive_k_core, reference_graphml
 
 SCALE = (-1.0, 1.0)
+# XML metacharacters, the whitespace ElementTree escapes as character
+# references, and characters outside ASCII.
+XML_TEXT = st.text(alphabet=st.sampled_from("ab&<>\"'\t\n\r é€\x01"), min_size=1, max_size=6)
 
 
 def record(tweet_id, user, retweet_of=None, mentions=(), reply_to=None):
@@ -44,6 +46,22 @@ def plain_graph(nodes, pairs, labels=None):
     if labels is not None:
         graph.label["dim"] = dict(labels)
         graph.polarity["dim"] = {n: None for n in nodes}
+    return graph
+
+
+@st.composite
+def comm_graphs(draw):
+    """Users and 0-2 dimension names from XML_TEXT; scores may be None."""
+    users = draw(st.lists(XML_TEXT, max_size=8, unique=True))
+    pairs = list(itertools.combinations(sorted(users), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    counts = st.tuples(*[st.integers(0, 50)] * 3)
+    graph = CommGraph(nodes=set(users), edges={pair: EdgeStat(*draw(counts)) for pair in chosen})
+    labels = st.sampled_from([POLE_A, POLE_B, UNCLASSIFIED, 'a&b<c>"d"'])
+    polarity = st.none() | st.floats(-1.0, 1.0)
+    for dim in draw(st.lists(XML_TEXT, max_size=2, unique=True)):
+        graph.polarity[dim] = {u: draw(polarity) for u in users}
+        graph.label[dim] = {u: draw(labels) for u in users}
     return graph
 
 
@@ -262,6 +280,14 @@ class TestExport:
             export_graph(graph, path, "graphml")
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @given(comm_graphs())
+    @example(CommGraph())
+    @example(CommGraph(nodes={"a", "b"}, edges={("a", "b"): EdgeStat(1, 1, 0)}))
+    def test_graphml_matches_elementtree_reference(self, tmp_path_factory, graph):
+        path = tmp_path_factory.mktemp("graphml") / "g.graphml"
+        export_graph(graph, path, "graphml")
+        assert path.read_bytes() == reference_graphml(graph)
 
     def test_unknown_format_rejected(self, tmp_path):
         from polarlex.errors import ConfigError

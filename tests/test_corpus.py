@@ -71,9 +71,10 @@ class TestLoadCorpus:
 
     def test_empty_tweet_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        write_jsonl(path, [base_row(tweet_id="")])
-        with pytest.raises(DataError, match="line 1"):
-            load_corpus(path)
+        for tweet_id in ("", "t\t1", "t\n1", "t\r1"):
+            write_jsonl(path, [base_row(tweet_id=tweet_id)])
+            with pytest.raises(DataError, match="line 1"):
+                load_corpus(path)
 
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -1,3 +1,4 @@
+import logging
 from itertools import combinations
 
 import pytest
@@ -198,6 +199,21 @@ class TestPropagateRandomWalk:
         lexicon = propagate_random_walk(graph, seeds)
         assert lexicon.status["i1"] == STATUS_UNLABELED
         assert "i2" not in lexicon.scores
+
+    def test_non_convergence_warns(self, caplog):
+        graph = graph_of({("a", "x"): 1, ("x", "y"): 1, ("y", "b"): 1})
+        seeds = SeedLexicon("dim", {"a"}, {"b"}, 1.0, 0.0)
+        with caplog.at_level(logging.WARNING, logger="polarlex.proplabel"):
+            propagate_random_walk(graph, seeds, tol=1e-12, max_iter=1)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        for pole, message in zip(("pole_a", "pole_b"), messages):
+            assert message.startswith(f"dim: random walk from {pole} did not converge")
+            assert "max_iter=1 " in message and "final delta" in message
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="polarlex.proplabel"):
+            propagate_random_walk(graph, seeds, tol=1e-12, max_iter=100_000)
+        assert caplog.records == []
 
     def test_missing_pole_names_pole(self):
         graph = graph_of({("a", "x"): 1})

@@ -1,4 +1,3 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,11 +5,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_synthetic_pipeline_script(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_run_synthetic_pipeline_script(tmp_path, src_env):
     out = tmp_path / "demo"
     result = subprocess.run(
         [
@@ -20,7 +15,7 @@ def test_run_synthetic_pipeline_script(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
