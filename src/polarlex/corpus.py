@@ -70,6 +70,9 @@ def record_from_json(obj: dict) -> TweetRecord:
     mentions = obj.get("mentions") or []
     if not isinstance(mentions, list):
         raise DataError("mentions must be an array")
+    for key in ("retweet_of_user", "reply_to_user"):
+        if not isinstance(obj.get(key), (str, type(None))):
+            raise DataError(f"{key} must be a string or null")
     return TweetRecord(
         tweet_id=tweet_id,
         user_id=str(obj["user_id"]),

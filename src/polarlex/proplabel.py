@@ -96,13 +96,16 @@ def propagate_greedy(
 ) -> PolarityLexicon:
     """Spread seed values by repeated sweeps of weighted neighbor averaging.
 
-    A sweep visits unlabeled nodes in ascending lexicographic order. A node n
-    with deg(n) neighbors, c of them labeled, is labeled when c >= 1 and
-    c + slack >= deg(n); the slack grows as floor(pass_index / gamma). Its
-    value is the edge-weighted average over labeled neighbors; labels set
-    earlier in the same sweep are visible and labels are never revised.
-    Stops after a sweep that labels nothing once the slack can no longer
-    grow useful (slack >= max degree), or after max_outer sweeps.
+    A node n with deg(n) neighbors, c of them labeled, is eligible when
+    c >= 1 and c + slack >= deg(n); the slack grows as floor(pass_index /
+    gamma). A sweep visits only eligible nodes, in ascending lexicographic
+    order, and labels each with the edge-weighted average over its labeled
+    neighbors. Labels set earlier in the same sweep are visible: a node they
+    make eligible joins the sweep if its name sorts after the node just
+    labeled and waits for the next sweep otherwise. Labels are never revised,
+    and each labeled node's adjacency row is scanned once. Stops after a
+    sweep that labels nothing once the slack can no longer grow useful
+    (slack >= max degree), or after max_outer sweeps.
     """
     if gamma < 1:
         raise ConfigError("gamma must be >= 1")
@@ -112,63 +115,84 @@ def propagate_greedy(
     indptr = graph.weights.indptr.tolist()
     indices = graph.weights.indices.tolist()
     data = graph.weights.data.tolist()
-    labels = _seed_values_in_graph(seeds, {node: i for i, node in enumerate(nodes)})
-    if not labels:
+    seed_values = _seed_values_in_graph(seeds, {node: i for i, node in enumerate(nodes)})
+    if not seed_values:
         raise DataError(f"{seeds.dimension_name}: no seeds reachable in the graph")
     lo, hi = seeds.scale
     status = {node: STATUS_UNLABELED for node in nodes}
-    for i in labels:
-        status[nodes[i]] = STATUS_SEED
+    labels: list[float | None] = [None] * len(nodes)
+    for n, v in seed_values.items():
+        labels[n] = v
+        status[nodes[n]] = STATUS_SEED
 
     deg = np.diff(indptr).tolist()
     max_deg = max(deg, default=0)
-    labeled_count = [0] * len(nodes)
-    for n in labels:
+    # deficit[n] counts n's unlabeled neighbors; a candidate is an unlabeled
+    # node with at least one labeled neighbor
+    deficit = list(deg)
+    for n in seed_values:
         for nbr in indices[indptr[n] : indptr[n + 1]]:
-            labeled_count[nbr] += 1
-    candidates = {n for n, c in enumerate(labeled_count) if c >= 1 and n not in labels}
+            deficit[nbr] -= 1
+    candidates = {n for n, d in enumerate(deficit) if d < deg[n] and labels[n] is None}
 
-    i = 0
+    i = sweeps = slack = 0
+    ready: list[int] = []
+    ready_slack = -1
     while i < max_outer and candidates:
         slack = i // gamma
-        heap = sorted(candidates)
-        pending = set(heap)
-        changed = False
+        if slack != ready_slack:
+            ready = [n for n in candidates if deficit[n] <= slack]
+            ready_slack = slack
+        # every node popped is eligible; one made eligible by n's label joins
+        # this sweep if it sorts after n and waits in ready otherwise
+        heap, ready = ready, []
+        heapq.heapify(heap)
+        changed = bool(heap)
         while heap:
             n = heapq.heappop(heap)
-            pending.discard(n)
-            c = labeled_count[n]
-            if c < 1 or c + slack < deg[n]:
-                continue
             start, stop = indptr[n], indptr[n + 1]
-            nbrs = list(zip(indices[start:stop], data[start:stop]))
-            num = math.fsum(labels[j] * w for j, w in nbrs if j in labels)
-            den = math.fsum(w for j, w in nbrs if j in labels)
-            labels[n] = min(hi, max(lo, num / den))
+            num: list[float] = []
+            den: list[float] = []
+            for j, w in zip(indices[start:stop], data[start:stop]):
+                v = labels[j]
+                if v is not None:
+                    num.append(v * w)
+                    den.append(w)
+                    continue
+                d = deficit[j] - 1
+                deficit[j] = d
+                if d == deg[j] - 1:  # j's first labeled neighbor
+                    candidates.add(j)
+                    if d > slack:
+                        continue
+                elif d != slack:
+                    continue
+                if j > n:
+                    heapq.heappush(heap, j)
+                else:
+                    ready.append(j)
+            labels[n] = min(hi, max(lo, math.fsum(num) / math.fsum(den)))
             status[nodes[n]] = STATUS_PROPAGATED
-            changed = True
             candidates.discard(n)
-            for nbr, _ in nbrs:
-                labeled_count[nbr] += 1
-                if nbr not in labels:
-                    candidates.add(nbr)
-                    if nbr > n and nbr not in pending:
-                        heapq.heappush(heap, nbr)
-                        pending.add(nbr)
         i += 1
+        sweeps += 1
         if not changed:
             if slack >= max_deg:
                 break
             # every remaining pass at this slack is a no-op; jump to the
             # first pass index whose slack makes some candidate eligible
-            target = min(deg[n] - labeled_count[n] for n in candidates)
+            target = min(map(deficit.__getitem__, candidates))
             i = max(i, min(target * gamma, max_outer))
 
+    scores = {nodes[n]: v for n, v in enumerate(labels) if v is not None}
+    log.info(
+        "%s: greedy propagation ran %d sweeps, final slack %d: "
+        "%d labeled, %d unlabeled, %d seeds",
+        seeds.dimension_name, sweeps, slack,
+        len(scores), len(nodes) - len(scores), len(seed_values),
+    )
     return PolarityLexicon(
-        dimension_name=seeds.dimension_name,
-        scores={nodes[n]: value for n, value in labels.items()},
-        status=status,
-        scale=(lo, hi),
+        dimension_name=seeds.dimension_name, scores=scores, status=status, scale=(lo, hi)
     )
 
 

@@ -6,6 +6,7 @@ operation and share no code with the package.
 
 from __future__ import annotations
 
+import heapq
 import io
 import math
 import xml.etree.ElementTree as ET
@@ -55,6 +56,79 @@ def reference_propagate(
         if not changed and slack >= max_deg:
             break
     return labels
+
+
+def sweep_all_greedy(
+    nodes: list[str],
+    indptr: list[int],
+    indices: list[int],
+    data: list[float],
+    seed_values: dict[str, float],
+    endpoints: tuple[float, float],
+    gamma: int,
+    max_outer: int,
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Greedy spreading over CSR rows, re-heaping every candidate each sweep.
+
+    Each sweep pops every node with a labeled neighbor in ascending order and
+    skips the ineligible ones; a node that gets its first labeled neighbor
+    during the sweep joins it if its name sorts after that neighbor. Passes
+    that cannot label anything are skipped by jumping to the first pass whose
+    slack reaches some candidate. Returns the scores and the
+    seed/propagated/unlabeled status of every node.
+    """
+    index = {node: i for i, node in enumerate(nodes)}
+    labels = {index[n]: v for n, v in seed_values.items() if n in index}
+    lo, hi = min(endpoints), max(endpoints)
+    status = {node: "unlabeled" for node in nodes}
+    for i in labels:
+        status[nodes[i]] = "seed"
+
+    deg = np.diff(indptr).tolist()
+    max_deg = max(deg, default=0)
+    labeled_count = [0] * len(nodes)
+    for n in labels:
+        for nbr in indices[indptr[n] : indptr[n + 1]]:
+            labeled_count[nbr] += 1
+    candidates = {n for n, c in enumerate(labeled_count) if c >= 1 and n not in labels}
+
+    i = 0
+    while i < max_outer and candidates:
+        slack = i // gamma
+        heap = sorted(candidates)
+        pending = set(heap)
+        changed = False
+        while heap:
+            n = heapq.heappop(heap)
+            pending.discard(n)
+            c = labeled_count[n]
+            if c < 1 or c + slack < deg[n]:
+                continue
+            start, stop = indptr[n], indptr[n + 1]
+            nbrs = list(zip(indices[start:stop], data[start:stop]))
+            num = math.fsum(labels[j] * w for j, w in nbrs if j in labels)
+            den = math.fsum(w for j, w in nbrs if j in labels)
+            labels[n] = min(hi, max(lo, num / den))
+            status[nodes[n]] = "propagated"
+            changed = True
+            candidates.discard(n)
+            for nbr, _ in nbrs:
+                labeled_count[nbr] += 1
+                if nbr not in labels:
+                    candidates.add(nbr)
+                    if nbr > n and nbr not in pending:
+                        heapq.heappush(heap, nbr)
+                        pending.add(nbr)
+        i += 1
+        if not changed:
+            if slack >= max_deg:
+                break
+            # every remaining pass at this slack is a no-op; jump to the
+            # first pass index whose slack makes some candidate eligible
+            target = min(deg[n] - labeled_count[n] for n in candidates)
+            i = max(i, min(target * gamma, max_outer))
+
+    return {nodes[n]: value for n, value in labels.items()}, status
 
 
 def brute_force_pairs(item_sets: list[list[str]]) -> Counter:

@@ -134,11 +134,20 @@ def test_bad_flag_value_exit_one(tmp_path, capsys):
 def test_corrupt_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "bad.jsonl"
     tab_id = '{"tweet_id": "t\\t1", "user_id": "u", "timestamp": "2020-01-01", "text": "x"}\n'
-    for text in ("{not json\n", tab_id):
+    int_retweet = (
+        '{"tweet_id": "t1", "user_id": "u", "timestamp": "2020-01-01", "text": "#a #b"}\n'
+        '{"tweet_id": "t2", "user_id": "u", "timestamp": "2020-01-01", "text": "#a #b",'
+        ' "retweet_of_user": 42}\n'
+    )
+    for text, line in (("{not json\n", 1), (tab_id, 1), (int_retweet, 2)):
         corpus.write_text(text)
         code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        assert f"line {line}" in capsys.readouterr().err
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("#dimension=d\tvalue_a=1\tvalue_b=-1\na\tA\nb\tB\n")
+    assert run_pipeline(tmp_path / "p", corpus, seeds) == 2
+    assert "line 2: retweet_of_user must be a string" in capsys.readouterr().err
 
 
 def test_failed_run_removes_partial_outputs(tmp_path):

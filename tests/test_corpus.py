@@ -76,6 +76,16 @@ class TestLoadCorpus:
             with pytest.raises(DataError, match="line 1"):
                 load_corpus(path)
 
+    def test_non_string_interaction_user_rejected(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        for key in ("retweet_of_user", "reply_to_user"):
+            for value in (42, ["u2"], {"id": "u2"}, True):
+                write_jsonl(path, [base_row(), base_row(tweet_id="t2", **{key: value})])
+                with pytest.raises(DataError, match=f"line 2: {key} must be a string"):
+                    load_corpus(path)
+            write_jsonl(path, [base_row(**{key: None}), base_row(tweet_id="t2", **{key: "u2"})])
+            assert [getattr(r, key) for r in load_corpus(path)] == [None, "u2"]
+
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(

@@ -1,4 +1,5 @@
 import logging
+import random
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,7 @@ from polarlex.proplabel import (
 )
 
 from graphs import adjacency, edge_dict, graph_of
-from oracles import dense_restart_walk, reference_propagate
+from oracles import dense_restart_walk, reference_propagate, sweep_all_greedy
 
 
 @st.composite
@@ -44,6 +45,49 @@ def random_graph_with_seeds(draw, max_nodes=12):
     )
     gamma = draw(st.sampled_from([1, 2, 3, 100]))
     return graph_of(weights, extra_nodes=nodes), seeds, gamma
+
+
+@st.composite
+def weighted_graph_with_seeds(draw, max_nodes=30):
+    """Graphs with integer or float weights, seeds anywhere, some isolated nodes."""
+    n = draw(st.integers(min_value=2, max_value=max_nodes))
+    nodes = [f"n{i:02d}" for i in range(n)]
+    pairs = list(combinations(nodes, 2))
+    chosen = draw(st.sets(st.sampled_from(pairs), max_size=min(len(pairs), 4 * n)))
+    if draw(st.booleans()):
+        weight = st.integers(min_value=1, max_value=9).map(float)
+    else:
+        weight = st.floats(min_value=1e-3, max_value=1e3)
+    weights = {pair: draw(weight) for pair in sorted(chosen)}
+    order = draw(st.permutations(nodes))
+    n_a = draw(st.integers(min_value=1, max_value=3))
+    n_b = draw(st.integers(min_value=0, max_value=3))
+    value_a = draw(st.floats(min_value=-10.0, max_value=10.0))
+    value_b = draw(st.floats(min_value=-10.0, max_value=10.0).filter(lambda v: v != value_a))
+    seeds = SeedLexicon(
+        dimension_name="dim",
+        pole_a_items=set(order[:n_a]),
+        pole_b_items=set(order[n_a : n_a + n_b]) | {"zz_absent"},
+        value_a=value_a,
+        value_b=value_b,
+    )
+    return graph_of(weights, extra_nodes=nodes), seeds
+
+
+def assert_matches_sweep_all(graph, seeds, gamma, max_outer):
+    lexicon = propagate_greedy(graph, seeds, gamma=gamma, max_outer=max_outer)
+    seed_values = {item: seeds.value_a for item in sorted(seeds.pole_a_items)}
+    seed_values.update({item: seeds.value_b for item in sorted(seeds.pole_b_items)})
+    w = graph.weights
+    scores, status = sweep_all_greedy(
+        graph.nodes, w.indptr.tolist(), w.indices.tolist(), w.data.tolist(),
+        seed_values, (seeds.value_a, seeds.value_b), gamma, max_outer,
+    )
+    assert lexicon.status == status
+    assert {k: v.hex() for k, v in lexicon.scores.items()} == {
+        k: v.hex() for k, v in scores.items()
+    }
+    return lexicon
 
 
 def reachable_from(adj, starts):
@@ -123,6 +167,73 @@ class TestPropagateGreedy:
             (seeds.value_a, seeds.value_b), gamma, max_outer,
         )
         assert lexicon.scores == expected
+
+    @given(
+        weighted_graph_with_seeds(),
+        st.sampled_from([1, 2, 3, 100]),
+        st.sampled_from([1, 2, 3, 7, 50, 10_000]),
+    )
+    @settings(max_examples=300)
+    def test_matches_sweep_all_oracle(self, case, gamma, max_outer):
+        graph, seeds = case
+        assert_matches_sweep_all(graph, seeds, gamma, max_outer)
+
+    @pytest.mark.parametrize("gamma", [1, 3, 100])
+    def test_matches_sweep_all_oracle_on_large_random_graph(self, gamma):
+        rng = random.Random(20201)
+        nodes = [f"w{rng.randrange(16**6):06x}" for _ in range(2000)]
+        edges = {}
+        for _ in range(8000):
+            # the cube skews b toward low indices, so a few nodes become hubs
+            a, b = rng.randrange(2000), int(2000 * rng.random() ** 3)
+            if nodes[a] != nodes[b]:
+                key = tuple(sorted((nodes[a], nodes[b])))
+                edges[key] = edges.get(key, 0.0) + rng.choice([1.0, 2.0, 0.5, 3.25])
+        seeds = SeedLexicon("dim", set(nodes[:5]), set(nodes[5:10]), 1.0, -1.0)
+        graph = graph_of(edges, extra_nodes=nodes)
+        lexicon = assert_matches_sweep_all(graph, seeds, gamma, 1_000_000)
+        assert len(lexicon.scores) > 1000
+
+    def test_node_made_eligible_by_smaller_name_joins_the_sweep(self):
+        # gamma=2: pass 0 (slack 0) labels nothing, so the next sweep is pass 2
+        # (slack 1). There a (deficit 1) is labeled 1.0; that drops b's deficit
+        # from 2 to 1, and b > a, so b is labeled in the same sweep from a's
+        # new label: (1.0 * 3 + -1.0 * 1) / 4 = 0.5. Then u, whose only
+        # neighbor is b, gets its first labeled neighbor; u > b, so it joins too.
+        graph = graph_of({("a", "s"): 1, ("a", "b"): 3, ("b", "t"): 1, ("b", "u"): 1})
+        seeds = SeedLexicon("dim", {"s"}, {"t"}, 1.0, -1.0)
+        assert propagate_greedy(graph, seeds, gamma=2, max_outer=2).scores == {
+            "s": 1.0, "t": -1.0,
+        }
+        lexicon = propagate_greedy(graph, seeds, gamma=2, max_outer=3)
+        assert lexicon.scores == {"s": 1.0, "t": -1.0, "a": 1.0, "b": 0.5, "u": 0.5}
+
+    def test_node_made_eligible_by_larger_name_waits_for_next_sweep(self):
+        # The same graph with a -> z, b -> y, u -> c. In pass 2 (slack 1) z is
+        # labeled; y becomes eligible but y < z, so it waits for pass 3 (still
+        # slack 1) and gets 0.5 there. Labeling y gives c its first labeled
+        # neighbor, and c < y, so c waits for pass 4 (slack 2).
+        graph = graph_of({("s", "z"): 1, ("y", "z"): 3, ("t", "y"): 1, ("c", "y"): 1})
+        seeds = SeedLexicon("dim", {"s"}, {"t"}, 1.0, -1.0)
+        lexicon = propagate_greedy(graph, seeds, gamma=2, max_outer=3)
+        assert lexicon.scores == {"s": 1.0, "t": -1.0, "z": 1.0}
+        assert lexicon.status["y"] == STATUS_UNLABELED
+        lexicon = propagate_greedy(graph, seeds, gamma=2, max_outer=4)
+        assert lexicon.scores == {"s": 1.0, "t": -1.0, "z": 1.0, "y": 0.5}
+        lexicon = propagate_greedy(graph, seeds, gamma=2, max_outer=5)
+        assert lexicon.scores == {"s": 1.0, "t": -1.0, "z": 1.0, "y": 0.5, "c": 0.5}
+
+    def test_logs_sweeps_slack_and_counts(self, caplog):
+        # pass 0 (slack 0) labels nothing, so the next sweep is pass 5
+        # (slack 1), which labels x and y; i1 and i2 are unreachable
+        graph = graph_of({("s", "x"): 1, ("x", "y"): 1, ("y", "q"): 1, ("i1", "i2"): 1})
+        seeds = SeedLexicon("dim", {"s"}, {"q"}, 1.0, -1.0)
+        with caplog.at_level(logging.INFO, logger="polarlex.proplabel"):
+            propagate_greedy(graph, seeds, gamma=5)
+        assert [r.getMessage() for r in caplog.records] == [
+            "dim: greedy propagation ran 2 sweeps, final slack 1: "
+            "4 labeled, 2 unlabeled, 2 seeds"
+        ]
 
     @given(random_graph_with_seeds())
     def test_seed_preservation_range_reachability(self, case):
