@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Summarize parent/change benchmark runs into BENCH_pr<N>.json.
+
+Each side is a directory of polarbench result files, the
+`.polarbench/out/<workload>-seed<seed>-trace0.json` files that
+
+    python3 polarbench/run.py --workload W --seed S --seconds T --trace 0
+
+writes in a checkout of that side. Runs of one workload and seed on both
+sides form a pair. For every workload and end-to-end metric of
+BENCHMARK.json, the summary gives each side's median, quartiles and run count
+over the paired runs, and how many pairs the change won, lost or tied in the
+metric's better direction. Unpaired runs are listed, not summarized.
+
+    python3 scripts/bench_json.py --pr 6 --parent ../parent/.polarbench/out \\
+        --change .polarbench/out
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RESULT_NAME = re.compile(r"(?P<workload>.+)-seed(?P<seed>-?\d+)-trace0\.json")
+
+
+def read_side(directory: Path) -> dict[tuple[str, int], dict]:
+    """(workload, seed) -> the run's details, for every trace-0 result file."""
+    runs = {}
+    for path in sorted(directory.glob("*-trace0.json")):
+        match = RESULT_NAME.fullmatch(path.name)
+        if match:
+            details = json.loads(path.read_text(encoding="utf-8"))
+            runs[(match["workload"], int(match["seed"]))] = details
+    return runs
+
+
+def quartiles(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    workloads = sorted({w for w, _ in parent} | {w for w, _ in change})
+    out = {}
+    for workload in workloads:
+        seeds = sorted(s for w, s in parent.keys() & change.keys() if w == workload)
+        unpaired = {
+            side: sorted(s for w, s in runs if w == workload and s not in seeds)
+            for side, runs in (("parent", parent), ("change", change))
+        }
+        pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
+        entry = {
+            "seeds": seeds,
+            "pairs": len(pairs),
+            "unpaired_seeds": unpaired,
+            "attempted": {"parent": sum(p["result"]["attempted"] for p, _ in pairs),
+                          "change": sum(c["result"]["attempted"] for _, c in pairs)},
+            "failed": {"parent": sum(p["result"]["failed"] for p, _ in pairs),
+                       "change": sum(c["result"]["failed"] for _, c in pairs)},
+            "metrics": {},
+        }
+        for metric in metrics:
+            name, sign = metric["name"], -1 if metric["better"] == "lower" else 1
+            values = [(p["result"]["metrics"][name]["value"],
+                       c["result"]["metrics"][name]["value"]) for p, c in pairs]
+            if not values:
+                continue
+            gains = [sign * (c - p) for p, c in values]
+            entry["metrics"][name] = {
+                "unit": metric["unit"],
+                "better": metric["better"],
+                "parent": quartiles([p for p, _ in values]),
+                "change": quartiles([c for _, c in values]),
+                "change_wins": sum(g > 0 for g in gains),
+                "change_losses": sum(g < 0 for g in gains),
+                "ties": sum(g == 0 for g in gains),
+            }
+        out[workload] = entry
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    ap.add_argument("--parent", type=Path, required=True, help="parent's result directory")
+    ap.add_argument("--change", type=Path, default=Path(".polarbench/out"),
+                    help="change's result directory (default: .polarbench/out)")
+    ap.add_argument("--out", type=Path, default=None,
+                    help="output file (default: BENCH_pr<N>.json at the repository root)")
+    args = ap.parse_args()
+    for side in (args.parent, args.change):
+        if not side.is_dir():
+            print(f"bench_json: no result directory {side}", file=sys.stderr)
+            return 1
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    summary = {
+        "pr": args.pr,
+        "run_seconds": benchmark["run_seconds"],
+        "workloads": summarize(read_side(args.parent), read_side(args.change),
+                               benchmark["end_to_end"]),
+    }
+    out = args.out or ROOT / f"BENCH_pr{args.pr}.json"
+    out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

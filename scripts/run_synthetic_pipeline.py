@@ -62,7 +62,7 @@ def main():
     write_corpus(records, out / "corpus.jsonl")
     write_seed_lexicon(truth.seeds, out / "seeds.tsv")
 
-    tweets = [tokenize(r) for r in records]
+    tweets = tokenize(records)
     graph = build_cooccurrence(tweets, "hashtag")
     write_graph(graph, out / "graph.edges.tsv", out / "graph.nodes.tsv")
     print(f"graph: {graph.num_nodes} hashtags, {graph.num_edges} edges")

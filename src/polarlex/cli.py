@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -257,7 +258,7 @@ def _as_read_back(
 
 def stage_ingest(run: _Runner) -> None:
     records = run.get("records", _read_records)
-    tweets = run.kept["tweets"] = [corpus.tokenize(r) for r in records]
+    tweets = run.kept["tweets"] = corpus.tokenize(records)
     with open(run.write("tokenized.tsv"), "w", encoding="utf-8") as fh:
         for tw in tweets:
             fh.write(f"{tw.tweet_id}\t{' '.join(tw.hashtags)}\t{' '.join(tw.tokens)}\n")
@@ -306,7 +307,7 @@ def stage_propagate(run: _Runner) -> None:
 def stage_score(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
-    tweets = run.take("tweets", lambda _: [corpus.tokenize(r) for r in records])
+    tweets = run.take("tweets", lambda _: corpus.tokenize(records))
     item_mode = lexgraph.HASHTAG_MODE if cfg.mode == "hashtag" else lexgraph.TOKEN_MODE
     tweet_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
@@ -536,8 +537,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
+    gc_was_enabled = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        # A run's records and tweets live until it ends, and the cyclic garbage
+        # it leaves does not grow with them, so automatic collection would only
+        # rescan that growing heap; the caller's setting comes back below.
+        gc.disable()
         if not args.subcommand:
             raise ConfigError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         config = build_config(args)
@@ -565,6 +571,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"polarlex: i/o error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return EXIT_OK
 
 

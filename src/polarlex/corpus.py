@@ -61,27 +61,32 @@ def record_from_json(obj: dict) -> TweetRecord:
     for key in REQUIRED_KEYS:
         if key not in obj or obj[key] is None:
             raise DataError(f"missing required key {key!r}")
-    tweet_id = str(obj["tweet_id"])
+    tweet_id = obj["tweet_id"]
+    if not isinstance(tweet_id, str):
+        tweet_id = str(tweet_id)
     if not tweet_id:
         raise DataError("empty tweet_id")
     # tokenized.tsv holds one tab-separated row per tweet, keyed by tweet_id.
-    if any(ch in tweet_id for ch in "\t\n\r"):
+    if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
         raise DataError(f"tweet_id {tweet_id!r} contains a tab or line break")
     mentions = obj.get("mentions") or []
     if not isinstance(mentions, list):
         raise DataError("mentions must be an array")
-    for key in ("retweet_of_user", "reply_to_user"):
-        if not isinstance(obj.get(key), (str, type(None))):
+    retweet_of_user = obj.get("retweet_of_user")
+    reply_to_user = obj.get("reply_to_user")
+    for key, value in (("retweet_of_user", retweet_of_user), ("reply_to_user", reply_to_user)):
+        if value is not None and not isinstance(value, str):
             raise DataError(f"{key} must be a string or null")
+    user_id, timestamp, text = obj["user_id"], obj["timestamp"], obj["text"]
     return TweetRecord(
         tweet_id=tweet_id,
-        user_id=str(obj["user_id"]),
-        timestamp=parse_timestamp(str(obj["timestamp"])),
-        text=str(obj["text"]),
+        user_id=user_id if isinstance(user_id, str) else str(user_id),
+        timestamp=parse_timestamp(timestamp if isinstance(timestamp, str) else str(timestamp)),
+        text=text if isinstance(text, str) else str(text),
         is_retweet=bool(obj.get("is_retweet", False)),
-        retweet_of_user=obj.get("retweet_of_user"),
-        mentions=[str(m) for m in mentions],
-        reply_to_user=obj.get("reply_to_user"),
+        retweet_of_user=retweet_of_user,
+        mentions=[m if isinstance(m, str) else str(m) for m in mentions],
+        reply_to_user=reply_to_user,
     )
 
 
@@ -145,6 +150,42 @@ def _strip_piece(piece: str) -> str:
     return piece[start:end]
 
 
+def _piece_item(raw: str) -> tuple[str, bool]:
+    """The item a whitespace piece stands for and whether it is a hashtag.
+
+    The item is "" for a piece that is dropped: only punctuation, a mention,
+    a URL or a bare run of '#'. The result depends on the piece alone.
+    """
+    if raw.isalnum():  # letters and digits only: no punctuation, no '#' or '@'
+        return raw.casefold(), False
+    piece = _strip_piece(raw)
+    if not piece or piece.startswith("@"):
+        return "", False
+    if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
+        return "", False
+    if piece.startswith("#"):
+        return piece.lstrip("#").casefold(), True
+    return piece.casefold(), False
+
+
+def _tokenize_with(
+    text: str, memo: dict[str, tuple[str, bool]]
+) -> tuple[list[str], list[str]]:
+    """tokenize_text, classifying each distinct piece once per memo."""
+    tags: list[str] = []
+    tokens: list[str] = []
+    for raw in text.split():
+        item = memo.get(raw)
+        if item is None:
+            item = memo[raw] = _piece_item(raw)
+        name, is_tag = item
+        if name:
+            tokens.append(name)
+            if is_tag:
+                tags.append(name)
+    return list(dict.fromkeys(tags)), tokens
+
+
 def tokenize_text(text: str) -> tuple[list[str], list[str]]:
     """Split on Unicode whitespace and normalize; returns (hashtags, tokens).
 
@@ -152,31 +193,21 @@ def tokenize_text(text: str) -> tuple[list[str], list[str]]:
     order; every hashtag occurrence also counts as a token. Mentions and URLs
     are dropped entirely.
     """
-    hashtags: list[str] = []
-    seen_tags: set[str] = set()
-    tokens: list[str] = []
-    for raw in text.split():
-        piece = _strip_piece(raw)
-        if not piece or piece.startswith("@"):
-            continue
-        if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
-            continue
-        if piece.startswith("#"):
-            name = piece.lstrip("#").casefold()
-            if not name:
-                continue
-            tokens.append(name)
-            if name not in seen_tags:
-                seen_tags.add(name)
-                hashtags.append(name)
-        else:
-            tokens.append(piece.casefold())
-    return hashtags, tokens
+    return _tokenize_with(text, {})
 
 
-def tokenize(record: TweetRecord) -> TokenizedTweet:
-    hashtags, tokens = tokenize_text(record.text)
-    return TokenizedTweet(tweet_id=record.tweet_id, hashtags=hashtags, tokens=tokens)
+def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
+    """tokenize_text over each record's text, in input order.
+
+    Pieces repeat across tweets, so each distinct piece is classified once per
+    call; the memo lives only as long as the call.
+    """
+    memo: dict[str, tuple[str, bool]] = {}
+    out: list[TokenizedTweet] = []
+    for record in records:
+        hashtags, tokens = _tokenize_with(record.text, memo)
+        out.append(TokenizedTweet(tweet_id=record.tweet_id, hashtags=hashtags, tokens=tokens))
+    return out
 
 
 def group_by_user_day(corpus: Iterable[TweetRecord]) -> dict[UserDayKey, list[str]]:

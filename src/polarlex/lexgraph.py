@@ -24,6 +24,9 @@ TOKEN_MODE = "token"
 MIN_KNN_WEIGHT = 1e-6
 # rows of similarities computed per matrix product in build_knn_graph
 KNN_BLOCK = 1024
+# edges formatted per write in write_graph; one write for all of them would
+# hold every line of a large graph in memory at once
+EDGE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -208,10 +211,20 @@ def write_graph(
     nodes = graph.nodes
     # row-major with sorted columns, so the a < b pairs come out in name order
     upper = sp.triu(graph.weights, k=1).tocoo()
+    # Co-occurrence counts are whole numbers, and fmt9 of a positive whole
+    # number n is f"{n}.000000000", which is cheaper to format.
+    whole = bool(((upper.data % 1 == 0) & (upper.data > 0)).all())
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
-        for i, j, w in zip(upper.row.tolist(), upper.col.tolist(), upper.data.tolist()):
-            fh.write(f"{nodes[i]}\t{nodes[j]}\t{fmt9(w)}\n")
+        for start in range(0, upper.nnz, EDGE_BLOCK):
+            block = slice(start, start + EDGE_BLOCK)
+            edges = zip(upper.row[block].tolist(), upper.col[block].tolist(),
+                        upper.data[block].tolist())
+            if whole:
+                lines = [f"{nodes[i]}\t{nodes[j]}\t{int(w)}.000000000\n" for i, j, w in edges]
+            else:
+                lines = [f"{nodes[i]}\t{nodes[j]}\t{fmt9(w)}\n" for i, j, w in edges]
+            fh.write("".join(lines))
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node, freq in zip(nodes, graph.frequency):
             fh.write(f"{node}\t{freq}\n")

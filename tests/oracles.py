@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import io
 import math
+import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
 from itertools import combinations
@@ -293,3 +294,68 @@ def reference_graphml(graph) -> bytes:
     out = io.BytesIO()
     tree.write(out, encoding="utf-8", xml_declaration=True)
     return out.getvalue() + b"\n"
+
+
+# The tokenizer before pieces were memoized, verbatim: tokenize_text and its
+# two helpers.
+def _is_punct(ch: str) -> bool:
+    return unicodedata.category(ch).startswith("P")
+
+
+def _strip_piece(piece: str) -> str:
+    """Strip leading/trailing punctuation, keeping a leading '#' or '@' marker."""
+    end = len(piece)
+    while end > 0 and _is_punct(piece[end - 1]):
+        end -= 1
+    start = 0
+    while start < end and _is_punct(piece[start]):
+        if piece[start] in "#@":
+            break
+        start += 1
+    return piece[start:end]
+
+
+def tokenize_text(text: str) -> tuple[list[str], list[str]]:
+    """Split on Unicode whitespace and normalize; returns (hashtags, tokens).
+
+    Hashtags are case-folded with '#' removed and deduplicated in first-seen
+    order; every hashtag occurrence also counts as a token. Mentions and URLs
+    are dropped entirely.
+    """
+    hashtags: list[str] = []
+    seen_tags: set[str] = set()
+    tokens: list[str] = []
+    for raw in text.split():
+        piece = _strip_piece(raw)
+        if not piece or piece.startswith("@"):
+            continue
+        if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
+            continue
+        if piece.startswith("#"):
+            name = piece.lstrip("#").casefold()
+            if not name:
+                continue
+            tokens.append(name)
+            if name not in seen_tags:
+                seen_tags.add(name)
+                hashtags.append(name)
+        else:
+            tokens.append(piece.casefold())
+    return hashtags, tokens
+
+
+def per_line_graph_files(graph) -> tuple[str, str]:
+    """The edge and node file texts of a CooccurrenceGraph, one line per edge.
+
+    Walks the CSR rows for the j > i entries and formats every weight with
+    9 decimals, as write_graph did line by line.
+    """
+    w = graph.weights
+    edges = [f"#mode={graph.mode}\n"]
+    for i, a in enumerate(graph.nodes):
+        for k in range(w.indptr[i], w.indptr[i + 1]):
+            j = int(w.indices[k])
+            if j > i:
+                edges.append(f"{a}\t{graph.nodes[j]}\t{float(w.data[k]):.9f}\n")
+    nodes = [f"{node}\t{freq}\n" for node, freq in zip(graph.nodes, graph.frequency)]
+    return "".join(edges), "".join(nodes)

@@ -148,7 +148,7 @@ def test_c03_planted_recovery():
     with verdict("criterion 3 (planted-partition recovery)"):
         start = time.perf_counter()
         records, truth = generate(ACCEPTANCE_SPEC)
-        tweets = [tokenize(r) for r in records]
+        tweets = tokenize(records)
         graph = build_cooccurrence(tweets, "hashtag")
         lexicon = propagate_greedy(graph, truth.seeds, gamma=100)
 
@@ -192,7 +192,7 @@ def test_c04_unreachable_neutral_hashtags():
             rng_seed=7,
         )
         records, truth = generate(spec)
-        tweets = [tokenize(r) for r in records]
+        tweets = tokenize(records)
         graph = build_cooccurrence(tweets, "hashtag")
         lexicon = propagate_greedy(graph, truth.seeds, gamma=100)
 
@@ -406,7 +406,7 @@ def test_c10_scale_budget():
         )
         records, truth = generate(spec)
         start = time.perf_counter()
-        tweets = [tokenize(r) for r in records]
+        tweets = tokenize(records)
         graph = build_cooccurrence(tweets, "hashtag")
         assert graph.num_nodes == 10_000
         lexicon = propagate_greedy(graph, truth.seeds, gamma=100)

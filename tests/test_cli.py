@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from polarlex import cli
 from polarlex.cli import main
 from polarlex.polarity import read_score_csv
 
@@ -160,6 +162,63 @@ def test_failed_run_removes_partial_outputs(tmp_path):
     assert main(["ingest", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
     assert not (out / "tokenized.tsv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def test_main_turns_gc_off_for_the_run_and_restores_it(tmp_path, synth_dir, monkeypatch):
+    ingest = cli.STAGE_BY_NAME["ingest"]
+    seen = []
+
+    def watched_ingest(run):
+        seen.append(gc.isenabled())
+        ingest(run)
+
+    def failing_ingest(run):
+        raise RuntimeError("stage failed")
+
+    corrupt = tmp_path / "bad.jsonl"
+    corrupt.write_text("{broken\n")
+    corpus = str(synth_dir / "corpus.jsonl")
+    exits = {
+        0: ["ingest", "--corpus", corpus, "--out-dir", str(tmp_path / "ok")],
+        1: ["synth", "--out-dir", str(tmp_path / "o"), "--seed-fraction", "7"],
+        2: ["ingest", "--corpus", str(corrupt), "--out-dir", str(tmp_path / "bad")],
+    }
+    assert gc.isenabled()
+    try:
+        for enabled in (True, False):
+            for code, argv in exits.items():
+                (gc.enable if enabled else gc.disable)()
+                monkeypatch.setitem(cli.STAGE_BY_NAME, "ingest", watched_ingest)
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+                monkeypatch.setitem(cli.STAGE_BY_NAME, "ingest", failing_ingest)
+                with pytest.raises(RuntimeError):
+                    main(exits[0])
+                assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+
+
+def test_cyclic_garbage_of_a_run_does_not_grow_with_the_corpus(tmp_path):
+    # what a run leaves for the cycle collector has one size for 200 and
+    # 2,000 tweets, so a run can keep automatic collection off
+    unreachable = []
+    for n_tweets in (200, 2000):
+        synth = tmp_path / f"synth{n_tweets}"
+        synth_args = [*SYNTH_ARGS, "--n-tweets", str(n_tweets)]
+        assert main(["synth", "--out-dir", str(synth), *synth_args]) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            code = run_pipeline(
+                tmp_path / f"run{n_tweets}", synth / "corpus.jsonl", synth / "seeds_community.tsv"
+            )
+            unreachable.append(gc.collect())
+        finally:
+            gc.enable()
+        assert code == 0
+    assert unreachable[0] == unreachable[1]
 
 
 def test_eval_against_synth_gold(tmp_path, synth_dir):

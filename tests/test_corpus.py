@@ -2,7 +2,7 @@ import json
 from datetime import date, datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarlex.corpus import (
@@ -15,6 +15,8 @@ from polarlex.corpus import (
     write_corpus,
 )
 from polarlex.errors import DataError
+
+import oracles
 
 
 def make_record(tweet_id="t1", user="u1", ts="2020-01-01T10:00:00+00:00", text=""):
@@ -155,7 +157,7 @@ class TestTokenize:
 
     def test_record_wrapper(self):
         record = make_record(text="#One two")
-        tt = tokenize(record)
+        (tt,) = tokenize([record])
         assert tt.tweet_id == "t1"
         assert tt.hashtags == ["one"]
 
@@ -170,6 +172,39 @@ class TestTokenize:
         _, tokens = tokenize_text(text)
         _, again = tokenize_text(" ".join(tokens))
         assert again == tokens
+
+
+# Fragments of whitespace pieces: Unicode punctuation, '#'/'@'/'##' markers,
+# URL schemes in two cases, and letters whose case folding changes length or
+# needs more than lower(): ß -> ss, İ -> i̇, ﬁ -> fi.
+FRAGMENTS = [
+    "#", "##", "@", "http://", "HTTPS://", "ß", "İ", "ﬁ", "a", "Q", "x.co/y", "امن",
+    "!", "'", "(", ")", "«", "»", "¿", "—", "…", "،", "。", "«#", "_",
+]
+SEPARATORS = [" ", "  ", "\t", "\n", "\u00a0", "\u3000", "\u2029"]
+pieces = st.lists(st.sampled_from(FRAGMENTS), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def corpora(draw):
+    """Tweet texts built from one small pool of pieces, so pieces recur across tweets."""
+    pool = draw(st.lists(pieces, min_size=1, max_size=8))
+    text = st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(SEPARATORS)), max_size=8)
+    parts = draw(st.lists(text, max_size=8))
+    return ["".join(piece + sep for piece, sep in words) for words in parts]
+
+
+class TestTokenizeMatchesOracle:
+    @settings(max_examples=300)
+    @given(corpora())
+    @example([])
+    @example(["#Straße", "Straße #Straße"])
+    def test_corpus_matches_verbatim_tokenizer(self, texts):
+        records = [make_record(f"t{i}", text=text) for i, text in enumerate(texts)]
+        got = [(tw.tweet_id, tw.hashtags, tw.tokens) for tw in tokenize(records)]
+        assert got == [(r.tweet_id, *oracles.tokenize_text(r.text)) for r in records]
+        for text in texts:
+            assert tokenize_text(text) == oracles.tokenize_text(text)
 
 
 class TestGroupByUserDay:

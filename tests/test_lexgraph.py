@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polarlex import lexgraph
 from polarlex.corpus import TokenizedTweet
 from polarlex.errors import ConfigError, DataError
 from polarlex.lexgraph import (
@@ -14,8 +15,8 @@ from polarlex.lexgraph import (
     write_graph,
 )
 
-from graphs import adjacency, edge_dict
-from oracles import brute_force_knn, brute_force_pairs
+from graphs import adjacency, edge_dict, graph_of
+from oracles import brute_force_knn, brute_force_pairs, per_line_graph_files
 
 
 def tt(tweet_id, tags, tokens=None):
@@ -209,6 +210,23 @@ class TestGraphFiles:
         assert back.mode == graph.mode
         assert edge_dict(back) == edge_dict(graph)
         assert (back.nodes, back.frequency) == (graph.nodes, graph.frequency)
+
+    @pytest.mark.parametrize("block", [3, lexgraph.EDGE_BLOCK])
+    def test_bytes_match_per_line_writer(self, tmp_path, monkeypatch, block):
+        # whole counts, fractional k-NN weights and a mix of both, also
+        # written in several blocks with a ragged last one
+        monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
+        tag_sets = [["a", "b", "c"], ["a", "b"], ["b", "c", "d", "e"], ["e", "f"], ["z"]]
+        cooc = build_cooccurrence([tt(f"t{i}", tags) for i, tags in enumerate(tag_sets)], "token")
+        vectors = np.random.default_rng(3).standard_normal((40, 5))
+        knn = build_knn_graph(EmbeddingTable([f"w{i:02d}" for i in range(40)], vectors), 4)
+        mixed = graph_of({("a", "b"): 2.0, ("a", "c"): 0.5, ("b", "c"): 1e6, ("c", "d"): 3.0})
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        for graph in (cooc, knn, mixed):
+            write_graph(graph, edges, nodes)
+            expected_edges, expected_nodes = per_line_graph_files(graph)
+            assert edges.read_bytes() == expected_edges.encode()
+            assert nodes.read_bytes() == expected_nodes.encode()
 
     def test_self_loop_rejected(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"

@@ -57,7 +57,7 @@ class TestGenerate:
             rng_seed=3,
         )
         records, _ = generate(spec)
-        graph = build_cooccurrence([tokenize(r) for r in records], "hashtag")
+        graph = build_cooccurrence(tokenize(records), "hashtag")
         comps = [c for c in connected_components(graph) if len(c) > 1]
         assert len(comps) == 2
         prefixes = {tag[:2] for comp in comps for tag in comp}
@@ -90,8 +90,8 @@ class TestGenerate:
                 corpus_users.add(r.reply_to_user)
         assert set(truth.user_labels) <= corpus_users
         corpus_tags = set()
-        for r in records:
-            corpus_tags.update(tokenize(r).hashtags)
+        for tw in tokenize(records):
+            corpus_tags.update(tw.hashtags)
         assert set(truth.hashtag_labels) == corpus_tags
         assert truth.seeds.pole_a_items <= corpus_tags
         assert truth.seeds.pole_b_items <= corpus_tags
@@ -103,16 +103,15 @@ class TestGenerate:
         )
         records, truth = generate(spec)
         assert truth.neutral_tweet_ids
-        by_id = {r.tweet_id: r for r in records}
         neutral_tags = {
             t for t, lab in truth.hashtag_labels.items() if lab == NEUTRAL_LABEL
         }
+        tags_by_id = {tw.tweet_id: set(tw.hashtags) for tw in tokenize(records)}
         for tweet_id in truth.neutral_tweet_ids:
-            tags = set(tokenize(by_id[tweet_id]).hashtags)
-            assert tags <= neutral_tags
+            assert tags_by_id[tweet_id] <= neutral_tags
         for r in records:
             if r.tweet_id not in truth.neutral_tweet_ids:
-                assert not set(tokenize(r).hashtags) & neutral_tags
+                assert not tags_by_id[r.tweet_id] & neutral_tags
 
     def test_interactions_present(self):
         spec = SynthSpec(
@@ -147,7 +146,7 @@ class TestGenerate:
             p_within=1.0, p_cross=0.0, rng_seed=21,
         )
         records, truth = generate(spec)
-        graph = build_cooccurrence([tokenize(r) for r in records], "hashtag")
+        graph = build_cooccurrence(tokenize(records), "hashtag")
         lexicon = propagate_greedy(graph, truth.seeds, gamma=2)
         for item, value in lexicon.scores.items():
             expected = 1.0 if truth.hashtag_labels[item] == POLE_A else -1.0
