@@ -237,7 +237,8 @@ def _read_scores(name: str):
 
 
 # A kept value must equal what its file reads back as, or pipeline would write
-# other bytes than the single-stage subcommands: kept floats go through fmt9.
+# other bytes than the single-stage subcommands: kept floats go through fmt9
+# (write_graph returns its graph with the weights already read back).
 def _as_written(x: float) -> float:
     return float(fmt9(x))
 
@@ -270,14 +271,14 @@ def stage_build_graph(run: _Runner) -> None:
     if cfg.mode == "embedding":
         table = lexgraph.load_embeddings(run.read(cfg.embeddings), cfg.vocab_cap)
         graph = lexgraph.build_knn_graph(table, cfg.knn_k)
-        weights = graph.weights.data
-        weights[:] = [_as_written(w) for w in weights.tolist()]
     else:
         tweets = run.get("tweets", _read_tokenized)
         cap = cfg.vocab_cap if cfg.mode == "token" else None
         graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cap)
-    run.kept["graph"] = graph
-    lexgraph.write_graph(graph, run.write("graph.edges.tsv"), run.write("graph.nodes.tsv"))
+    # keep the graph as its files read back, so later stages see written weights
+    graph = run.kept["graph"] = lexgraph.write_graph(
+        graph, run.write("graph.edges.tsv"), run.write("graph.nodes.tsv")
+    )
     log.info("graph: %d nodes, %d edges", graph.num_nodes, graph.num_edges)
 
 

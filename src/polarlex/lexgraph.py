@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import array
 import logging
 import math
 from dataclasses import dataclass
@@ -22,8 +23,9 @@ TOKEN_MODE = "token"
 
 # floor for k-NN edge weights so angular similarity never hits zero
 MIN_KNN_WEIGHT = 1e-6
-# rows of similarities computed per matrix product in build_knn_graph
-KNN_BLOCK = 1024
+# bytes of float64 similarities computed per matrix product in build_knn_graph;
+# a block holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two
+KNN_BLOCK_BYTES = 32 << 20
 # edges formatted per write in write_graph; one write for all of them would
 # hold every line of a large graph in memory at once
 EDGE_BLOCK = 1 << 16
@@ -111,10 +113,10 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     """Read a token-per-line embedding file, keeping the first vocab_cap entries.
 
     The dimension is fixed by the first line; zero vectors are dropped with a
-    logged count.
+    logged count. Values are parsed straight into one float64 buffer.
     """
     vocab: list[str] = []
-    rows: list[list[float]] = []
+    flat = array.array("d")
     seen: set[str] = set()
     dim: int | None = None
     n_zero = 0
@@ -148,10 +150,11 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
                 continue
             seen.add(token)
             vocab.append(token)
-            rows.append(values)
+            flat.extend(values)
     if n_zero:
         log.warning("dropped %d zero vectors from %s", n_zero, path)
-    vectors = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, dim or 0))
+    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(vocab), dim or 0)
+    log.info("embeddings: kept %d tokens of dimension %d", len(vocab), dim or 0)
     return EmbeddingTable(vocabulary=vocab, vectors=vectors)
 
 
@@ -162,6 +165,9 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
     comes first in the table. Directed k-NN relations are unioned, keeping
     the larger weight. Zero vectors are dropped with a logged count.
+    Similarities take about KNN_BLOCK_BYTES at a time, in blocks of two rows
+    or more: numpy computes a one-row product as a matrix-vector product,
+    which rounds differently, so the weights do not depend on the block size.
     """
     norms = np.linalg.norm(table.vectors, axis=1)
     keep = norms > 0.0
@@ -180,8 +186,13 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     pad = min(k + 8, n - 1)
     best = np.empty((n, k), dtype=np.int64)
     best_sim = np.empty((n, k))
-    for start in range(0, n, KNN_BLOCK):
-        sims = unit[start : start + KNN_BLOCK] @ unit.T
+    block = min(n, max(2, KNN_BLOCK_BYTES // (8 * n)))
+    # the last block takes the last row along if it would be left alone
+    starts = range(0, n - 1, block)
+    log.info("k-NN: %d tokens, k=%d, %d rows per block in %d blocks",
+             n, k, block, len(starts))
+    for start, stop in zip(starts, [*starts[1:], n]):
+        sims = unit[start:stop] @ unit.T
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
         # row by row, since argpartition returns an index for every column
@@ -206,28 +217,45 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
 
 def write_graph(
     graph: CooccurrenceGraph, edges_path: str | Path, nodes_path: str | Path
-) -> None:
-    """Write each edge once as a < b in sorted order, then the node-frequency sidecar."""
+) -> CooccurrenceGraph:
+    """Write each edge once as a < b in sorted order, then the node-frequency sidecar.
+
+    Returns the graph as read_graph gives it back from these files: the given
+    graph if every weight is a whole number, otherwise one whose weights are
+    the written 9-decimal strings parsed back.
+    """
     nodes = graph.nodes
     # row-major with sorted columns, so the a < b pairs come out in name order
     upper = sp.triu(graph.weights, k=1).tocoo()
     # Co-occurrence counts are whole numbers, and fmt9 of a positive whole
-    # number n is f"{n}.000000000", which is cheaper to format.
+    # number n is f"{n}.000000000", which is cheaper to format and reads back
+    # as n.
     whole = bool(((upper.data % 1 == 0) & (upper.data > 0)).all())
+    read_back = None if whole else np.empty(upper.nnz)
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
         for start in range(0, upper.nnz, EDGE_BLOCK):
             block = slice(start, start + EDGE_BLOCK)
-            edges = zip(upper.row[block].tolist(), upper.col[block].tolist(),
-                        upper.data[block].tolist())
+            rows, cols = upper.row[block].tolist(), upper.col[block].tolist()
             if whole:
-                lines = [f"{nodes[i]}\t{nodes[j]}\t{int(w)}.000000000\n" for i, j, w in edges]
+                lines = [f"{nodes[i]}\t{nodes[j]}\t{int(w)}.000000000\n"
+                         for i, j, w in zip(rows, cols, upper.data[block].tolist())]
             else:
-                lines = [f"{nodes[i]}\t{nodes[j]}\t{fmt9(w)}\n" for i, j, w in edges]
+                texts = list(map(fmt9, upper.data[block].tolist()))
+                read_back[block] = list(map(float, texts))
+                lines = [f"{nodes[i]}\t{nodes[j]}\t{t}\n" for i, j, t in zip(rows, cols, texts)]
             fh.write("".join(lines))
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node, freq in zip(nodes, graph.frequency):
             fh.write(f"{node}\t{freq}\n")
+    if whole:
+        return graph
+    one_way = sp.csr_matrix((read_back, (upper.row, upper.col)), shape=graph.weights.shape)
+    weights = one_way + one_way.T
+    weights.sort_indices()
+    return CooccurrenceGraph(
+        mode=graph.mode, nodes=nodes, frequency=graph.frequency, weights=weights
+    )
 
 
 def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGraph:

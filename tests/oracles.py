@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 import io
+import logging
 import math
 import unicodedata
 import xml.etree.ElementTree as ET
@@ -15,6 +16,8 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 
 def reference_propagate(
@@ -359,3 +362,54 @@ def per_line_graph_files(graph) -> tuple[str, str]:
                 edges.append(f"{a}\t{graph.nodes[j]}\t{float(w.data[k]):.9f}\n")
     nodes = [f"{node}\t{freq}\n" for node, freq in zip(graph.nodes, graph.frequency)]
     return "".join(edges), "".join(nodes)
+
+
+# The embedding loader before rows were parsed into one float64 buffer,
+# verbatim except that it raises ValueError for DataError and returns
+# (vocabulary, vectors) for an EmbeddingTable.
+def list_load_embeddings(path, vocab_cap: int | None = None) -> tuple[list[str], np.ndarray]:
+    """Read a token-per-line embedding file, keeping the first vocab_cap entries.
+
+    The dimension is fixed by the first line; zero vectors are dropped with a
+    logged count.
+    """
+    vocab: list[str] = []
+    rows: list[list[float]] = []
+    seen: set[str] = set()
+    dim: int | None = None
+    n_zero = 0
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            if vocab_cap is not None and len(vocab) >= vocab_cap:
+                break
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) < 2:
+                raise ValueError(f"{path}: line {lineno}: expected token and values")
+            token = parts[0]
+            try:
+                values = [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: non-numeric field") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{path}: line {lineno}: non-finite value")
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ValueError(
+                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
+                )
+            if token in seen:
+                log.warning("duplicate embedding token %r ignored (line %d)", token, lineno)
+                continue
+            if not any(values):
+                n_zero += 1
+                continue
+            seen.add(token)
+            vocab.append(token)
+            rows.append(values)
+    if n_zero:
+        log.warning("dropped %d zero vectors from %s", n_zero, path)
+    vectors = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, dim or 0))
+    return vocab, vectors

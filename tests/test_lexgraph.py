@@ -16,7 +16,12 @@ from polarlex.lexgraph import (
 )
 
 from graphs import adjacency, edge_dict, graph_of
-from oracles import brute_force_knn, brute_force_pairs, per_line_graph_files
+from oracles import (
+    brute_force_knn,
+    brute_force_pairs,
+    list_load_embeddings,
+    per_line_graph_files,
+)
 
 
 def tt(tweet_id, tags, tokens=None):
@@ -134,6 +139,38 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize(
+        ("text", "vocab_cap"),
+        [
+            ("a 1 2\n\n  \nb 3 4\n\n", None),  # blank and whitespace-only lines
+            ("a 1 2\nb 3 4\na 5 6\nc -0.0 1e-320\n", None),  # duplicate token
+            ("z 0 0\na 1_5 +2\ny -0.0 0.0\nb 0.1 1e300\n", None),  # zero vectors
+            ("".join(f"w{i} {i} {i / 7}\n" for i in range(9)), 4),  # cap cuts the file
+            ("a 1 2\r\nb 0.25 -3\r\n\r\nc 5 6\r\n", None),  # CRLF line ends
+            ("a 1 2\nb 3 4\n", 2),  # cap equal to the vocabulary
+            ("z 0 0 0\ny 0.0 -0 0e5\n", None),  # every vector zero
+            ("", None),  # no lines at all
+        ],
+        ids=["blank-lines", "duplicate-token", "zero-vectors", "cap-cut", "crlf",
+             "cap-equals-size", "all-zero", "empty"],
+    )
+    def test_matches_list_loader(self, tmp_path, text, vocab_cap):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode())
+        table = load_embeddings(path, vocab_cap)
+        vocab, vectors = list_load_embeddings(path, vocab_cap)
+        assert table.vocabulary == vocab
+        assert table.vectors.dtype == vectors.dtype == np.float64
+        assert table.vectors.shape == vectors.shape
+        assert table.vectors.tobytes() == vectors.tobytes()
+
+    def test_logs_tokens_kept_and_dimension(self, tmp_path, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1 2 3\nz 0 0 0\nb 4 5 6\n")
+        with caplog.at_level("INFO", logger="polarlex.lexgraph"):
+            load_embeddings(path)
+        assert "kept 2 tokens of dimension 3" in caplog.text
+
 
 class TestKnnGraph:
     def test_identical_vectors_weight_one(self):
@@ -189,6 +226,32 @@ class TestKnnGraph:
         expected = brute_force_knn(vocab, vectors, k=k)
         assert edge_dict(graph) == expected
 
+    @pytest.mark.parametrize(
+        ("budget", "rows", "blocks"), [(8 * 40 * 7, 7, 6), (8 * 40 * 3, 3, 13), (1, 2, 20)]
+    )
+    def test_blocks_match_one_block_build(self, monkeypatch, caplog, budget, rows, blocks):
+        # 7 rows per block leave a ragged last block of 5 rows; 3 rows per
+        # block would leave the last row alone, so the last block has 4; a
+        # budget smaller than a row still computes two rows per block
+        vocab = [f"w{i:02d}" for i in range(40)]
+        vectors = np.random.default_rng(11).standard_normal((40, 5))
+        table = EmbeddingTable(vocab, vectors)
+        with caplog.at_level("INFO", logger="polarlex.lexgraph"):
+            whole = build_knn_graph(table, k=4)
+            monkeypatch.setattr(lexgraph, "KNN_BLOCK_BYTES", budget)
+            graph = build_knn_graph(table, k=4)
+        assert "40 tokens, k=4, 40 rows per block in 1 blocks" in caplog.text
+        assert f"40 tokens, k=4, {rows} rows per block in {blocks} blocks" in caplog.text
+        assert graph.nodes == whole.nodes
+        np.testing.assert_array_equal(graph.weights.indptr, whole.weights.indptr)
+        np.testing.assert_array_equal(graph.weights.indices, whole.weights.indices)
+        assert graph.weights.data.tobytes() == whole.weights.data.tobytes()
+        expected = brute_force_knn(vocab, vectors, k=4)
+        edges = edge_dict(graph)
+        assert set(edges) == set(expected)
+        for key, w in expected.items():
+            assert edges[key] == pytest.approx(w, abs=1e-12)
+
     def test_degree_at_least_k(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(30)]
@@ -198,6 +261,16 @@ class TestKnnGraph:
             degree[a] += 1
             degree[b] += 1
         assert all(d >= 3 for d in degree.values())
+
+
+def _file_graphs():
+    """Whole counts, fractional k-NN weights and a mix of both."""
+    tag_sets = [["a", "b", "c"], ["a", "b"], ["b", "c", "d", "e"], ["e", "f"], ["z"]]
+    cooc = build_cooccurrence([tt(f"t{i}", tags) for i, tags in enumerate(tag_sets)], "token")
+    vectors = np.random.default_rng(3).standard_normal((40, 5))
+    knn = build_knn_graph(EmbeddingTable([f"w{i:02d}" for i in range(40)], vectors), 4)
+    mixed = graph_of({("a", "b"): 2.0, ("a", "c"): 0.5, ("b", "c"): 1e6, ("c", "d"): 3.0})
+    return cooc, knn, mixed
 
 
 class TestGraphFiles:
@@ -216,17 +289,32 @@ class TestGraphFiles:
         # whole counts, fractional k-NN weights and a mix of both, also
         # written in several blocks with a ragged last one
         monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
-        tag_sets = [["a", "b", "c"], ["a", "b"], ["b", "c", "d", "e"], ["e", "f"], ["z"]]
-        cooc = build_cooccurrence([tt(f"t{i}", tags) for i, tags in enumerate(tag_sets)], "token")
-        vectors = np.random.default_rng(3).standard_normal((40, 5))
-        knn = build_knn_graph(EmbeddingTable([f"w{i:02d}" for i in range(40)], vectors), 4)
-        mixed = graph_of({("a", "b"): 2.0, ("a", "c"): 0.5, ("b", "c"): 1e6, ("c", "d"): 3.0})
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
-        for graph in (cooc, knn, mixed):
+        for graph in _file_graphs():
             write_graph(graph, edges, nodes)
             expected_edges, expected_nodes = per_line_graph_files(graph)
             assert edges.read_bytes() == expected_edges.encode()
             assert nodes.read_bytes() == expected_nodes.encode()
+
+    @pytest.mark.parametrize("block", [3, lexgraph.EDGE_BLOCK])
+    def test_returns_graph_as_read_back(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        cooc, knn, mixed = _file_graphs()
+        for graph in (cooc, knn, mixed):
+            got = write_graph(graph, edges, nodes)
+            back = read_graph(edges, nodes)
+            assert (got.mode, got.nodes, got.frequency) == (back.mode, back.nodes, back.frequency)
+            for name in ("indptr", "indices", "data"):
+                ours, theirs = getattr(got.weights, name), getattr(back.weights, name)
+                assert ours.dtype == theirs.dtype
+                assert ours.tobytes() == theirs.tobytes()
+        # whole-number weights read back as themselves
+        assert write_graph(cooc, edges, nodes) is cooc
+        # fractional weights come back rounded to 9 decimals, in a new graph
+        got = write_graph(knn, edges, nodes)
+        assert got is not knn
+        assert not np.array_equal(got.weights.data, knn.weights.data)
 
     def test_self_loop_rejected(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
