@@ -1,53 +1,3 @@
 """Weakly supervised polarity scoring over co-occurrence graphs."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    TokenizedTweet,
-    TweetRecord,
-    UserDayKey,
-    group_by_user_day,
-    load_corpus,
-    tokenize,
-    tokenize_text,
-    write_corpus,
-)
-from .errors import ConfigError, DataError, PolarlexError
-from .evalkit import (
-    AnnotationTable,
-    EvalReport,
-    GoldLabelSet,
-    accuracy_soft,
-    agreement,
-    krippendorff_alpha,
-    pole_metrics,
-)
-from .lexgraph import (
-    CooccurrenceGraph,
-    EmbeddingTable,
-    build_cooccurrence,
-    build_knn_graph,
-    load_embeddings,
-)
-from .polarity import (
-    PolarityScore,
-    daily_series,
-    overall_tally,
-    score_aggregate,
-    score_tweets,
-    score_users,
-    ternarize,
-    ternarize_value,
-)
-from .proplabel import (
-    PolarityLexicon,
-    SeedLexicon,
-    propagate_greedy,
-    propagate_random_walk,
-    read_lexicon,
-    read_seed_lexicon,
-    write_lexicon,
-    write_seed_lexicon,
-)
-from .commnet import CommGraph, build_comm_graph, export_graph, homophily_index, k_core
-from .synthgen import SynthSpec, SynthTruth, generate

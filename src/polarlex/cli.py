@@ -20,17 +20,13 @@ log = logging.getLogger(__name__)
 
 CONFIG_ENV_VAR = "POLARLEX_CONFIG"
 
-SUBCOMMANDS = (
-    "ingest",
-    "build-graph",
-    "propagate",
-    "score",
-    "timeseries",
-    "commnet",
-    "eval",
-    "synth",
-    "pipeline",
-)
+# The allowed values of the RunConfig fields that take one of a fixed set;
+# both the flags' choices and RunConfig.validate read them from here.
+CHOICES = {
+    "mode": ("hashtag", "token", "embedding"),
+    "weighting": (polarity.BY_ITEM, polarity.BY_TWEET),
+    "eval_unit": ("account", "user_day"),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -72,7 +68,7 @@ class RunConfig:
 
     def validate(self, subcommand: str) -> None:
         checks = [
-            ("mode", self.mode in ("hashtag", "token", "embedding")),
+            *((name, getattr(self, name) in allowed) for name, allowed in CHOICES.items()),
             ("gamma", self.gamma >= 1),
             ("max_outer", self.max_outer >= 1),
             ("vocab_cap", self.vocab_cap >= 1),
@@ -81,8 +77,6 @@ class RunConfig:
             ("tol", self.tol > 0.0),
             ("max_iter", self.max_iter >= 1),
             ("kcore_k", self.kcore_k >= 1),
-            ("weighting", self.weighting in (polarity.BY_ITEM, polarity.BY_TWEET)),
-            ("eval_unit", self.eval_unit in ("account", "user_day")),
         ]
         for name, ok in checks:
             if not ok:
@@ -394,7 +388,7 @@ def stage_eval(run: _Runner) -> None:
             log.warning("%s: %d gold units absent from the corpus, skipped", dim, dropped)
         if not covered:
             raise DataError(f"{dim}: no gold units overlap the scored corpus")
-        subset = evalkit.GoldLabelSet(unit=gold.unit, labels=covered, provenance=gold.provenance)
+        subset = evalkit.GoldLabelSet(unit=gold.unit, labels=covered)
         reports.append(evalkit.evaluate_predictions(predictions, subset, dim, annotations))
     evalkit.write_eval_reports(
         reports, run.write("eval_poles.csv"), run.write("eval_overall.csv")
@@ -442,6 +436,8 @@ STAGE_BY_NAME = {
     "synth": stage_synth,
 }
 
+SUBCOMMANDS = (*STAGE_BY_NAME, "pipeline")
+
 
 # ---------------------------------------------------------------------------
 # argument handling
@@ -459,49 +455,19 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--version", action="version", version=f"polarlex {__version__}")
     sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
     for name in SUBCOMMANDS:
-        p = sub.add_parser(name, add_help=True)
+        p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--corpus", default=None)
-        p.add_argument("--seed-file", action="append", dest="seed_files", default=None)
-        p.add_argument("--embeddings", default=None)
-        p.add_argument("--membership", default=None)
-        p.add_argument("--gold", default=None)
-        p.add_argument("--annotations", default=None)
-        p.add_argument("--out-dir", dest="out_dir", default=None)
-        p.add_argument("--mode", choices=("hashtag", "token", "embedding"), default=None)
-        p.add_argument("--gamma", type=int, default=None)
-        p.add_argument("--max-outer", dest="max_outer", type=int, default=None)
-        p.add_argument("--vocab-cap", dest="vocab_cap", type=int, default=None)
-        p.add_argument("--knn-k", dest="knn_k", type=int, default=None)
-        p.add_argument("--restart-prob", dest="restart_prob", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=None)
-        p.add_argument("--kcore-k", dest="kcore_k", type=int, default=None)
-        p.add_argument(
-            "--kcore-weighted", dest="kcore_weighted",
-            action=argparse.BooleanOptionalAction, default=None,
-        )
-        p.add_argument("--weighting", choices=("by_item", "by_tweet"), default=None)
-        p.add_argument(
-            "--include-retweets", dest="include_retweets",
-            action=argparse.BooleanOptionalAction, default=None,
-        )
-        p.add_argument(
-            "--drop-mentions", dest="drop_mentions",
-            action=argparse.BooleanOptionalAction, default=None,
-        )
-        p.add_argument("--eval-unit", dest="eval_unit", choices=("account", "user_day"), default=None)
-        p.add_argument("--n-users", dest="n_users", type=int, default=None)
-        p.add_argument("--n-tweets", dest="n_tweets", type=int, default=None)
-        p.add_argument(
-            "--hashtags-per-community", dest="hashtags_per_community", type=int, default=None
-        )
-        p.add_argument("--seed-fraction", dest="seed_fraction", type=float, default=None)
-        p.add_argument("--within", type=float, default=None)
-        p.add_argument("--cross", type=float, default=None)
-        p.add_argument("--neutral-hashtags", dest="neutral_hashtags", type=int, default=None)
-        p.add_argument("--days", type=int, default=None)
-        p.add_argument("--rng-seed", dest="rng_seed", type=int, default=None)
+        for f in fields(RunConfig):
+            if f.name == "seed_files":
+                p.add_argument("--seed-file", action="append", dest="seed_files", default=None)
+                continue
+            kind = type(f.default) if f.default is not None else str
+            if kind is bool:
+                options = {"action": argparse.BooleanOptionalAction}
+            else:
+                options = {"type": kind, "choices": CHOICES.get(f.name)}
+            flag = "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, default=None, **options)
     return parser
 
 

@@ -58,6 +58,8 @@ def parse_timestamp(raw: str) -> datetime:
 
 
 def record_from_json(obj: dict) -> TweetRecord:
+    if not isinstance(obj, dict):
+        raise DataError(f"expected a JSON object, got {type(obj).__name__}")
     for key in REQUIRED_KEYS:
         if key not in obj or obj[key] is None:
             raise DataError(f"missing required key {key!r}")

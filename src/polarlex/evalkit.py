@@ -23,7 +23,6 @@ class GoldLabelSet:
 
     unit: str
     labels: dict[str, str]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         bad = {v for v in self.labels.values() if v not in GOLD_LABELS}
@@ -212,7 +211,7 @@ def read_gold(path: str | Path, unit: str = "account") -> GoldLabelSet:
             if label not in GOLD_LABELS:
                 raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
             labels[key] = label
-    return GoldLabelSet(unit=unit, labels=labels, provenance=str(path))
+    return GoldLabelSet(unit=unit, labels=labels)
 
 
 def read_annotations(path: str | Path) -> AnnotationTable:
@@ -229,6 +228,9 @@ def read_annotations(path: str | Path) -> AnnotationTable:
                 raise DataError(
                     f"{path}: line {lineno}: expected 'key<TAB>label<TAB>label'"
                 )
+            for label in parts[1:]:
+                if label not in GOLD_LABELS:
+                    raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
             items.append(parts[0])
             col_a.append(parts[1])
             col_b.append(parts[2])

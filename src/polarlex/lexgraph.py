@@ -62,10 +62,6 @@ class EmbeddingTable:
     vocabulary: list[str]
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[1]) if self.vectors.size else 0
-
 
 def build_cooccurrence(
     tweets: Sequence[TokenizedTweet],
@@ -270,7 +266,10 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
                 raise DataError(f"{nodes_path}: line {lineno}: expected 2 fields")
             if parts[0] in frequency:
                 raise DataError(f"{nodes_path}: line {lineno}: duplicate node {parts[0]!r}")
-            frequency[parts[0]] = int(parts[1])
+            try:
+                frequency[parts[0]] = int(parts[1])
+            except ValueError as exc:
+                raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
     mode = HASHTAG_MODE
     heads: list[str] = []
     tails: list[str] = []

@@ -179,17 +179,6 @@ def overall_tally(
     ]
 
 
-def format_tally(rows: Sequence[TallyRow]) -> str:
-    """Display form with integer-rounded percentages."""
-    lines = ["class\tusers\ttweets"]
-    for r in rows:
-        lines.append(
-            f"{r.label}\t{r.n_users} ({round(r.pct_users)}%)"
-            f"\t{r.n_tweets} ({round(r.pct_tweets)}%)"
-        )
-    return "\n".join(lines)
-
-
 def daily_series(
     corpus: Sequence[TweetRecord],
     tweet_scores: Mapping[str, PolarityScore],

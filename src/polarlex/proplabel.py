@@ -388,10 +388,13 @@ def read_seed_lexicon(path: str | Path) -> SeedLexicon:
             if len(parts) != 2 or parts[1] not in ("A", "B"):
                 raise DataError(f"{path}: line {lineno}: expected 'item<TAB>A|B'")
             (pole_a if parts[1] == "A" else pole_b).add(parts[0])
-    return SeedLexicon(
-        dimension_name=dimension,
-        pole_a_items=pole_a,
-        pole_b_items=pole_b,
-        value_a=value_a,
-        value_b=value_b,
-    )
+    try:
+        return SeedLexicon(
+            dimension_name=dimension,
+            pole_a_items=pole_a,
+            pole_b_items=pole_b,
+            value_a=value_a,
+            value_b=value_b,
+        )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

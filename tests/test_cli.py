@@ -1,8 +1,10 @@
+import argparse
 import gc
 import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -141,7 +143,8 @@ def test_corrupt_corpus_exit_two(tmp_path, capsys):
         '{"tweet_id": "t2", "user_id": "u", "timestamp": "2020-01-01", "text": "#a #b",'
         ' "retweet_of_user": 42}\n'
     )
-    for text, line in (("{not json\n", 1), (tab_id, 1), (int_retweet, 2)):
+    not_objects = [(f"{value}\n", 1) for value in ("5", "null", '"t1"')]
+    for text, line in [("{not json\n", 1), (tab_id, 1), *not_objects, (int_retweet, 2)]:
         corpus.write_text(text)
         code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
         assert code == 2
@@ -455,6 +458,63 @@ def test_seed_files_naming_one_dimension_exit_two(tmp_path, synth_dir, capsys):
     err = capsys.readouterr().err
     assert str(seeds) in err and str(again) in err
     assert not out.exists()
+
+
+def test_bad_seed_or_annotation_file_is_named(tmp_path, capsys):
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("#dimension=d\tvalue_a=1\tvalue_b=-1\na\tA\na\tB\n")
+    assert main(["propagate", "--seed-file", str(seeds), "--out-dir", str(tmp_path)]) == 2
+    assert f"{seeds}: d: seed items in both poles: ['a']" in capsys.readouterr().err
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("u1\tpole_a\nu2\tpole_b\n")
+    annotations = tmp_path / "annotations.tsv"
+    annotations.write_text("u1\tpole_a\tpole_a\nu2\tpole_b\tmaybe\n")
+    code = main(["eval", "--gold", str(gold), "--annotations", str(annotations),
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"{annotations}: line 2: unknown label 'maybe'" in capsys.readouterr().err
+
+
+# a value other than the default for each field whose flag takes one of a fixed set
+CHOICE_SAMPLES = {"mode": "token", "weighting": "by_tweet", "eval_unit": "user_day"}
+
+
+def flag_sample(f):
+    """A non-default value for config field f, the argv that sets it, and its options."""
+    if f.name == "seed_files":
+        argv = ["--seed-file", "a.tsv", "--seed-file", "b.tsv"]
+        return ["a.tsv", "b.tsv"], argv, {"--seed-file"}
+    flag = "--" + f.name.replace("_", "-")
+    negated = "--no-" + flag[2:]
+    if isinstance(f.default, bool):
+        return not f.default, [negated if f.default else flag], {flag, negated}
+    if f.name in CHOICE_SAMPLES:
+        value = CHOICE_SAMPLES[f.name]
+    elif f.default is None or isinstance(f.default, str):
+        value = "x.txt"
+    elif isinstance(f.default, int):
+        value = f.default + 1
+    else:
+        value = f.default / 2
+    return value, [flag, str(value)], {flag}
+
+
+def test_every_config_field_is_a_flag(monkeypatch):
+    monkeypatch.delenv("POLARLEX_CONFIG", raising=False)
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(subparsers.choices) == cli.SUBCOMMANDS
+    expected_options = {"-h", "--help", "--config"}
+    for f in fields(cli.RunConfig):
+        value, argv, options = flag_sample(f)
+        expected_options |= options
+        assert value != f.default, f.name
+        for sub in cli.SUBCOMMANDS:
+            config = cli.build_config(parser.parse_args([sub, *argv]))
+            assert config == cli.RunConfig(**{f.name: value}), (sub, f.name)
+    for sub, subparser in subparsers.choices.items():
+        options = {s for a in subparser._actions for s in a.option_strings}
+        assert options == expected_options, sub
 
 
 # sha256 of every pipeline artifact but manifest.json; a change to any stage

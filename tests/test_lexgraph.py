@@ -106,7 +106,6 @@ class TestLoadEmbeddings:
         path.write_text("a 1 0 0 0\nb 0 1 0 0\nc 0 0 1 0\n")
         table = load_embeddings(path)
         assert table.vocabulary == ["a", "b", "c"]
-        assert table.dim == 4
         assert table.vectors.shape == (3, 4)
 
     def test_dimension_mismatch_names_line(self, tmp_path):
@@ -344,4 +343,11 @@ class TestGraphFiles:
         edges.write_text("#mode=hashtag\na\tb\t1.000000000\n")
         nodes.write_text("a\t1\nb\t1\na\t5\n")
         with pytest.raises(DataError, match=r"g\.nodes\.tsv: line 3: duplicate node 'a'"):
+            read_graph(edges, nodes)
+
+    def test_bad_frequency_rejected(self, tmp_path):
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        edges.write_text("#mode=hashtag\na\tb\t1.000000000\n")
+        nodes.write_text("a\t1\nb\tx\n")
+        with pytest.raises(DataError, match=r"g\.nodes\.tsv: line 2: bad frequency"):
             read_graph(edges, nodes)

@@ -15,7 +15,6 @@ from polarlex.polarity import (
     UNCLASSIFIED,
     PolarityScore,
     daily_series,
-    format_tally,
     overall_tally,
     read_membership,
     read_score_csv,
@@ -170,11 +169,6 @@ class TestOverallTally:
 
     def test_empty_corpus_zero_rows(self):
         assert overall_tally({}, {}, (-1.0, 1.0)) == []
-
-    def test_format_rounds_for_display(self):
-        users = {"u1": PolarityScore("dim", 0.5, 1), "u2": PolarityScore("dim", 0.4, 1), "u3": PolarityScore("dim", -0.5, 1)}
-        text = format_tally(overall_tally(users, {}, (-1.0, 1.0)))
-        assert "2 (67%)" in text
 
 
 class TestDailySeries:

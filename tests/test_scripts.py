@@ -1,31 +1,42 @@
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from polarlex import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_synthetic_pipeline_script(tmp_path, src_env):
-    out = tmp_path / "demo"
-    result = subprocess.run(
-        [
-            sys.executable, str(ROOT / "scripts" / "run_synthetic_pipeline.py"),
-            "--n-users", "30", "--n-tweets", "400", "--hashtags-per-community", "12",
-            "--kcore-k", "2", "--out-dir", str(out),
-        ],
+def run_demo(src_env, *args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_synthetic_pipeline.py"), *args],
         capture_output=True,
         text=True,
         env=src_env,
         timeout=120,
     )
+
+
+def test_run_synthetic_pipeline_script(tmp_path, src_env):
+    out = tmp_path / "demo"
+    result = run_demo(
+        src_env, "--n-users", "30", "--n-tweets", "400", "--hashtags-per-community", "12",
+        "--kcore-k", "2", "--out-dir", str(out),
+    )
     assert result.returncode == 0, result.stderr
-    for name in ("corpus.jsonl", "seeds.tsv", "graph.edges.tsv", "graph.nodes.tsv",
-                 "lexicon.tsv", "eval_poles.csv", "eval_overall.csv", "commnet.graphml"):
+    for name in ("corpus.jsonl", "seeds_community.tsv", "gold_users.tsv", "gold_hashtags.tsv",
+                 "run/graph.edges.tsv", "run/graph.nodes.tsv", "run/lexicon_community.tsv",
+                 "run/tally.csv", "run/eval_poles.csv", "run/eval_overall.csv",
+                 "run/commnet.graphml", "run/homophily.csv"):
         assert (out / name).stat().st_size > 0, name
-    # the tally table that format_tally prints
-    assert "class\tusers\ttweets" in result.stdout
-    assert "accuracy=" in result.stdout
+    assert "hashtag sign recovery: " in result.stdout
+    # the tally and overall evaluation tables of the run
+    assert "dimension,class,n_users,pct_users,n_tweets,pct_tweets" in result.stdout
+    assert "dimension,accuracy,soft_accuracy" in result.stdout
+    # a failing step ends the demo with the CLI's exit code
+    assert run_demo(src_env, "--seed-fraction", "7", "--out-dir", str(tmp_path / "bad")).returncode == 1
 
 
 def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
@@ -63,3 +74,28 @@ def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
     assert (wall["change_wins"], wall["change_losses"], wall["ties"]) == (1, 1, 1)
     tweets = entry["metrics"]["tweets_per_s"]
     assert (tweets["change_wins"], tweets["change_losses"]) == (1, 1)
+
+
+def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "polarbench"))
+    spans = importlib.import_module("spans")
+    synth = tmp_path / "synth"
+    assert cli.main(["synth", "--out-dir", str(synth), "--n-users", "20", "--n-tweets", "200",
+                     "--hashtags-per-community", "8", "--seed-fraction", "0.2"]) == 0
+    patched = [(importlib.import_module(f"polarlex.{module}"), function)
+               for module, function in spans.LIBRARY_CALLS]
+    patched += [(cli, "sha256_file"), (cli, "STAGE_BY_NAME"), (cli, "PIPELINE_STAGES")]
+    originals = [getattr(owner, attr) for owner, attr in patched]
+    tracer = spans.Tracer("test")
+    undo = tracer.install(cli)
+    try:
+        code = cli.main(["pipeline", "--corpus", str(synth / "corpus.jsonl"),
+                         "--seed-file", str(synth / "seeds_community.tsv"),
+                         "--out-dir", str(tmp_path / "run"), "--kcore-k", "2"])
+    finally:
+        tracer.restore(undo)
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.stage.ingest", "corpus.load_corpus"} <= names
+    for (owner, attr), original in zip(patched, originals):
+        assert getattr(owner, attr) is original, attr
