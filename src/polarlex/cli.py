@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, commnet, corpus, evalkit, lexgraph, polarity, proplabel, synthgen
 from .errors import ConfigError, DataError
-from .ioutil import fmt9, sha256_file
+from .ioutil import sha256_file
 
 log = logging.getLogger(__name__)
 
@@ -110,6 +110,14 @@ class RunConfig:
                 raise ConfigError(f"membership: file not found: {self.membership}")
 
 
+# The type of each RunConfig field's values, which both its flag and a config
+# file value are held to: its default's, str for a None default.
+KINDS = {
+    f.name: list if f.name == "seed_files" else str if f.default is None else type(f.default)
+    for f in fields(RunConfig)
+}
+
+
 class _Runner:
     """Tracks inputs and outputs of one run; removes partial outputs on failure.
 
@@ -180,24 +188,7 @@ def _read_records(run: _Runner) -> list[corpus.TweetRecord]:
 
 
 def _read_tokenized(run: _Runner) -> list[corpus.TokenizedTweet]:
-    path = run.read(run.out_dir / "tokenized.tsv")
-    tweets: list[corpus.TokenizedTweet] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.rstrip("\n"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields")
-            tweet_id, tags, tokens = parts
-            tweets.append(
-                corpus.TokenizedTweet(
-                    tweet_id=tweet_id,
-                    hashtags=tags.split(" ") if tags else [],
-                    tokens=tokens.split(" ") if tokens else [],
-                )
-            )
-    return tweets
+    return corpus.read_tokenized(run.read(run.out_dir / "tokenized.tsv"))
 
 
 def _read_graph(run: _Runner) -> lexgraph.CooccurrenceGraph:
@@ -230,33 +221,13 @@ def _read_scores(name: str):
     return lambda run: polarity.read_score_csv(run.read(run.out_dir / f"{name}.csv"))
 
 
-# A kept value must equal what its file reads back as, or pipeline would write
-# other bytes than the single-stage subcommands: kept floats go through fmt9
-# (write_graph returns its graph with the weights already read back).
-def _as_written(x: float) -> float:
-    return float(fmt9(x))
-
-
-def _as_read_back(
-    scores_by_dim: dict[str, dict[str, polarity.PolarityScore]],
-) -> dict[str, dict[str, polarity.PolarityScore]]:
-    for scores in scores_by_dim.values():
-        for s in scores.values():
-            if s.value is not None:
-                s.value = _as_written(s.value)
-    # a dimension with no rows leaves no trace in the file
-    return {dim: scores for dim, scores in scores_by_dim.items() if scores}
-
-
 # ---------------------------------------------------------------------------
 # stages
 
 def stage_ingest(run: _Runner) -> None:
     records = run.get("records", _read_records)
-    tweets = run.kept["tweets"] = corpus.tokenize(records)
-    with open(run.write("tokenized.tsv"), "w", encoding="utf-8") as fh:
-        for tw in tweets:
-            fh.write(f"{tw.tweet_id}\t{' '.join(tw.hashtags)}\t{' '.join(tw.tokens)}\n")
+    run.kept["tweets"] = corpus.tokenize(records)
+    corpus.write_tokenized(run.kept["tweets"], run.write("tokenized.tsv"))
     log.info("ingested %d tweets", len(records))
 
 
@@ -269,7 +240,8 @@ def stage_build_graph(run: _Runner) -> None:
         tweets = run.get("tweets", _read_tokenized)
         cap = cfg.vocab_cap if cfg.mode == "token" else None
         graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cap)
-    # keep the graph as its files read back, so later stages see written weights
+    # A kept value is what its file reads back as, or pipeline would write other
+    # bytes than the single-stage subcommands; each writer returns that value.
     graph = run.kept["graph"] = lexgraph.write_graph(
         graph, run.write("graph.edges.tsv"), run.write("graph.nodes.tsv")
     )
@@ -290,11 +262,8 @@ def stage_propagate(run: _Runner) -> None:
             lexicon = proplabel.propagate_greedy(
                 graph, seeds, gamma=cfg.gamma, max_outer=cfg.max_outer
             )
-        proplabel.write_lexicon(lexicon, run.write(f"lexicon_{seeds.dimension_name}.tsv"))
-        for item, score in lexicon.scores.items():
-            lexicon.scores[item] = _as_written(score)
-        lexicon.scale = (_as_written(lexicon.scale[0]), _as_written(lexicon.scale[1]))
-        lexicons.append(lexicon)
+        path = run.write(f"lexicon_{seeds.dimension_name}.tsv")
+        lexicons.append(proplabel.write_lexicon(lexicon, path))
         log.info("%s: labeled %d of %d nodes",
                  seeds.dimension_name, len(lexicon.scores), graph.num_nodes)
 
@@ -313,11 +282,13 @@ def stage_score(run: _Runner) -> None:
         user_scores[dim] = polarity.score_users(records, tweet_scores[dim], cfg.weighting)
         tallies[dim] = polarity.overall_tally(user_scores[dim], tweet_scores[dim], lexicon.scale)
     order = [r.tweet_id for r in records]
-    polarity.write_score_csv(tweet_scores, run.write("tweet_scores.csv"), "tweet_id", order)
-    polarity.write_score_csv(user_scores, run.write("user_scores.csv"), "user_id")
+    run.kept["tweet_scores"] = polarity.write_score_csv(
+        tweet_scores, run.write("tweet_scores.csv"), "tweet_id", order
+    )
+    run.kept["user_scores"] = polarity.write_score_csv(
+        user_scores, run.write("user_scores.csv"), "user_id"
+    )
     polarity.write_tally_csv(tallies, run.write("tally.csv"))
-    run.kept["tweet_scores"] = _as_read_back(tweet_scores)
-    run.kept["user_scores"] = _as_read_back(user_scores)
 
 
 def stage_timeseries(run: _Runner) -> None:
@@ -344,14 +315,7 @@ def stage_commnet(run: _Runner) -> None:
     core = commnet.k_core(graph, cfg.kcore_k, weighted=cfg.kcore_weighted)
     commnet.export_graph(core, run.write("commnet.graphml"), "graphml")
     commnet.export_graph(core, run.write("commnet_edges.csv"), "edge_csv")
-    with open(run.write("homophily.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("dimension,homophily\n")
-        for dim in core.dimensions():
-            try:
-                value = commnet.homophily_index(core, dim)
-                fh.write(f"{dim},{value:.9f}\n")
-            except DataError:
-                fh.write(f"{dim},\n")
+    commnet.write_homophily_csv(core, run.write("homophily.csv"))
     log.info(
         "commnet: %d nodes, %d edges; %d-core: %d nodes",
         len(graph.nodes), len(graph.edges), cfg.kcore_k, len(core.nodes),
@@ -360,7 +324,7 @@ def stage_commnet(run: _Runner) -> None:
 
 def stage_eval(run: _Runner) -> None:
     cfg = run.config
-    gold = evalkit.read_gold(run.read(cfg.gold), unit=cfg.eval_unit)
+    gold = evalkit.read_gold(run.read(cfg.gold))
     annotations = (
         evalkit.read_annotations(run.read(cfg.annotations)) if cfg.annotations else None
     )
@@ -374,11 +338,11 @@ def stage_eval(run: _Runner) -> None:
     for dim in sorted(scores_by_dim):
         scale, scores = scales[dim], scores_by_dim[dim]
         if cfg.eval_unit == "account":
-            predictions = {user: polarity.ternarize(s, scale) for user, s in scores.items()}
+            predictions = {user: polarity.ternarize(s.value, scale) for user, s in scores.items()}
         else:
             predictions = {
                 f"{key.user_id}@{key.day.isoformat()}": polarity.ternarize(
-                    polarity.score_aggregate(ids, scores, cfg.weighting), scale
+                    polarity.score_aggregate(ids, scores, cfg.weighting).value, scale
                 )
                 for key, ids in days.items()
             }
@@ -388,7 +352,7 @@ def stage_eval(run: _Runner) -> None:
             log.warning("%s: %d gold units absent from the corpus, skipped", dim, dropped)
         if not covered:
             raise DataError(f"{dim}: no gold units overlap the scored corpus")
-        subset = evalkit.GoldLabelSet(unit=gold.unit, labels=covered)
+        subset = evalkit.GoldLabelSet(labels=covered)
         reports.append(evalkit.evaluate_predictions(predictions, subset, dim, annotations))
     evalkit.write_eval_reports(
         reports, run.write("eval_poles.csv"), run.write("eval_overall.csv")
@@ -458,10 +422,10 @@ def _build_parser() -> _ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         for f in fields(RunConfig):
-            if f.name == "seed_files":
-                p.add_argument("--seed-file", action="append", dest="seed_files", default=None)
+            kind = KINDS[f.name]
+            if kind is list:
+                p.add_argument("--seed-file", action="append", dest=f.name, default=None)
                 continue
-            kind = type(f.default) if f.default is not None else str
             if kind is bool:
                 options = {"action": argparse.BooleanOptionalAction}
             else:
@@ -481,10 +445,15 @@ def _load_config_file(path: str) -> dict:
             raise ConfigError(f"config: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config: {path}: expected a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(data) - known
+    unknown = set(data) - set(KINDS)
     if unknown:
         raise ConfigError(f"config: unknown keys: {sorted(unknown)}")
+    for key, value in data.items():
+        # json gives exact types, so a bool is no int here; an int is kept as is
+        kind = KINDS[key]
+        accepted = (float, int) if kind is float else (kind,)
+        if type(value) not in accepted or kind is list and any(type(v) is not str for v in value):
+            raise ConfigError(f"config: {path}: {key}: expected {kind.__name__}, got {value!r}")
     return data
 
 

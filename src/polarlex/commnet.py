@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .corpus import TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import fmt9
+from .ioutil import fmt9, write_csv
 from .polarity import UNCLASSIFIED, PolarityScore, ternarize
 
 @dataclass
@@ -88,8 +87,8 @@ def build_comm_graph(
         graph.label[dim] = {}
         for node in graph.nodes:
             s = scores.get(node)
-            graph.polarity[dim][node] = s.value if s is not None else None
-            graph.label[dim][node] = ternarize(s, scale) if s is not None else UNCLASSIFIED
+            value = graph.polarity[dim][node] = s.value if s is not None else None
+            graph.label[dim][node] = ternarize(value, scale)
     return graph
 
 
@@ -230,12 +229,14 @@ def _write_graphml(graph: CommGraph, path: str | Path) -> None:
 
 
 def _write_edge_csv(graph: CommGraph, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["user_a", "user_b", "count", "count_a_to_b", "count_b_to_a"])
-        for (a, b) in sorted(graph.edges):
-            stat = graph.edges[(a, b)]
-            writer.writerow([a, b, stat.count, stat.a_to_b, stat.b_to_a])
+    write_csv(
+        path,
+        ["user_a", "user_b", "count", "count_a_to_b", "count_b_to_a"],
+        (
+            [a, b, stat.count, stat.a_to_b, stat.b_to_a]
+            for (a, b), stat in sorted(graph.edges.items())
+        ),
+    )
 
 
 def export_graph(
@@ -250,3 +251,14 @@ def export_graph(
         _write_edge_csv(graph, path)
     else:
         raise ConfigError(f"unknown export format {format!r}")
+
+
+def write_homophily_csv(graph: CommGraph, path: str | Path) -> None:
+    """One row per dimension; the homophily cell is blank with no classified edge."""
+    rows = []
+    for dim in graph.dimensions():
+        try:
+            rows.append([dim, homophily_index(graph, dim)])
+        except DataError:
+            rows.append([dim, None])
+    write_csv(path, ["dimension", "homophily"], rows)

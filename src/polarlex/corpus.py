@@ -1,4 +1,4 @@
-"""Tweet ingestion, Unicode-aware tokenization, and per-user-per-day grouping."""
+"""Tweet ingestion, Unicode-aware tokenization, per-user-per-day grouping, tokenized.tsv."""
 
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ def record_from_json(obj: dict) -> TweetRecord:
         tweet_id = str(tweet_id)
     if not tweet_id:
         raise DataError("empty tweet_id")
-    # tokenized.tsv holds one tab-separated row per tweet, keyed by tweet_id.
+    # write_tokenized writes one tab-separated row per tweet, keyed by tweet_id.
     if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
         raise DataError(f"tweet_id {tweet_id!r} contains a tab or line break")
     mentions = obj.get("mentions") or []
@@ -133,6 +133,33 @@ def write_corpus(records: Iterable[TweetRecord], path: str | Path) -> None:
                 "reply_to_user": r.reply_to_user,
             }
             fh.write(json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def write_tokenized(tweets: Iterable[TokenizedTweet], path: str | Path) -> None:
+    """One 'tweet_id<TAB>hashtags<TAB>tokens' row per tweet, items space-separated."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for tw in tweets:
+            fh.write(f"{tw.tweet_id}\t{' '.join(tw.hashtags)}\t{' '.join(tw.tokens)}\n")
+
+
+def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
+    tweets: list[TokenizedTweet] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.rstrip("\n"):
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}: line {lineno}: expected 3 fields")
+            tweet_id, tags, tokens = parts
+            tweets.append(
+                TokenizedTweet(
+                    tweet_id=tweet_id,
+                    hashtags=tags.split(" ") if tags else [],
+                    tokens=tokens.split(" ") if tokens else [],
+                )
+            )
+    return tweets
 
 
 def _is_punct(ch: str) -> bool:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .ioutil import fmt9
+from .ioutil import write_csv
 from .polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED
 
 log = logging.getLogger(__name__)
@@ -21,7 +20,6 @@ GOLD_LABELS = (POLE_A, POLE_B, NEUTRAL)
 class GoldLabelSet:
     """Gold assignments over evaluation units (accounts or user-days)."""
 
-    unit: str
     labels: dict[str, str]
 
     def __post_init__(self) -> None:
@@ -195,7 +193,7 @@ def evaluate_predictions(
 # ---------------------------------------------------------------------------
 # file formats
 
-def read_gold(path: str | Path, unit: str = "account") -> GoldLabelSet:
+def read_gold(path: str | Path) -> GoldLabelSet:
     """key <TAB> label rows."""
     labels: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -211,7 +209,7 @@ def read_gold(path: str | Path, unit: str = "account") -> GoldLabelSet:
             if label not in GOLD_LABELS:
                 raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
             labels[key] = label
-    return GoldLabelSet(unit=unit, labels=labels)
+    return GoldLabelSet(labels=labels)
 
 
 def read_annotations(path: str | Path) -> AnnotationTable:
@@ -240,49 +238,35 @@ def read_annotations(path: str | Path) -> AnnotationTable:
 def write_eval_reports(
     reports: Sequence[EvalReport], poles_path: str | Path, overall_path: str | Path
 ) -> None:
-    def cell(v: float | None) -> str:
-        return fmt9(v) if v is not None else ""
-
-    with open(poles_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["dimension", "pole", "precision", "recall", "pct_unknown", "pct_incorrect"]
-        )
-        for report in reports:
-            for pole, metrics in ((POLE_A, report.pole_a), (POLE_B, report.pole_b)):
-                if metrics is None:
-                    continue
-                writer.writerow(
-                    [
-                        report.dimension,
-                        pole,
-                        cell(metrics.precision),
-                        fmt9(metrics.recall),
-                        fmt9(metrics.pct_unknown),
-                        fmt9(metrics.pct_incorrect),
-                    ]
-                )
-    with open(overall_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
+    write_csv(
+        poles_path,
+        ["dimension", "pole", "precision", "recall", "pct_unknown", "pct_incorrect"],
+        (
+            [report.dimension, pole, m.precision, m.recall, m.pct_unknown, m.pct_incorrect]
+            for report in reports
+            for pole, m in ((POLE_A, report.pole_a), (POLE_B, report.pole_b))
+            if m is not None
+        ),
+    )
+    write_csv(
+        overall_path,
+        [
+            "dimension",
+            "accuracy",
+            "soft_accuracy",
+            "krippendorff_alpha",
+            "percent_agreement",
+            "polar_opposite_agreement",
+        ],
+        (
             [
-                "dimension",
-                "accuracy",
-                "soft_accuracy",
-                "krippendorff_alpha",
-                "percent_agreement",
-                "polar_opposite_agreement",
+                report.dimension,
+                report.accuracy,
+                report.soft_accuracy,
+                report.agreement.krippendorff_alpha if report.agreement else None,
+                report.agreement.percent_agreement if report.agreement else None,
+                report.agreement.polar_opposite_agreement if report.agreement else None,
             ]
-        )
-        for report in reports:
-            ag = report.agreement
-            writer.writerow(
-                [
-                    report.dimension,
-                    cell(report.accuracy),
-                    cell(report.soft_accuracy),
-                    cell(ag.krippendorff_alpha if ag else None),
-                    cell(ag.percent_agreement if ag else None),
-                    cell(ag.polar_opposite_agreement if ag else None),
-                ]
-            )
+            for report in reports
+        ),
+    )

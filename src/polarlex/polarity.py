@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import fmt9
+from .ioutil import fmt9, write_csv
 from .lexgraph import HASHTAG_MODE, TOKEN_MODE
 from .proplabel import PolarityLexicon
 
@@ -33,7 +33,6 @@ BY_TWEET = "by_tweet"
 class PolarityScore:
     """Mean lexicon score of some unit; value is None when nothing matched."""
 
-    dimension_name: str
     value: float | None
     n_items: int
 
@@ -85,7 +84,7 @@ def score_tweets(
         items = tw.hashtags if mode == HASHTAG_MODE else tw.tokens
         hits = [scores[i] for i in items if i in scores]
         value = math.fsum(hits) / len(hits) if hits else None
-        out[tw.tweet_id] = PolarityScore(lexicon.dimension_name, value, len(hits))
+        out[tw.tweet_id] = PolarityScore(value, len(hits))
     return out
 
 
@@ -101,22 +100,16 @@ def score_aggregate(
     """
     if weighting not in (BY_ITEM, BY_TWEET):
         raise ConfigError(f"unknown weighting {weighting!r}")
-    ids = sorted(tweet_ids)
-    picked = [tweet_scores[t] for t in ids]
+    picked = (tweet_scores[t] for t in tweet_ids)
     classified = [s for s in picked if s.value is not None]
-    n_items = sum(s.n_items for s in classified)
     if not classified:
-        dimension = picked[0].dimension_name if picked else ""
-        if not dimension:
-            for s in tweet_scores.values():
-                dimension = s.dimension_name
-                break
-        return PolarityScore(dimension, None, 0)
+        return PolarityScore(None, 0)
+    n_items = sum(s.n_items for s in classified)
     if weighting == BY_ITEM:
         value = math.fsum(s.value * s.n_items for s in classified) / n_items
     else:
         value = math.fsum(s.value for s in classified) / len(classified)
-    return PolarityScore(classified[0].dimension_name, value, n_items)
+    return PolarityScore(value, n_items)
 
 
 def score_users(
@@ -134,7 +127,7 @@ def score_users(
     }
 
 
-def ternarize_value(value: float | None, scale: tuple[float, float]) -> str:
+def ternarize(value: float | None, scale: tuple[float, float]) -> str:
     """Collapse a score to pole_b / neutral / pole_a around the scale midpoint."""
     if value is None:
         return UNCLASSIFIED
@@ -145,10 +138,6 @@ def ternarize_value(value: float | None, scale: tuple[float, float]) -> str:
     if value > mid:
         return POLE_A
     return NEUTRAL
-
-
-def ternarize(score: PolarityScore, scale: tuple[float, float]) -> str:
-    return ternarize_value(score.value, scale)
 
 
 def overall_tally(
@@ -162,9 +151,9 @@ def overall_tally(
     user_counts = {label: 0 for label in TERNARY_LABELS}
     tweet_counts = {label: 0 for label in TERNARY_LABELS}
     for s in user_scores.values():
-        user_counts[ternarize(s, scale)] += 1
+        user_counts[ternarize(s.value, scale)] += 1
     for s in tweet_scores.values():
-        tweet_counts[ternarize(s, scale)] += 1
+        tweet_counts[ternarize(s.value, scale)] += 1
     n_users = len(user_scores)
     n_tweets = len(tweet_scores)
     return [
@@ -235,27 +224,29 @@ def daily_series(
 # ---------------------------------------------------------------------------
 # file formats
 
-def _open_csv(path: str | Path):
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 def write_score_csv(
     scores_by_dim: Mapping[str, Mapping[str, PolarityScore]],
     path: str | Path,
     key_column: str,
     key_order: Sequence[str] | None = None,
-) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([key_column, "dimension", "value", "n_items"])
+) -> dict[str, Mapping[str, PolarityScore]]:
+    """One row per dimension and key: keys in key_order, else sorted.
+
+    Returns the scores as read_score_csv gives them back: each value is
+    rounded in place to its written text, and a dimension with no rows is left
+    out.
+    """
+    def rows():
         for dim in sorted(scores_by_dim):
             scores = scores_by_dim[dim]
-            keys = key_order if key_order is not None else sorted(scores)
-            for key in keys:
+            for key in key_order if key_order is not None else sorted(scores):
                 s = scores[key]
-                writer.writerow(
-                    [key, dim, fmt9(s.value) if s.value is not None else "", s.n_items]
-                )
+                if s.value is not None:
+                    s.value = float(fmt9(s.value))
+                yield key, dim, s.value, s.n_items
+
+    write_csv(path, [key_column, "dimension", "value", "n_items"], rows())
+    return {dim: scores for dim, scores in scores_by_dim.items() if scores}
 
 
 def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
@@ -280,41 +271,34 @@ def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
                 raise DataError(
                     f"{path}: line {lineno}: value and n_items disagree"
                 )
-            out.setdefault(dim, {})[key] = PolarityScore(dim, value, n_items)
+            out.setdefault(dim, {})[key] = PolarityScore(value, n_items)
     return out
 
 
 def write_daily_series_csv(series: Sequence[DailySeries], path: str | Path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["group", "date", "mean", "std", "n", "n_unclassified"])
-        for s in series:
-            for d in s.days:
-                writer.writerow(
-                    [
-                        s.group_name,
-                        d.day.isoformat(),
-                        fmt9(d.mean) if d.mean is not None else "",
-                        fmt9(d.std) if d.std is not None else "",
-                        d.n,
-                        d.n_unclassified,
-                    ]
-                )
+    write_csv(
+        path,
+        ["group", "date", "mean", "std", "n", "n_unclassified"],
+        (
+            [s.group_name, d.day.isoformat(), d.mean, d.std, d.n, d.n_unclassified]
+            for s in series
+            for d in s.days
+        ),
+    )
 
 
 def write_tally_csv(
     tallies_by_dim: Mapping[str, Sequence[TallyRow]], path: str | Path
 ) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["dimension", "class", "n_users", "pct_users", "n_tweets", "pct_tweets"]
-        )
-        for dim in sorted(tallies_by_dim):
-            for r in tallies_by_dim[dim]:
-                writer.writerow(
-                    [dim, r.label, r.n_users, fmt9(r.pct_users), r.n_tweets, fmt9(r.pct_tweets)]
-                )
+    write_csv(
+        path,
+        ["dimension", "class", "n_users", "pct_users", "n_tweets", "pct_tweets"],
+        (
+            [dim, r.label, r.n_users, r.pct_users, r.n_tweets, r.pct_tweets]
+            for dim in sorted(tallies_by_dim)
+            for r in tallies_by_dim[dim]
+        ),
+    )
 
 
 def read_membership(path: str | Path) -> dict[str, str]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -298,15 +298,23 @@ def propagate_random_walk(
     )
 
 
-def write_lexicon(lexicon: PolarityLexicon, path: str | Path) -> None:
-    """Serialize item/score/status rows under a dimension+scale header."""
-    lo, hi = lexicon.scale
+def write_lexicon(lexicon: PolarityLexicon, path: str | Path) -> PolarityLexicon:
+    """Serialize item/score/status rows under a dimension+scale header.
+
+    Returns the lexicon as read_lexicon gives it back: its scale and scores
+    are rounded in place to their written 9-decimal text.
+    """
+    lo, hi = map(fmt9, lexicon.scale)
+    lexicon.scale = (float(lo), float(hi))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#dimension={lexicon.dimension_name}\tscale={fmt9(lo)},{fmt9(hi)}\n")
+        fh.write(f"#dimension={lexicon.dimension_name}\tscale={lo},{hi}\n")
         for item in sorted(lexicon.status):
-            score = lexicon.scores.get(item)
-            text = fmt9(score) if score is not None else ""
+            text = ""
+            if item in lexicon.scores:
+                text = fmt9(lexicon.scores[item])
+                lexicon.scores[item] = float(text)
             fh.write(f"{item}\t{text}\t{lexicon.status[item]}\n")
+    return lexicon
 
 
 def read_lexicon(path: str | Path) -> PolarityLexicon:

@@ -28,7 +28,6 @@ from polarlex.polarity import (
     score_tweets,
     score_users,
     ternarize,
-    ternarize_value,
 )
 from polarlex.proplabel import (
     STATUS_PROPAGATED,
@@ -173,7 +172,7 @@ def test_c03_planted_recovery():
         agree = sum(
             1
             for user, s in classified.items()
-            if ternarize(s, lexicon.scale) == truth.user_labels[user]
+            if ternarize(s.value, lexicon.scale) == truth.user_labels[user]
         )
         assert agree / len(classified) >= 0.90
         assert time.perf_counter() - start < 30.0
@@ -228,7 +227,7 @@ def test_c05_aggregation_identity_and_ternarize_commute():
                 n_items = int(rng.integers(0, 7))
                 items = [float(v) for v in rng.uniform(-1, 1, size=n_items)]
                 value = math.fsum(items) / n_items if n_items else None
-                tweet_scores[f"t{t:03d}"] = PolarityScore("dim", value, n_items)
+                tweet_scores[f"t{t:03d}"] = PolarityScore(value, n_items)
                 pooled.extend(items)
             agg = score_aggregate(set(tweet_scores), tweet_scores, BY_ITEM)
             if pooled:
@@ -241,8 +240,8 @@ def test_c05_aggregation_identity_and_ternarize_commute():
         mismatches = sum(
             1
             for v in values
-            if ternarize_value(float(v), (-1.0, 1.0))
-            != ternarize_value((float(v) + 1.0) / 2.0, (0.0, 1.0))
+            if ternarize(float(v), (-1.0, 1.0))
+            != ternarize((float(v) + 1.0) / 2.0, (0.0, 1.0))
         )
         assert mismatches == 0
 
@@ -279,7 +278,6 @@ def test_c07_metric_references():
         for _ in range(1000):
             n = int(rng.integers(1, 40))
             gold = GoldLabelSet(
-                unit="account",
                 labels={
                     f"k{i}": gold_choices[int(rng.integers(3))] for i in range(n)
                 },

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import gc
 import hashlib
 import json
@@ -301,6 +302,38 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "no_such_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("gamma", "5"),
+        ("gamma", 2.0),
+        ("gamma", True),
+        ("restart_prob", "0.2"),
+        ("include_retweets", "no"),
+        ("include_retweets", 1),
+        ("seed_files", "x.tsv"),
+        ("seed_files", [1]),
+        ("corpus", 3),
+        ("corpus", None),
+    ],
+)
+def test_config_value_of_wrong_type_is_named(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+    assert f"config: {config}: {key}: expected" in capsys.readouterr().err
+
+
+def test_config_int_for_float_field_accepted_unconverted(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"cross": 0, "n_tweets": 50}))
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["cross"] == 0
+    assert isinstance(manifest["config"]["cross"], int)
+
+
 def test_env_var_selects_config(tmp_path, synth_dir, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"out_dir": str(tmp_path / "envout"), **{
@@ -446,6 +479,18 @@ def test_pipeline_scores_only_its_own_lexicons(tmp_path, synth_dir):
     assert run_pipeline(out, corpus, seeds) == 0
     assert set(read_score_csv(out / "tweet_scores.csv")) == {"community"}
     assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
+
+
+def test_dimension_name_with_comma_is_quoted_in_homophily_csv(tmp_path, synth_dir):
+    seeds_text = (synth_dir / "seeds_community.tsv").read_text()
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text(seeds_text.replace("#dimension=community", "#dimension=a,b", 1))
+    out = tmp_path / "run"
+    assert run_pipeline(out, synth_dir / "corpus.jsonl", seeds) == 0
+    with open(out / "homophily.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows] == ["dimension", "a,b"]
+    assert all(len(row) == 2 for row in rows)
 
 
 def test_seed_files_naming_one_dimension_exit_two(tmp_path, synth_dir, capsys):

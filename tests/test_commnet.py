@@ -93,7 +93,7 @@ class TestBuildCommGraph:
 
     def test_attributes_attached_and_unclassified_kept(self):
         records = [record("t1", "a", mentions=["b"])]
-        scores = {"dim": {"a": PolarityScore("dim", 0.5, 2)}}
+        scores = {"dim": {"a": PolarityScore(0.5, 2)}}
         graph = build_comm_graph(records, scores, {"dim": SCALE})
         assert graph.polarity["dim"]["a"] == 0.5
         assert graph.label["dim"]["a"] == POLE_A

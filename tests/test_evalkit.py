@@ -24,7 +24,7 @@ PRED_LABELS = (POLE_A, POLE_B, NEUTRAL, UNCLASSIFIED)
 
 
 def gold_of(mapping):
-    return GoldLabelSet(unit="account", labels=dict(mapping))
+    return GoldLabelSet(labels=dict(mapping))
 
 
 class TestPoleMetrics:

@@ -22,7 +22,6 @@ from polarlex.polarity import (
     score_tweets,
     score_users,
     ternarize,
-    ternarize_value,
     write_score_csv,
 )
 from polarlex.proplabel import PolarityLexicon, STATUS_PROPAGATED, STATUS_SEED
@@ -75,14 +74,14 @@ class TestScoreAggregate:
 
     def test_weightings_differ(self):
         tweet_scores = {
-            "ta": PolarityScore("dim", 1.0, 2),   # items +1, +1
-            "tb": PolarityScore("dim", -1.0, 1),  # item -1
+            "ta": PolarityScore(1.0, 2),   # items +1, +1
+            "tb": PolarityScore(-1.0, 1),  # item -1
         }
         assert score_aggregate({"ta", "tb"}, tweet_scores, BY_ITEM).value == pytest.approx(1 / 3)
         assert score_aggregate({"ta", "tb"}, tweet_scores, BY_TWEET).value == pytest.approx(0.0)
 
     def test_all_unclassified(self):
-        tweet_scores = {"t1": PolarityScore("dim", None, 0)}
+        tweet_scores = {"t1": PolarityScore(None, 0)}
         agg = score_aggregate({"t1"}, tweet_scores)
         assert agg.value is None and agg.n_items == 0
 
@@ -98,7 +97,7 @@ class TestScoreAggregate:
         pooled = []
         for i, items in enumerate(item_lists):
             value = math.fsum(items) / len(items) if items else None
-            tweet_scores[f"t{i:03d}"] = PolarityScore("dim", value, len(items))
+            tweet_scores[f"t{i:03d}"] = PolarityScore(value, len(items))
             pooled.extend(items)
         agg = score_aggregate(set(tweet_scores), tweet_scores, BY_ITEM)
         if pooled:
@@ -109,9 +108,9 @@ class TestScoreAggregate:
     def test_score_users_groups_by_author(self):
         records = [record("t1", "u1"), record("t2", "u1"), record("t3", "u2")]
         tweet_scores = {
-            "t1": PolarityScore("dim", 1.0, 1),
-            "t2": PolarityScore("dim", 0.0, 1),
-            "t3": PolarityScore("dim", None, 0),
+            "t1": PolarityScore(1.0, 1),
+            "t2": PolarityScore(0.0, 1),
+            "t3": PolarityScore(None, 0),
         }
         users = score_users(records, tweet_scores)
         assert users["u1"].value == pytest.approx(0.5)
@@ -120,22 +119,21 @@ class TestScoreAggregate:
 
 class TestTernarize:
     def test_positive_is_pole_a(self):
-        assert ternarize_value(0.33, (-1.0, 1.0)) == POLE_A
+        assert ternarize(0.33, (-1.0, 1.0)) == POLE_A
 
     def test_exact_zero_is_neutral(self):
-        assert ternarize_value(0.0, (-1.0, 1.0)) == NEUTRAL
+        assert ternarize(0.0, (-1.0, 1.0)) == NEUTRAL
 
     def test_negative_is_pole_b(self):
-        assert ternarize_value(-1e-12, (-1.0, 1.0)) == POLE_B
+        assert ternarize(-1e-12, (-1.0, 1.0)) == POLE_B
 
     def test_unit_scale_midpoint(self):
-        assert ternarize_value(0.5, (0.0, 1.0)) == NEUTRAL
-        assert ternarize_value(0.51, (0.0, 1.0)) == POLE_A
-        assert ternarize_value(0.49, (0.0, 1.0)) == POLE_B
+        assert ternarize(0.5, (0.0, 1.0)) == NEUTRAL
+        assert ternarize(0.51, (0.0, 1.0)) == POLE_A
+        assert ternarize(0.49, (0.0, 1.0)) == POLE_B
 
     def test_unclassified_passthrough(self):
-        assert ternarize_value(None, (-1.0, 1.0)) == UNCLASSIFIED
-        assert ternarize(PolarityScore("dim", None, 0), (-1.0, 1.0)) == UNCLASSIFIED
+        assert ternarize(None, (-1.0, 1.0)) == UNCLASSIFIED
 
     # magnitudes below 2**-53 round onto the rescaled midpoint, so the
     # commute property is claimed at the package's 9-digit score resolution
@@ -147,18 +145,18 @@ class TestTernarize:
         )
     )
     def test_affine_rescale_commutes(self, value):
-        before = ternarize_value(value, (-1.0, 1.0))
-        after = ternarize_value((value + 1.0) / 2.0, (0.0, 1.0))
+        before = ternarize(value, (-1.0, 1.0))
+        after = ternarize((value + 1.0) / 2.0, (0.0, 1.0))
         assert before == after
 
 
 class TestOverallTally:
     def test_counts_and_percentages(self):
         users = {
-            "u1": PolarityScore("dim", 0.5, 1),
-            "u2": PolarityScore("dim", 0.1, 1),
-            "u3": PolarityScore("dim", -0.5, 1),
-            "u4": PolarityScore("dim", None, 0),
+            "u1": PolarityScore(0.5, 1),
+            "u2": PolarityScore(0.1, 1),
+            "u3": PolarityScore(-0.5, 1),
+            "u4": PolarityScore(None, 0),
         }
         rows = overall_tally(users, {}, (-1.0, 1.0))
         by_label = {r.label: r for r in rows}
@@ -174,7 +172,7 @@ class TestOverallTally:
 class TestDailySeries:
     def test_single_value_day(self):
         records = [record("t1", "u1")]
-        scores = {"t1": PolarityScore("dim", 0.4, 1)}
+        scores = {"t1": PolarityScore(0.4, 1)}
         series = daily_series(records, scores, {"u1": "g"})
         assert len(series) == 1
         day = series[0].days[0]
@@ -185,8 +183,8 @@ class TestDailySeries:
     def test_population_sigma(self):
         records = [record("t1", "u1"), record("t2", "u2")]
         scores = {
-            "t1": PolarityScore("dim", 1.0, 1),
-            "t2": PolarityScore("dim", -1.0, 1),
+            "t1": PolarityScore(1.0, 1),
+            "t2": PolarityScore(-1.0, 1),
         }
         series = daily_series(records, scores, {"u1": "g", "u2": "g"})
         day = series[0].days[0]
@@ -199,8 +197,8 @@ class TestDailySeries:
             record("t2", "u1", "2020-01-03T10:00:00Z"),
         ]
         scores = {
-            "t1": PolarityScore("dim", 0.1, 1),
-            "t2": PolarityScore("dim", 0.2, 1),
+            "t1": PolarityScore(0.1, 1),
+            "t2": PolarityScore(0.2, 1),
         }
         series = daily_series(records, scores, {"u1": "g"})
         days = series[0].days
@@ -209,7 +207,7 @@ class TestDailySeries:
 
     def test_group_without_tweets_still_emitted(self):
         records = [record("t1", "u1")]
-        scores = {"t1": PolarityScore("dim", 0.1, 1)}
+        scores = {"t1": PolarityScore(0.1, 1)}
         series = daily_series(records, scores, {"u1": "g1", "ghost": "g2"})
         names = [s.group_name for s in series]
         assert names == ["g1", "g2"]
@@ -218,15 +216,15 @@ class TestDailySeries:
     def test_unclassified_counted_separately(self):
         records = [record("t1", "u1"), record("t2", "u1")]
         scores = {
-            "t1": PolarityScore("dim", 0.3, 1),
-            "t2": PolarityScore("dim", None, 0),
+            "t1": PolarityScore(0.3, 1),
+            "t2": PolarityScore(None, 0),
         }
         day = daily_series(records, scores, {"u1": "g"})[0].days[0]
         assert day.n == 1 and day.n_unclassified == 1
 
     def test_means_within_scale(self):
         records = [record(f"t{i}", "u1") for i in range(5)]
-        scores = {f"t{i}": PolarityScore("dim", v, 1) for i, v in enumerate([-1, 1, 0.5, -0.5, 0])}
+        scores = {f"t{i}": PolarityScore(v, 1) for i, v in enumerate([-1, 1, 0.5, -0.5, 0])}
         day = daily_series(records, scores, {"u1": "g"})[0].days[0]
         assert -1.0 <= day.mean <= 1.0
 
@@ -235,13 +233,34 @@ class TestScoreFiles:
     def test_round_trip(self, tmp_path):
         scores = {
             "dim": {
-                "t1": PolarityScore("dim", 0.123456789, 3),
-                "t2": PolarityScore("dim", None, 0),
+                "t1": PolarityScore(0.123456789, 3),
+                "t2": PolarityScore(None, 0),
             }
         }
         path = tmp_path / "scores.csv"
         write_score_csv(scores, path, "tweet_id", ["t1", "t2"])
         assert read_score_csv(path) == scores
+
+    @pytest.mark.parametrize("key_order", [None, ["t1", "t2", "t3"]])
+    def test_returns_scores_as_read_back(self, tmp_path, key_order):
+        scores = {
+            "dim": {
+                "t1": PolarityScore(0.1234567895, 3),
+                "t2": PolarityScore(-1e-12, 1),
+                "t3": PolarityScore(None, 0),
+            },
+            "other": {
+                "t1": PolarityScore(2 / 3, 1),
+                "t2": PolarityScore(None, 0),
+                "t3": PolarityScore(-0.9999999996, 2),
+            },
+        }
+        if key_order is None:
+            scores["no_rows"] = {}
+        path = tmp_path / "scores.csv"
+        got = write_score_csv(scores, path, "tweet_id", key_order)
+        assert got == read_score_csv(path)
+        assert got["dim"] is scores["dim"]
 
     def test_membership_reader(self, tmp_path):
         path = tmp_path / "members.tsv"
@@ -268,8 +287,8 @@ class TestScoreFiles:
             record("t2", "u1", "2020-01-02T10:00:00Z"),
         ]
         scores = {
-            "t1": PolarityScore("dim", 0.25, 1),
-            "t2": PolarityScore("dim", None, 0),
+            "t1": PolarityScore(0.25, 1),
+            "t2": PolarityScore(None, 0),
         }
         series = daily_series(records, scores, {"u1": "g"})
         path = tmp_path / "daily.csv"

@@ -391,6 +391,24 @@ class TestLexiconFiles:
         write_lexicon(lexicon, path)
         assert read_lexicon(path) == lexicon
 
+    # values whose 9th decimal rounds, one that rounds to -0.0, and None for unlabeled
+    @pytest.mark.parametrize("scale", [(-1.0, 1.0), (-0.5000000004, 2 / 3)])
+    @pytest.mark.parametrize(
+        "values",
+        [[0.1234567895, 1 / 3, -1e-12, None], [-0.4999999996, 0.6666666663, None, None], []],
+    )
+    def test_returns_lexicon_as_read_back(self, tmp_path, scale, values):
+        scores = {f"item{i}": v for i, v in enumerate(values) if v is not None}
+        status = {
+            f"item{i}": STATUS_UNLABELED if v is None else STATUS_PROPAGATED
+            for i, v in enumerate(values)
+        }
+        lexicon = PolarityLexicon("dim", scores, status, scale)
+        path = tmp_path / "lex.tsv"
+        got = write_lexicon(lexicon, path)
+        assert got is lexicon
+        assert got == read_lexicon(path)
+
     def test_out_of_scale_score_rejected(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text(
