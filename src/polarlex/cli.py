@@ -272,7 +272,7 @@ def stage_score(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
     tweets = run.take("tweets", lambda _: corpus.tokenize(records))
-    item_mode = lexgraph.HASHTAG_MODE if cfg.mode == "hashtag" else lexgraph.TOKEN_MODE
+    item_mode = corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE
     tweet_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     tallies: dict[str, list[polarity.TallyRow]] = {}
@@ -374,8 +374,8 @@ def stage_synth(run: _Runner) -> None:
     )
     records, truth = synthgen.generate(spec)
     corpus.write_corpus(records, run.write("corpus.jsonl"))
-    synthgen.write_truth_labels(truth.user_labels, run.write("gold_users.tsv"))
-    synthgen.write_truth_labels(truth.hashtag_labels, run.write("gold_hashtags.tsv"))
+    evalkit.write_gold(truth.user_labels, run.write("gold_users.tsv"))
+    evalkit.write_gold(truth.hashtag_labels, run.write("gold_hashtags.tsv"))
     proplabel.write_seed_lexicon(truth.seeds, run.write(f"seeds_{spec.dimension}.tsv"))
     log.info("synthesized %d tweets from %d users", len(records), cfg.n_users)
 

@@ -11,44 +11,26 @@ from .errors import ConfigError, DataError
 from .ioutil import fmt9, write_csv
 from .polarity import UNCLASSIFIED, PolarityScore, ternarize
 
-@dataclass
-class EdgeStat:
-    """Interaction counts for one unordered user pair (a < b)."""
-
-    count: int
-    a_to_b: int
-    b_to_a: int
-
 
 @dataclass
 class CommGraph:
-    """Undirected interaction-count graph with per-dimension node polarity."""
+    """Undirected interaction-count graph with per-dimension user polarity.
+
+    edges maps each user pair (a, b) with a < b to [a_to_b, b_to_a] event
+    counts; polarity[dim] holds only the users that have a score, on the
+    scales[dim] scale.
+    """
 
     nodes: set[str] = field(default_factory=set)
-    edges: dict[tuple[str, str], EdgeStat] = field(default_factory=dict)
-    polarity: dict[str, dict[str, float | None]] = field(default_factory=dict)
-    label: dict[str, dict[str, str]] = field(default_factory=dict)
+    edges: dict[tuple[str, str], list[int]] = field(default_factory=dict)
+    polarity: dict[str, dict[str, float]] = field(default_factory=dict)
+    scales: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     def dimensions(self) -> list[str]:
         return sorted(self.polarity)
 
-    def neighbors(self) -> dict[str, set[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for a, b in self.edges:
-            out[a].add(b)
-            out[b].add(a)
-        return out
-
-
-def _interaction_targets(record: TweetRecord, include_mentions: bool) -> list[str]:
-    targets: list[str] = []
-    if record.retweet_of_user:
-        targets.append(record.retweet_of_user)
-    if include_mentions:
-        targets.extend(record.mentions)
-    if record.reply_to_user:
-        targets.append(record.reply_to_user)
-    return targets
+    def label(self, dim: str, node: str) -> str:
+        return ternarize(self.polarity[dim].get(node), self.scales[dim])
 
 
 def build_comm_graph(
@@ -60,78 +42,41 @@ def build_comm_graph(
     """One undirected edge per interacting user pair, weighted by event count.
 
     Every retweet, mention, and reply event increments the pair;
-    self-interactions are dropped. Nodes carry polarity/ternary attributes
-    for each dimension in user_scores; users without a score are kept and
-    labeled unclassified.
+    self-interactions are dropped. Nodes carry the polarity of each dimension
+    in user_scores; users without a score are kept and labeled unclassified.
     """
     graph = CommGraph()
     for record in corpus:
-        graph.nodes.add(record.user_id)
-        for target in _interaction_targets(record, include_mentions):
-            if not target or target == record.user_id:
+        user = record.user_id
+        graph.nodes.add(user)
+        targets = [record.retweet_of_user, *(record.mentions if include_mentions else ()),
+                   record.reply_to_user]
+        for target in targets:
+            if not target or target == user:
                 continue
             graph.nodes.add(target)
-            a, b = (record.user_id, target) if record.user_id < target else (target, record.user_id)
-            stat = graph.edges.get((a, b))
-            if stat is None:
-                stat = graph.edges[(a, b)] = EdgeStat(0, 0, 0)
-            stat.count += 1
-            if record.user_id == a:
-                stat.a_to_b += 1
-            else:
-                stat.b_to_a += 1
+            pair, way = ((user, target), 0) if user < target else ((target, user), 1)
+            graph.edges.setdefault(pair, [0, 0])[way] += 1
     for dim in sorted(user_scores):
-        scale = scales[dim]
-        scores = user_scores[dim]
-        graph.polarity[dim] = {}
-        graph.label[dim] = {}
-        for node in graph.nodes:
-            s = scores.get(node)
-            value = graph.polarity[dim][node] = s.value if s is not None else None
-            graph.label[dim][node] = ternarize(value, scale)
+        graph.scales[dim] = scales[dim]
+        graph.polarity[dim] = {
+            user: s.value for user, s in user_scores[dim].items() if s.value is not None
+        }
     return graph
-
-
-def _subgraph(graph: CommGraph, keep: set[str]) -> CommGraph:
-    return CommGraph(
-        nodes=set(keep),
-        edges={
-            pair: EdgeStat(stat.count, stat.a_to_b, stat.b_to_a)
-            for pair, stat in graph.edges.items()
-            if pair[0] in keep and pair[1] in keep
-        },
-        polarity={
-            dim: {n: v for n, v in vals.items() if n in keep}
-            for dim, vals in graph.polarity.items()
-        },
-        label={
-            dim: {n: v for n, v in vals.items() if n in keep}
-            for dim, vals in graph.label.items()
-        },
-    )
 
 
 def k_core(graph: CommGraph, k: int, weighted: bool = False) -> CommGraph:
     """Maximal subgraph where every node keeps degree >= k, by iterative peeling.
 
     Degree counts distinct neighbors by default; weighted=True sums
-    interaction counts instead.
+    interaction counts instead. The core shares the input's polarity and scales.
     """
     if k < 1:
         raise ConfigError("k must be >= 1")
-    neighbors = graph.neighbors()
-    if weighted:
-        pair_weight = {pair: stat.count for pair, stat in graph.edges.items()}
-
-        def edge_value(a: str, b: str) -> float:
-            return pair_weight[(a, b) if a < b else (b, a)]
-
-    else:
-
-        def edge_value(a: str, b: str) -> float:
-            return 1
-
-    deg = {n: sum(edge_value(n, m) for m in nbrs) for n, nbrs in neighbors.items()}
+    weights: dict[str, dict[str, int]] = {n: {} for n in graph.nodes}
+    for (a, b), counts in graph.edges.items():
+        weights[a][b] = weights[b][a] = sum(counts) if weighted else 1
+    deg = {n: sum(nbrs.values()) for n, nbrs in weights.items()}
     alive = set(graph.nodes)
     queue = [n for n in alive if deg[n] < k]
     while queue:
@@ -139,22 +84,23 @@ def k_core(graph: CommGraph, k: int, weighted: bool = False) -> CommGraph:
         if node not in alive:
             continue
         alive.discard(node)
-        for nbr in neighbors[node]:
+        for nbr, w in weights[node].items():
             if nbr in alive:
-                deg[nbr] -= edge_value(node, nbr)
+                deg[nbr] -= w
                 if deg[nbr] < k:
                     queue.append(nbr)
-    return _subgraph(graph, alive)
+    edges = {pair: c for pair, c in graph.edges.items() if pair[0] in alive and pair[1] in alive}
+    return CommGraph(alive, edges, graph.polarity, graph.scales)
 
 
 def homophily_index(graph: CommGraph, dimension: str) -> float:
     """(same-label - cross-label) / total over edges between classified nodes."""
-    labels = graph.label.get(dimension)
-    if labels is None:
+    if dimension not in graph.polarity:
         raise ConfigError(f"graph has no dimension {dimension!r}")
+    labels = {node: graph.label(dimension, node) for node in graph.nodes}
     same = cross = 0
     for a, b in graph.edges:
-        la, lb = labels.get(a, UNCLASSIFIED), labels.get(b, UNCLASSIFIED)
+        la, lb = labels[a], labels[b]
         if la == UNCLASSIFIED or lb == UNCLASSIFIED:
             continue
         if la == lb:
@@ -176,7 +122,6 @@ _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
     "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
 })
-_TEXT_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _write_graphml(graph: CommGraph, path: str | Path) -> None:
@@ -213,16 +158,15 @@ def _write_graphml(graph: CommGraph, path: str | Path) -> None:
                 value = graph.polarity[dim].get(node)
                 if value is not None:
                     fh.write(f'      <data key="dp{idx}">{fmt9(value)}</data>\n')
-                label = graph.label[dim].get(node, UNCLASSIFIED).translate(_TEXT_ESCAPES)
-                fh.write(f'      <data key="dl{idx}">{label}</data>\n')
+                fh.write(f'      <data key="dl{idx}">{graph.label(dim, node)}</data>\n')
             fh.write("    </node>\n")
-        for (a, b), stat in sorted(graph.edges.items()):
+        for (a, b), (ab, ba) in sorted(graph.edges.items()):
             source, target = a.translate(_ATTR_ESCAPES), b.translate(_ATTR_ESCAPES)
             fh.write(
                 f'    <edge source="{source}" target="{target}">\n'
-                f'      <data key="ec">{stat.count}</data>\n'
-                f'      <data key="ea">{stat.a_to_b}</data>\n'
-                f'      <data key="eb">{stat.b_to_a}</data>\n'
+                f'      <data key="ec">{ab + ba}</data>\n'
+                f'      <data key="ea">{ab}</data>\n'
+                f'      <data key="eb">{ba}</data>\n'
                 "    </edge>\n"
             )
         fh.write("  </graph>\n</graphml>\n")
@@ -232,10 +176,7 @@ def _write_edge_csv(graph: CommGraph, path: str | Path) -> None:
     write_csv(
         path,
         ["user_a", "user_b", "count", "count_a_to_b", "count_b_to_a"],
-        (
-            [a, b, stat.count, stat.a_to_b, stat.b_to_a]
-            for (a, b), stat in sorted(graph.edges.items())
-        ),
+        ([a, b, ab + ba, ab, ba] for (a, b), (ab, ba) in sorted(graph.edges.items())),
     )
 
 

@@ -13,6 +13,10 @@ from .errors import DataError
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
+# The item a tweet contributes to graphs and scores: its hashtags or its tokens.
+HASHTAG_MODE = "hashtag"
+TOKEN_MODE = "token"
+
 
 @dataclass(slots=True)
 class TweetRecord:
@@ -74,6 +78,14 @@ def record_from_json(obj: dict) -> TweetRecord:
     mentions = obj.get("mentions") or []
     if not isinstance(mentions, list):
         raise DataError("mentions must be an array")
+    if not all(isinstance(m, str) for m in mentions):
+        # json gives exact types, so type() tells a bool from an int
+        if not all(type(m) in (str, int) for m in mentions):
+            raise DataError("each mention must be a string or an integer")
+        mentions = [m if isinstance(m, str) else str(m) for m in mentions]
+    is_retweet = obj.get("is_retweet")
+    if is_retweet is not None and not isinstance(is_retweet, bool):
+        raise DataError("is_retweet must be true, false or null")
     retweet_of_user = obj.get("retweet_of_user")
     reply_to_user = obj.get("reply_to_user")
     for key, value in (("retweet_of_user", retweet_of_user), ("reply_to_user", reply_to_user)):
@@ -85,9 +97,9 @@ def record_from_json(obj: dict) -> TweetRecord:
         user_id=user_id if isinstance(user_id, str) else str(user_id),
         timestamp=parse_timestamp(timestamp if isinstance(timestamp, str) else str(timestamp)),
         text=text if isinstance(text, str) else str(text),
-        is_retweet=bool(obj.get("is_retweet", False)),
+        is_retweet=bool(is_retweet),
         retweet_of_user=retweet_of_user,
-        mentions=[m if isinstance(m, str) else str(m) for m in mentions],
+        mentions=mentions,
         reply_to_user=reply_to_user,
     )
 

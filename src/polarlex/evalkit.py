@@ -193,6 +193,13 @@ def evaluate_predictions(
 # ---------------------------------------------------------------------------
 # file formats
 
+def write_gold(labels: Mapping[str, str], path: str | Path) -> None:
+    """key <TAB> label rows in key order, as read_gold reads them."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for key in sorted(labels):
+            fh.write(f"{key}\t{labels[key]}\n")
+
+
 def read_gold(path: str | Path) -> GoldLabelSet:
     """key <TAB> label rows."""
     labels: dict[str, str] = {}

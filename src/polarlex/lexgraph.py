@@ -12,14 +12,11 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TokenizedTweet
+from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet
 from .errors import ConfigError, DataError
 from .ioutil import fmt9
 
 log = logging.getLogger(__name__)
-
-HASHTAG_MODE = "hashtag"
-TOKEN_MODE = "token"
 
 # floor for k-NN edge weights so angular similarity never hits zero
 MIN_KNN_WEIGHT = 1e-6

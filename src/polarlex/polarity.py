@@ -8,13 +8,14 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .corpus import TokenizedTweet, TweetRecord
+from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
 from .ioutil import fmt9, write_csv
-from .lexgraph import HASHTAG_MODE, TOKEN_MODE
-from .proplabel import PolarityLexicon
+
+if TYPE_CHECKING:
+    from .proplabel import PolarityLexicon
 
 log = logging.getLogger(__name__)
 

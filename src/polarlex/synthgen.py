@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 
 import numpy as np
 
@@ -70,8 +69,6 @@ class SynthTruth:
     hashtag_labels: dict[str, str]
     seeds: SeedLexicon
     neutral_tweet_ids: set[str] = field(default_factory=set)
-    community_user_counts: dict[str, int] = field(default_factory=dict)
-    community_tweet_counts: dict[str, int] = field(default_factory=dict)
 
 
 def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
@@ -105,7 +102,6 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
     records: list[TweetRecord] = []
     used_tags: dict[str, set[str]] = {POLE_A: set(), POLE_B: set(), NEUTRAL_LABEL: set()}
     neutral_tweet_ids: set[str] = set()
-    tweet_counts = {POLE_A: 0, POLE_B: 0}
     participants: set[str] = set()
 
     for k in range(spec.n_tweets):
@@ -128,7 +124,6 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
                 tag = pool[int(rng.integers(len(pool)))]
                 tags.append(tag)
                 used_tags[pool_label].add(tag)
-            tweet_counts[own] += 1
 
         is_retweet = False
         retweet_of = None
@@ -194,24 +189,10 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
     for tag in sorted(used_tags[NEUTRAL_LABEL]):
         hashtag_labels[tag] = NEUTRAL_LABEL
 
-    user_labels = {u: community[u] for u in sorted(participants)}
-    user_counts = {
-        POLE_A: sum(1 for v in user_labels.values() if v == POLE_A),
-        POLE_B: sum(1 for v in user_labels.values() if v == POLE_B),
-    }
     truth = SynthTruth(
-        user_labels=user_labels,
+        user_labels={u: community[u] for u in sorted(participants)},
         hashtag_labels=hashtag_labels,
         seeds=seeds,
         neutral_tweet_ids=neutral_tweet_ids,
-        community_user_counts=user_counts,
-        community_tweet_counts=tweet_counts,
     )
     return records, truth
-
-
-def write_truth_labels(labels: dict[str, str], path: str | Path) -> None:
-    """key <TAB> label rows, sorted; shared by the user and hashtag truth files."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in sorted(labels):
-            fh.write(f"{key}\t{labels[key]}\n")

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import scipy.sparse as sp
 
-from polarlex.commnet import GRAPHML_NS, CommGraph, EdgeStat
+from polarlex.commnet import GRAPHML_NS, CommGraph
 from polarlex.errors import DataError
 from polarlex.lexgraph import CooccurrenceGraph
-from polarlex.polarity import UNCLASSIFIED
 
 
 def graph_of(edges: dict[tuple[str, str], float], extra_nodes=()) -> CooccurrenceGraph:
@@ -50,8 +49,12 @@ def adjacency(graph: CooccurrenceGraph) -> dict[str, list[str]]:
     }
 
 
-def read_graphml(path: str | Path) -> CommGraph:
-    """Round-trip reader for graphs written by export_graph(format='graphml')."""
+def read_graphml(path: str | Path) -> tuple[CommGraph, dict[str, dict[str, str]]]:
+    """Round-trip reader for graphs written by export_graph(format='graphml').
+
+    Returns the graph without scales, which the document does not hold, and
+    the label text of every node per dimension.
+    """
     ns = {"g": GRAPHML_NS}
     root = ET.parse(path).getroot()
     keys: dict[str, tuple[str, str]] = {}
@@ -66,31 +69,26 @@ def read_graphml(path: str | Path) -> CommGraph:
         for name, target in keys.values()
         if target == "node" and name.startswith("polarity_")
     )
+    labels: dict[str, dict[str, str]] = {dim: {} for dim in dims}
     for dim in dims:
         graph.polarity[dim] = {}
-        graph.label[dim] = {}
     for el in gr.findall("g:node", ns):
         node = el.get("id")
         graph.nodes.add(node)
-        for dim in dims:
-            graph.polarity[dim][node] = None
-            graph.label[dim][node] = UNCLASSIFIED
         for d in el.findall("g:data", ns):
             name, _ = keys[d.get("key")]
             if name.startswith("polarity_"):
                 graph.polarity[name[len("polarity_") :]][node] = float(d.text)
             elif name.startswith("label_"):
-                graph.label[name[len("label_") :]][node] = d.text
+                labels[name[len("label_") :]][node] = d.text
     for el in gr.findall("g:edge", ns):
-        a, b = el.get("source"), el.get("target")
         values = {"count": 0, "count_src_to_dst": 0, "count_dst_to_src": 0}
         for d in el.findall("g:data", ns):
             name, _ = keys[d.get("key")]
             values[name] = int(d.text)
-        graph.edges[(a, b)] = EdgeStat(
-            values["count"], values["count_src_to_dst"], values["count_dst_to_src"]
-        )
-    return graph
+        add_edge(graph, path, el.get("source"), el.get("target"), values["count"],
+                 values["count_src_to_dst"], values["count_dst_to_src"])
+    return graph, labels
 
 
 def read_edge_csv(path: str | Path) -> CommGraph:
@@ -108,5 +106,12 @@ def read_edge_csv(path: str | Path) -> CommGraph:
                 raise DataError(f"{path}: line {lineno}: expected 5 fields")
             a, b, count, ab, ba = row
             graph.nodes.update((a, b))
-            graph.edges[(a, b)] = EdgeStat(int(count), int(ab), int(ba))
+            add_edge(graph, path, a, b, int(count), int(ab), int(ba))
     return graph
+
+
+def add_edge(graph: CommGraph, path, a: str, b: str, count: int, ab: int, ba: int) -> None:
+    """Add the edge a-b with its direction counts; count must be their sum."""
+    if count != ab + ba:
+        raise DataError(f"{path}: edge {a}-{b}: count {count} is not {ab} + {ba}")
+    graph.edges[(a, b)] = [ab, ba]

@@ -263,7 +263,8 @@ def event_scan_edges(records) -> Counter:
 def reference_graphml(graph) -> bytes:
     """A CommGraph's GraphML document built as an ElementTree, indented and serialized.
 
-    Reads only the graph's attributes; the unscored label is spelled out here.
+    Reads only the graph's attributes; each label is derived here from the
+    score and its scale's midpoint, and each count from the direction counts.
     """
     root = ET.Element("graphml", {"xmlns": "http://graphml.graphdrawing.org/xmlns"})
 
@@ -284,13 +285,17 @@ def reference_graphml(graph) -> bytes:
             value = graph.polarity[dim].get(node)
             if value is not None:
                 ET.SubElement(el, "data", {"key": f"dp{idx}"}).text = f"{value:.9f}"
-            ET.SubElement(el, "data", {"key": f"dl{idx}"}).text = graph.label[dim].get(
-                node, "unclassified"
-            )
+            lo, hi = graph.scales[dim]
+            mid = (lo + hi) / 2.0
+            if value is None:
+                label = "unclassified"
+            else:
+                label = "pole_b" if value < mid else "pole_a" if value > mid else "neutral"
+            ET.SubElement(el, "data", {"key": f"dl{idx}"}).text = label
     for (a, b) in sorted(graph.edges):
-        stat = graph.edges[(a, b)]
+        ab, ba = graph.edges[(a, b)]
         el = ET.SubElement(gr, "edge", {"source": a, "target": b})
-        for key_id, value in (("ec", stat.count), ("ea", stat.a_to_b), ("eb", stat.b_to_a)):
+        for key_id, value in (("ec", ab + ba), ("ea", ab), ("eb", ba)):
             ET.SubElement(el, "data", {"key": key_id}).text = str(value)
     tree = ET.ElementTree(root)
     ET.indent(tree)

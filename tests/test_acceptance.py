@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from polarlex.cli import main as cli_main
-from polarlex.commnet import CommGraph, EdgeStat, k_core
+from polarlex.commnet import CommGraph, k_core
 from polarlex.corpus import tokenize, write_corpus
 from polarlex.evalkit import GoldLabelSet, accuracy_soft, krippendorff_alpha, pole_metrics
 from polarlex.lexgraph import build_cooccurrence
@@ -259,9 +259,7 @@ def test_c06_k_core_oracle_and_nesting():
                 if i != j:
                     a, b = sorted((nodes[int(i)], nodes[int(j)]))
                     edges.add((a, b))
-            graph = CommGraph(nodes=set(nodes))
-            for a, b in edges:
-                graph.edges[(a, b)] = EdgeStat(1, 1, 0)
+            graph = CommGraph(nodes=set(nodes), edges={pair: [1, 0] for pair in edges})
             previous = set(nodes)
             for k in (1, 2, 3, 5):
                 core = k_core(graph, k)

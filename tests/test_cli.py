@@ -145,15 +145,29 @@ def test_corrupt_corpus_exit_two(tmp_path, capsys):
         ' "retweet_of_user": 42}\n'
     )
     not_objects = [(f"{value}\n", 1) for value in ("5", "null", '"t1"')]
-    for text, line in [("{not json\n", 1), (tab_id, 1), *not_objects, (int_retweet, 2)]:
+    # a null mention once became a user named None; "false" once made a retweet
+    typed = [
+        (int_retweet.replace('"retweet_of_user": 42', field), message)
+        for field, message in [
+            ('"retweet_of_user": 42', "retweet_of_user must be a string"),
+            ('"mentions": [null, ["x"]]', "each mention must be a string"),
+            ('"is_retweet": "false"', "is_retweet must be true, false or null"),
+        ]
+    ]
+    for text, line in [("{not json\n", 1), (tab_id, 1), *not_objects]:
         corpus.write_text(text)
         code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert f"line {line}" in capsys.readouterr().err
     seeds = tmp_path / "seeds.tsv"
     seeds.write_text("#dimension=d\tvalue_a=1\tvalue_b=-1\na\tA\nb\tB\n")
-    assert run_pipeline(tmp_path / "p", corpus, seeds) == 2
-    assert "line 2: retweet_of_user must be a string" in capsys.readouterr().err
+    for text, message in typed:
+        corpus.write_text(text)
+        code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
+        assert run_pipeline(tmp_path / "p", corpus, seeds) == 2
+        assert f"line 2: {message}" in capsys.readouterr().err
 
 
 def test_failed_run_removes_partial_outputs(tmp_path):
@@ -640,14 +654,30 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("mode", sorted(GOLDEN_DIGESTS))
-def test_pipeline_golden_bytes(tmp_path, synth_dir, mode):
-    out = tmp_path / f"{mode}_run"
-    assert main(["pipeline", "--out-dir", str(out), *mode_args(tmp_path, synth_dir, mode)]) == 0
+# The hashtag run on a weighted 4-core of the network without mentions: 74
+# edges, of which the core keeps 65 between 26 of the 30 users.
+CORE_ARGS = ["--kcore-k", "4", "--kcore-weighted", "--drop-mentions"]
+GOLDEN_DIGESTS["hashtag-core"] = {
+    **GOLDEN_DIGESTS["hashtag"],
+    "commnet.graphml":
+        "f4763362c3868ed8d3d0219b309934dcf103250d48b071570629258c6a203762",
+    "commnet_edges.csv":
+        "9e0e17670f8a96b40e0c530894a2b9e1c6c27acc39173f3e4e9b662ca2b087f4",
+    "homophily.csv":
+        "630fb8d7d0771e251114a61f63544ed7a763d32bbad50b8231a2b71fd13d29cb",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_DIGESTS))
+def test_pipeline_golden_bytes(tmp_path, synth_dir, case):
+    mode = case.removesuffix("-core")
+    args = mode_args(tmp_path, synth_dir, mode) + (CORE_ARGS if case != mode else [])
+    out = tmp_path / f"{case}_run"
+    assert main(["pipeline", "--out-dir", str(out), *args]) == 0
     digests = {
         name: hashlib.sha256(blob).hexdigest() for name, blob in artifact_bytes(out).items()
     }
-    assert digests == GOLDEN_DIGESTS[mode]
+    assert digests == GOLDEN_DIGESTS[case]
 
 
 def test_repeated_hashtag_in_tokenized_file_propagates(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from polarlex.commnet import (
     CommGraph,
-    EdgeStat,
     build_comm_graph,
     export_graph,
     homophily_index,
@@ -14,12 +13,14 @@ from polarlex.commnet import (
 )
 from polarlex.corpus import TweetRecord, parse_timestamp
 from polarlex.errors import DataError
-from polarlex.polarity import POLE_A, POLE_B, UNCLASSIFIED, PolarityScore
+from polarlex.polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED, PolarityScore
 
 from graphs import read_edge_csv, read_graphml
 from oracles import event_scan_edges, naive_k_core, reference_graphml
 
 SCALE = (-1.0, 1.0)
+# A score on SCALE for each label; unclassified users have none.
+SCORE_OF = {POLE_A: 0.5, POLE_B: -0.5, NEUTRAL: 0.0}
 # XML metacharacters, the whitespace ElementTree escapes as character
 # references, and characters outside ASCII.
 XML_TEXT = st.text(alphabet=st.sampled_from("ab&<>\"'\t\n\r é€\x01"), min_size=1, max_size=6)
@@ -42,26 +43,31 @@ def plain_graph(nodes, pairs, labels=None):
     graph = CommGraph(nodes=set(nodes))
     for a, b in pairs:
         a, b = sorted((a, b))
-        graph.edges[(a, b)] = EdgeStat(1, 1, 0)
+        graph.edges[(a, b)] = [1, 0]
     if labels is not None:
-        graph.label["dim"] = dict(labels)
-        graph.polarity["dim"] = {n: None for n in nodes}
+        graph.polarity["dim"] = {n: SCORE_OF[v] for n, v in labels.items() if v in SCORE_OF}
+        graph.scales["dim"] = SCALE
     return graph
+
+
+def labels_of(graph):
+    return {dim: {n: graph.label(dim, n) for n in graph.nodes} for dim in graph.dimensions()}
 
 
 @st.composite
 def comm_graphs(draw):
-    """Users and 0-2 dimension names from XML_TEXT; scores may be None."""
+    """Users and 0-2 dimension names from XML_TEXT; some users have no score."""
     users = draw(st.lists(XML_TEXT, max_size=8, unique=True))
     pairs = list(itertools.combinations(sorted(users), 2))
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    counts = st.tuples(*[st.integers(0, 50)] * 3)
-    graph = CommGraph(nodes=set(users), edges={pair: EdgeStat(*draw(counts)) for pair in chosen})
-    labels = st.sampled_from([POLE_A, POLE_B, UNCLASSIFIED, 'a&b<c>"d"'])
+    counts = st.lists(st.integers(0, 50), min_size=2, max_size=2)
+    graph = CommGraph(nodes=set(users), edges={pair: draw(counts) for pair in chosen})
     polarity = st.none() | st.floats(-1.0, 1.0)
+    scale = st.sampled_from([SCALE, (0.0, 1.0)]) | st.tuples(*[st.floats(-1.0, 1.0)] * 2)
     for dim in draw(st.lists(XML_TEXT, max_size=2, unique=True)):
-        graph.polarity[dim] = {u: draw(polarity) for u in users}
-        graph.label[dim] = {u: draw(labels) for u in users}
+        values = {u: draw(polarity) for u in users}
+        graph.polarity[dim] = {u: v for u, v in values.items() if v is not None}
+        graph.scales[dim] = draw(scale)
     return graph
 
 
@@ -69,7 +75,7 @@ class TestBuildCommGraph:
     def test_single_retweet(self):
         records = [record("t1", "a", retweet_of="b")]
         graph = build_comm_graph(records, {}, {})
-        assert graph.edges[("a", "b")].count == 1
+        assert sum(graph.edges[("a", "b")]) == 1
 
     def test_mention_plus_reply_two_tweets(self):
         records = [
@@ -77,7 +83,7 @@ class TestBuildCommGraph:
             record("t2", "a", reply_to="b"),
         ]
         graph = build_comm_graph(records, {}, {})
-        assert graph.edges[("a", "b")].count == 2
+        assert sum(graph.edges[("a", "b")]) == 2
 
     def test_self_interactions_dropped(self):
         records = [record("t1", "a", retweet_of="a", mentions=["a"], reply_to="a")]
@@ -88,17 +94,15 @@ class TestBuildCommGraph:
     def test_directed_counts_tracked(self):
         records = [record("t1", "b", mentions=["a"]), record("t2", "a", mentions=["b"])]
         graph = build_comm_graph(records, {}, {})
-        stat = graph.edges[("a", "b")]
-        assert (stat.count, stat.a_to_b, stat.b_to_a) == (2, 1, 1)
+        assert graph.edges[("a", "b")] == [1, 1]
 
     def test_attributes_attached_and_unclassified_kept(self):
         records = [record("t1", "a", mentions=["b"])]
         scores = {"dim": {"a": PolarityScore(0.5, 2)}}
         graph = build_comm_graph(records, scores, {"dim": SCALE})
-        assert graph.polarity["dim"]["a"] == 0.5
-        assert graph.label["dim"]["a"] == POLE_A
-        assert graph.polarity["dim"]["b"] is None
-        assert graph.label["dim"]["b"] == UNCLASSIFIED
+        assert graph.polarity["dim"] == {"a": 0.5}
+        assert graph.label("dim", "a") == POLE_A
+        assert graph.label("dim", "b") == UNCLASSIFIED
 
     def test_mentions_can_be_dropped(self):
         records = [record("t1", "a", mentions=["b"], reply_to="c")]
@@ -120,7 +124,7 @@ class TestBuildCommGraph:
         ]
         graph = build_comm_graph(records, {}, {})
         expected = event_scan_edges(records)
-        assert {pair: stat.count for pair, stat in graph.edges.items()} == dict(expected)
+        assert {pair: sum(counts) for pair, counts in graph.edges.items()} == dict(expected)
 
 
 class TestKCore:
@@ -142,12 +146,13 @@ class TestKCore:
     def test_attributes_preserved(self):
         graph = plain_graph("ab", [("a", "b")], labels={"a": POLE_A, "b": POLE_B})
         core = k_core(graph, 1)
-        assert core.label["dim"] == {"a": POLE_A, "b": POLE_B}
+        assert labels_of(core) == {"dim": {"a": POLE_A, "b": POLE_B}}
+        assert core.polarity is graph.polarity and core.scales is graph.scales
 
     def test_weighted_degree_variant(self):
         graph = CommGraph(nodes={"a", "b", "c"})
-        graph.edges[("a", "b")] = EdgeStat(5, 5, 0)
-        graph.edges[("b", "c")] = EdgeStat(1, 1, 0)
+        graph.edges[("a", "b")] = [5, 0]
+        graph.edges[("b", "c")] = [1, 0]
         weighted = k_core(graph, 2, weighted=True)
         assert weighted.nodes == {"a", "b"}
         assert k_core(graph, 2).nodes == set()
@@ -226,43 +231,36 @@ class TestExport:
         graph = CommGraph(nodes=set(nodes))
         for i in range(n):
             for j in range(i + 1, min(i + 3, n)):
-                graph.edges[(nodes[i], nodes[j])] = EdgeStat(i + j, i, j)
-        graph.polarity["dim"] = {
-            node: (i - n / 2) / n if i % 3 else None for i, node in enumerate(nodes)
-        }
-        graph.label["dim"] = {
-            node: (POLE_A if i % 3 == 1 else POLE_B) if i % 3 else UNCLASSIFIED
-            for i, node in enumerate(nodes)
-        }
+                graph.edges[(nodes[i], nodes[j])] = [i, j]
+        graph.polarity["dim"] = {node: (i - n / 2) / n for i, node in enumerate(nodes) if i % 3}
+        graph.scales["dim"] = SCALE
         return graph
 
     def test_graphml_round_trip_small(self, tmp_path):
         graph = plain_graph("ab", [("a", "b")], labels={"a": POLE_A, "b": POLE_B})
         path = tmp_path / "g.graphml"
         export_graph(graph, path, "graphml")
-        back = read_graphml(path)
+        back, labels = read_graphml(path)
         assert back.nodes == graph.nodes
         assert back.edges == graph.edges
-        assert back.label == graph.label
+        assert labels == labels_of(graph)
 
     def test_graphml_round_trip_hundred_nodes(self, tmp_path):
         graph = self.full_graph(100)
         path = tmp_path / "g.graphml"
         export_graph(graph, path, "graphml")
-        back = read_graphml(path)
+        back, labels = read_graphml(path)
         assert back.nodes == graph.nodes
         assert back.edges == graph.edges
-        assert back.label == graph.label
+        assert labels == labels_of(graph)
+        assert back.polarity["dim"].keys() == graph.polarity["dim"].keys()
         for node, value in graph.polarity["dim"].items():
-            if value is None:
-                assert back.polarity["dim"][node] is None
-            else:
-                assert back.polarity["dim"][node] == pytest.approx(value, abs=1e-9)
+            assert back.polarity["dim"][node] == pytest.approx(value, abs=1e-9)
 
     def test_empty_graph_valid_document(self, tmp_path):
         path = tmp_path / "empty.graphml"
         export_graph(CommGraph(), path, "graphml")
-        back = read_graphml(path)
+        back, _ = read_graphml(path)
         assert back.nodes == set() and back.edges == {}
 
     def test_edge_csv_round_trip(self, tmp_path):
@@ -283,7 +281,7 @@ class TestExport:
 
     @given(comm_graphs())
     @example(CommGraph())
-    @example(CommGraph(nodes={"a", "b"}, edges={("a", "b"): EdgeStat(1, 1, 0)}))
+    @example(CommGraph(nodes={"a", "b"}, edges={("a", "b"): [1, 0]}))
     def test_graphml_matches_elementtree_reference(self, tmp_path_factory, graph):
         path = tmp_path_factory.mktemp("graphml") / "g.graphml"
         export_graph(graph, path, "graphml")

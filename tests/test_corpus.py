@@ -88,6 +88,28 @@ class TestLoadCorpus:
             write_jsonl(path, [base_row(**{key: None}), base_row(tweet_id="t2", **{key: "u2"})])
             assert [getattr(r, key) for r in load_corpus(path)] == [None, "u2"]
 
+    def test_mention_and_retweet_flag_types_checked(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        bad = [
+            ("mentions", [None, ["x"]], "each mention must be a string"),
+            ("mentions", ["u2", True], "each mention must be a string"),
+            ("mentions", [1.5], "each mention must be a string"),
+            ("is_retweet", "false", "is_retweet must be true, false or null"),
+            ("is_retweet", 0, "is_retweet must be true, false or null"),
+        ]
+        for key, value, message in bad:
+            write_jsonl(path, [base_row(), base_row(tweet_id="t2", **{key: value})])
+            with pytest.raises(DataError, match=f"line 2: {message}"):
+                load_corpus(path)
+        write_jsonl(path, [
+            base_row(mentions=["u2", 7], is_retweet=None),
+            base_row(tweet_id="t2", is_retweet=False),
+            base_row(tweet_id="t3", is_retweet=True),
+        ])
+        records = load_corpus(path, include_retweets=False)
+        assert [r.tweet_id for r in records] == ["t1", "t2"]
+        assert records[0].mentions == ["u2", "7"]
+
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"
         write_jsonl(

@@ -14,8 +14,10 @@ from polarlex.evalkit import (
     read_annotations,
     read_gold,
     write_eval_reports,
+    write_gold,
 )
 from polarlex.polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED
+from polarlex.synthgen import SynthSpec, generate
 
 from oracles import unitwise_alpha
 
@@ -228,6 +230,18 @@ class TestFilesAndReport:
         path.write_text("acct1\tpole_a\nacct2\tneutral\n")
         gold = read_gold(path)
         assert gold.labels == {"acct1": POLE_A, "acct2": NEUTRAL}
+
+    def test_gold_round_trip_of_synth_truth(self, tmp_path):
+        spec = SynthSpec(
+            n_users=20, n_tweets=300, hashtags_per_community=10,
+            p_within=0.7, p_cross=0.1, n_neutral_hashtags=4, rng_seed=2,
+        )
+        _, truth = generate(spec)
+        assert NEUTRAL in truth.hashtag_labels.values()
+        for labels in (truth.user_labels, truth.hashtag_labels):
+            path = tmp_path / "gold.tsv"
+            write_gold(labels, path)
+            assert read_gold(path).labels == labels
 
     def test_gold_bad_label(self, tmp_path):
         path = tmp_path / "gold.tsv"

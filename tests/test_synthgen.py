@@ -68,12 +68,8 @@ class TestGenerate:
             n_users=200, n_tweets=5000, hashtags_per_community=100,
             p_within=0.95, p_cross=0.05, rng_seed=5,
         )
-        records, truth = generate(spec)
+        records, _ = generate(spec)
         assert len(records) == 5000
-        authored = Counter(truth.user_labels[r.user_id] for r in records)
-        assert dict(authored) == truth.community_tweet_counts
-        participant_labels = Counter(truth.user_labels.values())
-        assert dict(participant_labels) == truth.community_user_counts
 
     def test_truth_and_corpus_mutually_consistent(self):
         spec = SynthSpec(
