@@ -11,10 +11,16 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__, commnet, corpus, evalkit, lexgraph, polarity, proplabel, synthgen
+from . import __version__, commnet, corpus, evalkit, polarity, proplabel
 from .errors import ConfigError, DataError
 from .ioutil import sha256_file
+
+# lexgraph and synthgen load numpy and scipy, so only the stages that use them
+# import them; the other subcommands start without either.
+if TYPE_CHECKING:
+    from .lexgraph import CooccurrenceGraph
 
 log = logging.getLogger(__name__)
 
@@ -43,13 +49,13 @@ class RunConfig:
     annotations: str | None = None
     out_dir: str = "out"
     mode: str = "hashtag"
-    gamma: int = 100
-    max_outer: int = 1_000_000
+    gamma: int = proplabel.DEFAULT_GAMMA
+    max_outer: int = proplabel.DEFAULT_MAX_OUTER
     vocab_cap: int = 50_000
     knn_k: int = 25
-    restart_prob: float = 0.15
-    tol: float = 1e-8
-    max_iter: int = 1000
+    restart_prob: float = proplabel.DEFAULT_RESTART_PROB
+    tol: float = proplabel.DEFAULT_TOL
+    max_iter: int = proplabel.DEFAULT_MAX_ITER
     kcore_k: int = 30
     kcore_weighted: bool = False
     weighting: str = "by_item"
@@ -191,7 +197,9 @@ def _read_tokenized(run: _Runner) -> list[corpus.TokenizedTweet]:
     return corpus.read_tokenized(run.read(run.out_dir / "tokenized.tsv"))
 
 
-def _read_graph(run: _Runner) -> lexgraph.CooccurrenceGraph:
+def _read_graph(run: _Runner) -> CooccurrenceGraph:
+    from . import lexgraph
+
     return lexgraph.read_graph(
         run.read(run.out_dir / "graph.edges.tsv"), run.read(run.out_dir / "graph.nodes.tsv")
     )
@@ -216,6 +224,18 @@ def _read_lexicons(run: _Runner) -> list[proplabel.PolarityLexicon]:
     return [proplabel.read_lexicon(run.read(path)) for path in paths]
 
 
+def _lexicon_scales(run: _Runner, scored: dict) -> dict[str, tuple[float, float]]:
+    """The scale of each lexicon's dimension; every scored dimension needs one."""
+    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
+    missing = sorted(set(scored) - set(scales))
+    if missing:
+        raise DataError(
+            f"scores name dimension {missing[0]!r}, which no lexicon_*.tsv in "
+            f"{run.out_dir} has; run propagate and score for it"
+        )
+    return scales
+
+
 def _read_scores(name: str):
     """Loader of the score CSV <name>.csv."""
     return lambda run: polarity.read_score_csv(run.read(run.out_dir / f"{name}.csv"))
@@ -232,6 +252,8 @@ def stage_ingest(run: _Runner) -> None:
 
 
 def stage_build_graph(run: _Runner) -> None:
+    from . import lexgraph
+
     cfg = run.config
     if cfg.mode == "embedding":
         table = lexgraph.load_embeddings(run.read(cfg.embeddings), cfg.vocab_cap)
@@ -308,7 +330,7 @@ def stage_commnet(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
     user_scores = run.get("user_scores", _read_scores("user_scores"))
-    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
+    scales = _lexicon_scales(run, user_scores)
     graph = commnet.build_comm_graph(
         records, user_scores, scales, include_mentions=not cfg.drop_mentions
     )
@@ -328,13 +350,13 @@ def stage_eval(run: _Runner) -> None:
     annotations = (
         evalkit.read_annotations(run.read(cfg.annotations)) if cfg.annotations else None
     )
-    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
     reports = []
     if cfg.eval_unit == "account":
         scores_by_dim = run.get("user_scores", _read_scores("user_scores"))
     else:
         days = corpus.group_by_user_day(run.get("records", _read_records))
         scores_by_dim = run.get("tweet_scores", _read_scores("tweet_scores"))
+    scales = _lexicon_scales(run, scores_by_dim)
     for dim in sorted(scores_by_dim):
         scale, scores = scales[dim], scores_by_dim[dim]
         if cfg.eval_unit == "account":
@@ -360,6 +382,8 @@ def stage_eval(run: _Runner) -> None:
 
 
 def stage_synth(run: _Runner) -> None:
+    from . import synthgen
+
     cfg = run.config
     spec = synthgen.SynthSpec(
         n_users=cfg.n_users,

@@ -75,8 +75,10 @@ def record_from_json(obj: dict) -> TweetRecord:
     # write_tokenized writes one tab-separated row per tweet, keyed by tweet_id.
     if "\t" in tweet_id or "\n" in tweet_id or "\r" in tweet_id:
         raise DataError(f"tweet_id {tweet_id!r} contains a tab or line break")
-    mentions = obj.get("mentions") or []
-    if not isinstance(mentions, list):
+    mentions = obj.get("mentions")
+    if mentions is None:
+        mentions = []
+    elif not isinstance(mentions, list):
         raise DataError("mentions must be an array")
     if not all(isinstance(m, str) for m in mentions):
         # json gives exact types, so type() tells a bool from an int

@@ -23,6 +23,8 @@ MIN_KNN_WEIGHT = 1e-6
 # bytes of float64 similarities computed per matrix product in build_knn_graph;
 # a block holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two
 KNN_BLOCK_BYTES = 32 << 20
+# cosines turned into Python floats at a time for math.acos in build_knn_graph
+ACOS_BLOCK = 1 << 16
 # edges formatted per write in write_graph; one write for all of them would
 # hold every line of a large graph in memory at once
 EDGE_BLOCK = 1 << 16
@@ -162,20 +164,21 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     or more: numpy computes a one-row product as a matrix-vector product,
     which rounds differently, so the weights do not depend on the block size.
     """
-    norms = np.linalg.norm(table.vectors, axis=1)
+    vectors = table.vectors
+    norms = np.linalg.norm(vectors, axis=1)
     keep = norms > 0.0
     n_zero = int((~keep).sum())
     if n_zero:
         log.warning("dropped %d zero vectors before k-NN construction", n_zero)
+        vectors, norms = vectors[keep], norms[keep]
     vocab = [t for t, ok in zip(table.vocabulary, keep) if ok]
-    vectors = table.vectors[keep]
     n = len(vocab)
     if k < 1:
         raise ConfigError("knn_k must be >= 1")
     if k >= n:
         raise ConfigError(f"knn_k={k} must be smaller than the vocabulary size {n}")
 
-    unit = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    unit = vectors / norms[:, None]
     pad = min(k + 8, n - 1)
     best = np.empty((n, k), dtype=np.int64)
     best_sim = np.empty((n, k))
@@ -196,8 +199,14 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         rank = np.lexsort((cand, -cand_sim), axis=1)[:, :k]
         best[start + rows] = np.take_along_axis(cand, rank, axis=1)
         best_sim[start + rows] = np.take_along_axis(cand_sim, rank, axis=1)
-    cos = np.clip(best_sim.ravel(), -1.0, 1.0).tolist()
-    angle = np.fromiter(map(math.acos, cos), dtype=np.float64, count=len(cos))
+    del unit, sims, cand, cand_sim, rank
+    # math.acos, not np.arccos, whose last bits can differ; a chunk at a time,
+    # so that no more than ACOS_BLOCK cosines are Python floats at once
+    cos = np.clip(best_sim.ravel(), -1.0, 1.0)
+    angle = np.empty(len(cos))
+    for start in range(0, len(cos), ACOS_BLOCK):
+        chunk = slice(start, start + ACOS_BLOCK)
+        angle[chunk] = list(map(math.acos, cos[chunk].tolist()))
     w = np.maximum(MIN_KNN_WEIGHT, 1.0 - angle / math.pi)
     directed = sp.csr_matrix((w, (np.repeat(np.arange(n), k), best.ravel())), shape=(n, n))
     order = sorted(range(n), key=vocab.__getitem__)

@@ -12,13 +12,18 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
-import scipy.sparse as sp
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DataError
 from .ioutil import fmt9
-from .lexgraph import CooccurrenceGraph
+
+# Only the random walk needs numpy, and it imports it itself, so that the
+# lexicon readers and greedy propagation load without numpy or scipy.
+if TYPE_CHECKING:
+    import numpy as np
+    import scipy.sparse as sp
+
+    from .lexgraph import CooccurrenceGraph
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +130,7 @@ def propagate_greedy(
         labels[n] = v
         status[nodes[n]] = STATUS_SEED
 
-    deg = np.diff(indptr).tolist()
+    deg = [stop - start for start, stop in zip(indptr, indptr[1:])]
     max_deg = max(deg, default=0)
     # deficit[n] counts n's unlabeled neighbors; a candidate is an unlabeled
     # node with at least one labeled neighbor
@@ -207,6 +212,8 @@ def _restart_walk(
     dimension: str,
     pole: str,
 ) -> np.ndarray:
+    import numpy as np
+
     n = matrix.shape[0]
     s = np.zeros(n)
     s[seed_idx] = 1.0 / len(seed_idx)
@@ -244,6 +251,8 @@ def propagate_random_walk(
     Nodes never visited by either walk stay unlabeled. Requires value_a=1 and
     value_b=0, the endpoints the ratio construction yields.
     """
+    import numpy as np
+
     if not 0.0 < restart_prob < 1.0:
         raise ConfigError("restart_prob must be in (0, 1)")
     if tol <= 0.0:

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from polarlex import cli
+from polarlex import cli, proplabel
 from polarlex.cli import main
 from polarlex.polarity import read_score_csv
 
@@ -495,6 +495,26 @@ def test_pipeline_scores_only_its_own_lexicons(tmp_path, synth_dir):
     assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
 
 
+def test_scored_dimension_without_lexicon_exit_two(tmp_path, synth_dir, capsys):
+    # user_scores.csv still scores "community" after its lexicon is replaced
+    # by one for "other"; commnet and eval must report that as a data error
+    corpus = synth_dir / "corpus.jsonl"
+    seeds = synth_dir / "seeds_community.tsv"
+    other = tmp_path / "seeds_other.tsv"
+    other.write_text(seeds.read_text().replace("#dimension=community", "#dimension=other", 1))
+    out = tmp_path / "run"
+    assert run_pipeline(out, corpus, seeds) == 0
+    (out / "lexicon_community.tsv").unlink()
+    assert main(["propagate", "--seed-file", str(other), "--gamma", "2",
+                 "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    for argv in (["commnet", "--corpus", str(corpus), "--kcore-k", "2"],
+                 ["eval", "--gold", str(synth_dir / "gold_users.tsv")]):
+        assert main([*argv, "--out-dir", str(out)]) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert "data error" in err and "'community'" in err and str(out) in err, argv[0]
+
+
 def test_dimension_name_with_comma_is_quoted_in_homophily_csv(tmp_path, synth_dir):
     seeds_text = (synth_dir / "seeds_community.tsv").read_text()
     seeds = tmp_path / "seeds.tsv"
@@ -556,6 +576,15 @@ def flag_sample(f):
     else:
         value = f.default / 2
     return value, [flag, str(value)], {flag}
+
+
+def test_run_config_takes_proplabel_defaults():
+    defaults = cli.RunConfig()
+    assert defaults.gamma == proplabel.DEFAULT_GAMMA
+    assert defaults.max_outer == proplabel.DEFAULT_MAX_OUTER
+    assert defaults.restart_prob == proplabel.DEFAULT_RESTART_PROB
+    assert defaults.tol == proplabel.DEFAULT_TOL
+    assert defaults.max_iter == proplabel.DEFAULT_MAX_ITER
 
 
 def test_every_config_field_is_a_flag(monkeypatch):

@@ -94,6 +94,10 @@ class TestLoadCorpus:
             ("mentions", [None, ["x"]], "each mention must be a string"),
             ("mentions", ["u2", True], "each mention must be a string"),
             ("mentions", [1.5], "each mention must be a string"),
+            ("mentions", False, "mentions must be an array"),
+            ("mentions", {}, "mentions must be an array"),
+            ("mentions", "", "mentions must be an array"),
+            ("mentions", 0, "mentions must be an array"),
             ("is_retweet", "false", "is_retweet must be true, false or null"),
             ("is_retweet", 0, "is_retweet must be true, false or null"),
         ]
@@ -103,12 +107,12 @@ class TestLoadCorpus:
                 load_corpus(path)
         write_jsonl(path, [
             base_row(mentions=["u2", 7], is_retweet=None),
-            base_row(tweet_id="t2", is_retweet=False),
+            base_row(tweet_id="t2", is_retweet=False, mentions=None),
             base_row(tweet_id="t3", is_retweet=True),
         ])
         records = load_corpus(path, include_retweets=False)
         assert [r.tweet_id for r in records] == ["t1", "t2"]
-        assert records[0].mentions == ["u2", "7"]
+        assert [r.mentions for r in records] == [["u2", "7"], []]
 
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"

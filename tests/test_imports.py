@@ -1,9 +1,12 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from polarlex.cli import main
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "polarlex").glob("*.py"))
 
@@ -27,13 +30,56 @@ def test_every_imported_name_is_used(path):
 
 
 def test_score_layer_imports_without_numpy(src_env):
-    # scoring, the communication network and evaluation run on the standard
-    # library alone; only graph building and propagation need numpy and scipy
+    # scoring, the communication network, evaluation and the CLI run on the
+    # standard library alone; only graph building, the random walk and synth
+    # need numpy and scipy
     code = (
-        "import sys, polarlex.polarity, polarlex.commnet, polarlex.evalkit\n"
+        "import sys, polarlex.polarity, polarlex.commnet, polarlex.evalkit,"
+        " polarlex.proplabel, polarlex.cli\n"
         "print(*sorted({'numpy', 'scipy'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=src_env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == []
+
+
+# Runs each argv through cli.main in one process and prints, per command, its
+# exit code and the numpy and scipy modules loaded by then.
+LIGHT_RUNNER = """
+import json, sys
+from polarlex import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # --version exits from argparse
+        code = exc.code
+    results.append([argv[0], code, sorted({'numpy', 'scipy'} & set(sys.modules))])
+print(json.dumps(results))
+"""
+
+
+def test_light_subcommands_run_without_numpy(tmp_path, src_env):
+    synth, out = tmp_path / "synth", tmp_path / "run"
+    corpus = ["--corpus", str(synth / "corpus.jsonl")]
+    assert main(["synth", "--out-dir", str(synth), "--n-users", "30", "--n-tweets", "400",
+                 "--hashtags-per-community", "12", "--rng-seed", "3"]) == 0
+    # the graph and the lexicon come from the stages that need numpy
+    for argv in (["ingest", *corpus],
+                 ["build-graph"],
+                 ["propagate", "--seed-file", str(synth / "seeds_community.tsv"),
+                  "--gamma", "2"]):
+        assert main([*argv, "--out-dir", str(out)]) == 0, argv[0]
+    light = [
+        ["--version"],
+        *([name, *corpus, "--out-dir", str(out)] for name in ("ingest", "score", "timeseries")),
+        ["commnet", *corpus, "--kcore-k", "2", "--out-dir", str(out)],
+        ["eval", "--gold", str(synth / "gold_users.tsv"), "--out-dir", str(out)],
+    ]
+    run = subprocess.run(
+        [sys.executable, "-c", LIGHT_RUNNER, json.dumps(light)],
+        env=src_env, capture_output=True, text=True, check=True,
+    )
+    results = json.loads(run.stdout.splitlines()[-1])
+    assert results == [[argv[0], 0, []] for argv in light]
