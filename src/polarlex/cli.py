@@ -499,7 +499,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     gc_was_enabled = gc.isenabled()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:  # --help and --version exit once printed; bad flags raise ConfigError
+            return EXIT_OK
         # A run's records and tweets live until it ends, and the cyclic garbage
         # it leaves does not grow with them, so automatic collection would only
         # rescan that growing heap; the caller's setting comes back below.

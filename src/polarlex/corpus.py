@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
@@ -10,6 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
+from .ioutil import not_utf8_error
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
@@ -106,30 +108,72 @@ def record_from_json(obj: dict) -> TweetRecord:
     )
 
 
+# A line exactly as write_corpus writes it: json.dumps with sorted keys and the
+# default separators, every string free of '"', '\\' and control characters,
+# so that its raw text is its value. Any other line goes through json.loads.
+_CHARS = r'[^"\\\x00-\x1f]'
+_WRITTEN_LINE = re.compile(
+    r'\{"is_retweet": (null|true|false), '
+    rf'"mentions": \[((?:"{_CHARS}*"(?:, "{_CHARS}*")*)?)\], '
+    rf'"reply_to_user": (?:null|"({_CHARS}*)"), '
+    rf'"retweet_of_user": (?:null|"({_CHARS}*)"), '
+    rf'"text": "({_CHARS}*)", "timestamp": "({_CHARS}*)", '
+    rf'"tweet_id": "({_CHARS}+)", "user_id": "({_CHARS}*)"\}}\n?'
+)
+
+
+def _record_from_match(match: re.Match) -> TweetRecord:
+    """The record of a _WRITTEN_LINE match, as record_from_json gives it."""
+    is_retweet, mentions, reply_to, retweet_of, text, timestamp, tweet_id, user_id = (
+        match.groups()
+    )
+    # str.split's list keeps room for twelve items; the copy is sized to fit
+    return TweetRecord(
+        tweet_id,
+        user_id,
+        parse_timestamp(timestamp),
+        text,
+        is_retweet == "true",
+        retweet_of,
+        list(mentions[1:-1].split('", "')) if mentions else [],
+        reply_to,
+    )
+
+
 def load_corpus(path: str | Path, include_retweets: bool = True) -> list[TweetRecord]:
     """Read a JSONL tweet corpus file, preserving input order.
 
-    Rejects duplicate tweet_ids and malformed lines, naming the offender.
+    Lines in write_corpus's layout are parsed by one pattern; any other line
+    by json.loads and record_from_json, with the same result. Rejects
+    duplicate tweet_ids, malformed lines and invalid UTF-8, naming the
+    offending line.
     """
     records: list[TweetRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                record = record_from_json(obj)
-            except (ValueError, DataError) as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from exc
-            if record.tweet_id in seen:
-                raise DataError(
-                    f"{path}: line {lineno}: duplicate tweet_id {record.tweet_id!r}"
-                )
-            seen.add(record.tweet_id)
-            if record.is_retweet and not include_retweets:
-                continue
-            records.append(record)
+    match_line = _WRITTEN_LINE.fullmatch
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                match = match_line(line)
+                try:
+                    if match:
+                        record = _record_from_match(match)
+                    elif not line.strip():
+                        continue
+                    else:
+                        record = record_from_json(json.loads(line))
+                except (ValueError, DataError) as exc:
+                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
+                if record.tweet_id in seen:
+                    raise DataError(
+                        f"{path}: line {lineno}: duplicate tweet_id {record.tweet_id!r}"
+                    )
+                seen.add(record.tweet_id)
+                if record.is_retweet and not include_retweets:
+                    continue
+                records.append(record)
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
     return records
 
 

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import fmt9, write_csv
+from .ioutil import csv_field, fmt9, write_csv
 
 if TYPE_CHECKING:
     from .proplabel import PolarityLexicon
@@ -25,6 +25,9 @@ NEUTRAL = "neutral"
 UNCLASSIFIED = "unclassified"
 
 TERNARY_LABELS = (POLE_A, POLE_B, NEUTRAL, UNCLASSIFIED)
+
+# write_score_csv writes this many rows at a time
+ROW_BLOCK = 1 << 16
 
 BY_ITEM = "by_item"
 BY_TWEET = "by_tweet"
@@ -237,16 +240,23 @@ def write_score_csv(
     rounded in place to its written text, and a dimension with no rows is left
     out.
     """
-    def rows():
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{csv_field(key_column)},dimension,value,n_items\n")
+        lines: list[str] = []
         for dim in sorted(scores_by_dim):
             scores = scores_by_dim[dim]
+            dim_field = csv_field(dim)
             for key in key_order if key_order is not None else sorted(scores):
                 s = scores[key]
+                text = ""
                 if s.value is not None:
-                    s.value = float(fmt9(s.value))
-                yield key, dim, s.value, s.n_items
-
-    write_csv(path, [key_column, "dimension", "value", "n_items"], rows())
+                    text = fmt9(s.value)
+                    s.value = float(text)
+                lines.append(f"{csv_field(key)},{dim_field},{text},{s.n_items}\n")
+                if len(lines) == ROW_BLOCK:
+                    fh.write("".join(lines))
+                    lines.clear()
+        fh.write("".join(lines))
     return {dim: scores for dim, scores in scores_by_dim.items() if scores}
 
 

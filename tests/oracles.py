@@ -6,8 +6,10 @@ operation and share no code with the package.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import io
+import json
 import logging
 import math
 import unicodedata
@@ -16,6 +18,9 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+
+from polarlex.corpus import record_from_json
+from polarlex.errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -418,3 +423,50 @@ def list_load_embeddings(path, vocab_cap: int | None = None) -> tuple[list[str],
         log.warning("dropped %d zero vectors from %s", n_zero, path)
     vectors = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, dim or 0))
     return vocab, vectors
+
+
+# The corpus loader before write_corpus's layout got its own pattern, verbatim:
+# every line through json.loads and the package's record_from_json, which the
+# pattern path must agree with.
+def json_load_corpus(path, include_retweets: bool = True) -> list:
+    """Read a JSONL tweet corpus file, preserving input order.
+
+    Rejects duplicate tweet_ids and malformed lines, naming the offender.
+    """
+    records = []
+    seen: set[str] = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                record = record_from_json(obj)
+            except (ValueError, DataError) as exc:
+                raise DataError(f"{path}: line {lineno}: {exc}") from exc
+            if record.tweet_id in seen:
+                raise DataError(
+                    f"{path}: line {lineno}: duplicate tweet_id {record.tweet_id!r}"
+                )
+            seen.add(record.tweet_id)
+            if record.is_retweet and not include_retweets:
+                continue
+            records.append(record)
+    return records
+
+
+def csv_write_score_csv(scores_by_dim, path, key_column: str, key_order=None) -> None:
+    """write_score_csv as one csv.writer row per score, each value formatted
+    twice: rounded to its 9-decimal text and back to a float, then formatted
+    again as it is written. Leaves the scores as they are.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([key_column, "dimension", "value", "n_items"])
+        for dim in sorted(scores_by_dim):
+            scores = scores_by_dim[dim]
+            for key in key_order if key_order is not None else sorted(scores):
+                value, n_items = scores[key].value, scores[key].n_items
+                if value is not None:
+                    value = f"{float(f'{value:.9f}'):.9f}"
+                writer.writerow([key, dim, value, n_items])

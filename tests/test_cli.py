@@ -130,6 +130,15 @@ def test_missing_subcommand_exit_one(capsys):
     assert main([]) == 1
 
 
+def test_version_and_help_return_ok(capsys):
+    # argparse exits from these; main returns like every other path
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out.startswith("polarlex ")
+    for argv in (["--help"], ["ingest", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: polarlex")
+
+
 def test_bad_flag_value_exit_one(tmp_path, capsys):
     code = main(["synth", "--out-dir", str(tmp_path), "--seed-fraction", "7"])
     assert code == 1
@@ -168,6 +177,15 @@ def test_corrupt_corpus_exit_two(tmp_path, capsys):
         assert f"line 2: {message}" in capsys.readouterr().err
         assert run_pipeline(tmp_path / "p", corpus, seeds) == 2
         assert f"line 2: {message}" in capsys.readouterr().err
+
+
+def test_invalid_utf8_corpus_exit_two(tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    line = '{"tweet_id": "t1", "user_id": "u", "timestamp": "2020-01-01", "text": "#a"}\n'
+    second = line.replace("t1", "t2").encode().replace(b"#a", b"#\xff")
+    corpus.write_bytes(line.encode() + second)
+    assert main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"{corpus}: line 2: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_failed_run_removes_partial_outputs(tmp_path):

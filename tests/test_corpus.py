@@ -5,6 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polarlex import corpus
+from polarlex.cli import main
 from polarlex.corpus import (
     TweetRecord,
     group_by_user_day,
@@ -148,6 +150,121 @@ class TestLoadCorpus:
         ]
         write_corpus(records, path)
         assert load_corpus(path) == records
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = json.dumps(base_row()).encode()
+        path.write_bytes(good + b"\n" + good.replace(b"hello", b"hel\xfflo") + b"\n")
+        with pytest.raises(DataError, match=r"c\.jsonl: line 2: not valid UTF-8$"):
+            load_corpus(path)
+        # lines are counted at LF, CR and CRLF, as the text reader counts them
+        second = good.replace(b"t1", b"t2")
+        path.write_bytes(good + b"\r\n\r" + second + b"\n\xe2\x82\n")
+        with pytest.raises(DataError, match="line 4: not valid UTF-8"):
+            load_corpus(path)
+
+
+# Pieces of corpus strings: ones json.dumps writes raw, among them the ", "
+# that separates mentions in write_corpus's layout, and ones it escapes.
+RAW_PIECES = ["u1", ", ", "\u2028", "\x7f", "é", "😀", " ", "#a"]
+ESCAPED_PIECES = ['"', "\\", "\x00", "\x1f", "\t", "\n", "\r", '", "']
+raw_strings = st.lists(st.sampled_from(RAW_PIECES), max_size=3).map("".join)
+escaped_strings = st.lists(
+    st.sampled_from(RAW_PIECES + ESCAPED_PIECES), min_size=1, max_size=3
+).map("".join)
+TIMESTAMPS = ["2020-01-01T10:00:00+00:00", "2020-01-02T01:00:00+05:00", "2020-01-01T10:00:00Z",
+              " 2020-01-01 ", "2020-01-01"]
+MISSING = object()
+odd_values = escaped_strings | st.sampled_from(
+    [MISSING, None, 7, True, False, 1.5, "", "2020-13-01", "x", ["u1", 7], [None], [True], {}]
+)
+
+
+@st.composite
+def corpus_lines(draw):
+    """One corpus line: mostly write_corpus's layout, half of those with one
+    field off it; else another valid or malformed spelling of a tweet, or no
+    tweet at all."""
+    kind = draw(st.sampled_from(["written"] * 6 + ["other json", "blank", "garbage"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["\n", "  \n", "\r\n", "\x0b\n", "\u2028\n"]))
+    if kind == "garbage":
+        return draw(st.sampled_from(["{broken\n", "5\n", "null\n", '"t1"\n', "[]\n", "{}\n"]))
+    obj = {
+        "tweet_id": draw(st.text("t12é", min_size=1, max_size=4)),
+        "user_id": draw(raw_strings),
+        "timestamp": draw(st.sampled_from(TIMESTAMPS)),
+        "text": draw(raw_strings),
+        "is_retweet": draw(st.sampled_from([False, True, None])),
+        "retweet_of_user": draw(st.none() | raw_strings),
+        "mentions": draw(st.lists(raw_strings, max_size=3)),
+        "reply_to_user": draw(st.none() | raw_strings),
+    }
+    if draw(st.booleans()):
+        obj[draw(st.sampled_from([*obj, "extra"]))] = draw(odd_values)
+    obj = {key: value for key, value in obj.items() if value is not MISSING}
+    if kind == "written":
+        line = json.dumps(obj, ensure_ascii=False, sort_keys=True)
+        if draw(st.booleans()):
+            # control characters written raw, which json.loads rejects
+            line = line.replace("\\t", "\t").replace("\\u001f", "\x1f")
+    else:
+        keys = draw(st.permutations(sorted(obj)))
+        line = json.dumps(
+            {key: obj[key] for key in keys},
+            ensure_ascii=draw(st.booleans()),
+            separators=draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,  ", " :  ")])),
+        )
+    return line + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\x0b\n", " \n", ""]))
+
+
+def load_outcome(load, path, include_retweets):
+    try:
+        return load(path, include_retweets=include_retweets)
+    except DataError as exc:
+        return str(exc)
+
+
+def written_line(**fields):
+    """A corpus line in write_corpus's layout, fields as given."""
+    obj = {"is_retweet": False, "mentions": [], "reply_to_user": None, "retweet_of_user": None,
+           "text": "", "timestamp": "2020-01-01", "tweet_id": "t1", "user_id": "u1", **fields}
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+class TestLoadCorpusMatchesJsonOracle:
+    @settings(max_examples=300)
+    @given(st.lists(corpus_lines(), max_size=6), st.booleans())
+    @example([written_line(is_retweet=True, mentions=["", ", ", "a\u2028"], reply_to_user="",
+                           text="\x7f\u00e9")], True)
+    @example([written_line(is_retweet=True), written_line(tweet_id="t2", is_retweet=None)], False)
+    @example([written_line(text="a\\b")], True)
+    @example([written_line(text="a\tb").replace("\\t", "\t")], True)
+    @example([written_line(timestamp="2020-13-01")], True)
+    @example([written_line().replace("}\n", "}\x0b\n")], True)
+    @example([written_line(), written_line(tweet_id="")], True)
+    @example([written_line(), "\n", written_line()], True)
+    def test_same_records_or_same_error(self, tmp_path_factory, lines, include_retweets):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line if line.endswith("\n") else line + "\n" for line in lines))
+        want = load_outcome(oracles.json_load_corpus, path, include_retweets)
+        assert load_outcome(load_corpus, path, include_retweets) == want
+
+    def test_written_corpus_takes_the_pattern(self, tmp_path, monkeypatch):
+        synth = tmp_path / "synth"
+        assert main(["synth", "--out-dir", str(synth), "--n-users", "30", "--n-tweets", "400",
+                     "--rng-seed", "3"]) == 0
+        path = synth / "corpus.jsonl"
+        want = oracles.json_load_corpus(path)
+        assert any(r.mentions for r in want) and any(r.is_retweet for r in want)
+
+        def no_json(line):
+            raise AssertionError(f"json.loads called on {line!r}")
+
+        monkeypatch.setattr(corpus.json, "loads", no_json)
+        assert load_corpus(path) == want
+        assert load_corpus(path, include_retweets=False) == [r for r in want if not r.is_retweet]
 
 
 class TestTokenize:

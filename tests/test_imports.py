@@ -51,10 +51,7 @@ import json, sys
 from polarlex import cli
 results = []
 for argv in json.loads(sys.argv[1]):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # --version exits from argparse
-        code = exc.code
+    code = cli.main(argv)
     results.append([argv[0], code, sorted({'numpy', 'scipy'} & set(sys.modules))])
 print(json.dumps(results))
 """

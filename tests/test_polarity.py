@@ -2,7 +2,7 @@ import math
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
@@ -25,6 +25,8 @@ from polarlex.polarity import (
     write_score_csv,
 )
 from polarlex.proplabel import PolarityLexicon, STATUS_PROPAGATED, STATUS_SEED
+
+from oracles import csv_write_score_csv
 
 
 def lexicon_fixture():
@@ -229,6 +231,25 @@ class TestDailySeries:
         assert -1.0 <= day.mean <= 1.0
 
 
+# Keys and dimensions: characters csv must quote, CR, which csv.writer leaves
+# bare, and characters written as they are.
+names = st.text(alphabet='a,"\r\n é', max_size=4)
+
+
+@st.composite
+def score_tables(draw):
+    """Scores of one set of keys per dimension, and a key order or None."""
+    keys = draw(st.lists(names, min_size=1, max_size=4, unique=True))
+    scores = {}
+    for dim in draw(st.lists(names, max_size=3, unique=True)):
+        values = [draw(st.none() | st.floats(allow_nan=False)) for _ in keys]
+        scores[dim] = {
+            key: PolarityScore(v, 0 if v is None else draw(st.integers(1, 9)))
+            for key, v in zip(keys, values)
+        }
+    return scores, draw(st.none() | st.permutations(keys))
+
+
 class TestScoreFiles:
     def test_round_trip(self, tmp_path):
         scores = {
@@ -261,6 +282,21 @@ class TestScoreFiles:
         got = write_score_csv(scores, path, "tweet_id", key_order)
         assert got == read_score_csv(path)
         assert got["dim"] is scores["dim"]
+
+    @given(score_tables())
+    @example(({"d": {"a\rb": PolarityScore(0.5, 1), "a": PolarityScore(None, 0)}}, None))
+    def test_bytes_match_csv_writer_and_read_back(self, tmp_path_factory, table):
+        scores, key_order = table
+        path = tmp_path_factory.mktemp("scores") / "scores.csv"
+        csv_write_score_csv(scores, path, "user_id", key_order)
+        want = path.read_bytes()
+        got = write_score_csv(scores, path, "user_id", key_order)
+        assert got == read_score_csv(path)
+        # csv.writer leaves a name holding CR but no ',', '"' or LF bare,
+        # which reads back as two rows; write_score_csv quotes it
+        written = {name for dim, by_key in scores.items() for name in (dim, *by_key)}
+        if not any("\r" in name and not set(',"\n') & set(name) for name in written):
+            assert path.read_bytes() == want
 
     def test_membership_reader(self, tmp_path):
         path = tmp_path / "members.tsv"
