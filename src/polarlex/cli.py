@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, commnet, corpus, evalkit, polarity, proplabel
 from .errors import ConfigError, DataError
-from .ioutil import sha256_file
+from .ioutil import open_text, sha256_file
 
 # lexgraph and synthgen load numpy and scipy, so only the stages that use them
 # import them; the other subcommands start without either.
@@ -257,7 +257,10 @@ def stage_build_graph(run: _Runner) -> None:
     cfg = run.config
     if cfg.mode == "embedding":
         table = lexgraph.load_embeddings(run.read(cfg.embeddings), cfg.vocab_cap)
-        graph = lexgraph.build_knn_graph(table, cfg.knn_k)
+        try:
+            graph = lexgraph.build_knn_graph(table, cfg.knn_k)
+        except ConfigError as exc:  # knn_k against the vectors the file holds
+            raise ConfigError(f"{cfg.embeddings}: {exc}") from None
     else:
         tweets = run.get("tweets", _read_tokenized)
         cap = cfg.vocab_cap if cfg.mode == "token" else None
@@ -362,6 +365,11 @@ def stage_eval(run: _Runner) -> None:
         if cfg.eval_unit == "account":
             predictions = {user: polarity.ternarize(s.value, scale) for user, s in scores.items()}
         else:
+            unscored = next((t for ids in days.values() for t in ids if t not in scores), None)
+            if unscored is not None:
+                raise DataError(
+                    f"{run.out_dir / 'tweet_scores.csv'}: no {dim!r} row for tweet {unscored!r}"
+                )
             predictions = {
                 f"{key.user_id}@{key.day.isoformat()}": polarity.ternarize(
                     polarity.score_aggregate(ids, scores, cfg.weighting).value, scale
@@ -373,7 +381,7 @@ def stage_eval(run: _Runner) -> None:
         if dropped:
             log.warning("%s: %d gold units absent from the corpus, skipped", dim, dropped)
         if not covered:
-            raise DataError(f"{dim}: no gold units overlap the scored corpus")
+            raise DataError(f"{cfg.gold}: no gold unit is in the scored corpus ({dim})")
         subset = evalkit.GoldLabelSet(labels=covered)
         reports.append(evalkit.evaluate_predictions(predictions, subset, dim, annotations))
     evalkit.write_eval_reports(
@@ -459,19 +467,25 @@ def _build_parser() -> _ArgumentParser:
     return parser
 
 
+def _not_a_json_number(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _load_config_file(path: str) -> dict:
     if not Path(path).is_file():
         raise ConfigError(f"config: file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: {path}: {exc}") from exc
+    try:
+        with open_text(path) as fh:
+            data = json.load(fh, parse_constant=_not_a_json_number)
+    except DataError as exc:  # not UTF-8
+        raise ConfigError(f"config: {exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"config: {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config: {path}: expected a JSON object")
     unknown = set(data) - set(KINDS)
     if unknown:
-        raise ConfigError(f"config: unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"config: {path}: unknown keys: {sorted(unknown)}")
     for key, value in data.items():
         # json gives exact types, so a bool is no int here; an int is kept as is
         kind = KINDS[key]

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
-from .ioutil import not_utf8_error
+from .ioutil import read_lines, read_rows
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
@@ -118,7 +118,7 @@ _WRITTEN_LINE = re.compile(
     rf'"reply_to_user": (?:null|"({_CHARS}*)"), '
     rf'"retweet_of_user": (?:null|"({_CHARS}*)"), '
     rf'"text": "({_CHARS}*)", "timestamp": "({_CHARS}*)", '
-    rf'"tweet_id": "({_CHARS}+)", "user_id": "({_CHARS}*)"\}}\n?'
+    rf'"tweet_id": "({_CHARS}+)", "user_id": "({_CHARS}*)"\}}'
 )
 
 
@@ -151,29 +151,18 @@ def load_corpus(path: str | Path, include_retweets: bool = True) -> list[TweetRe
     records: list[TweetRecord] = []
     seen: set[str] = set()
     match_line = _WRITTEN_LINE.fullmatch
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                match = match_line(line)
-                try:
-                    if match:
-                        record = _record_from_match(match)
-                    elif not line.strip():
-                        continue
-                    else:
-                        record = record_from_json(json.loads(line))
-                except (ValueError, DataError) as exc:
-                    raise DataError(f"{path}: line {lineno}: {exc}") from exc
-                if record.tweet_id in seen:
-                    raise DataError(
-                        f"{path}: line {lineno}: duplicate tweet_id {record.tweet_id!r}"
-                    )
-                seen.add(record.tweet_id)
-                if record.is_retweet and not include_retweets:
-                    continue
-                records.append(record)
-    except UnicodeDecodeError:
-        raise not_utf8_error(path) from None
+    for lineno, line in read_lines(path):
+        match = match_line(line)
+        try:
+            record = _record_from_match(match) if match else record_from_json(json.loads(line))
+        except (ValueError, OverflowError, DataError) as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from exc
+        if record.tweet_id in seen:
+            raise DataError(f"{path}: line {lineno}: duplicate tweet_id {record.tweet_id!r}")
+        seen.add(record.tweet_id)
+        if record.is_retweet and not include_retweets:
+            continue
+        records.append(record)
     return records
 
 
@@ -201,23 +190,14 @@ def write_tokenized(tweets: Iterable[TokenizedTweet], path: str | Path) -> None:
 
 
 def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
-    tweets: list[TokenizedTweet] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.rstrip("\n"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields")
-            tweet_id, tags, tokens = parts
-            tweets.append(
-                TokenizedTweet(
-                    tweet_id=tweet_id,
-                    hashtags=tags.split(" ") if tags else [],
-                    tokens=tokens.split(" ") if tokens else [],
-                )
-            )
-    return tweets
+    return [
+        TokenizedTweet(
+            tweet_id=tweet_id,
+            hashtags=tags.split(" ") if tags else [],
+            tokens=tokens.split(" ") if tokens else [],
+        )
+        for _, (tweet_id, tags, tokens) in read_rows(path, "\t", 3)
+    ]
 
 
 def _is_punct(ch: str) -> bool:

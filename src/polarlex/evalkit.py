@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DataError
-from .ioutil import write_csv
+from .ioutil import read_rows, write_csv
 from .polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED
 
 log = logging.getLogger(__name__)
@@ -203,42 +203,26 @@ def write_gold(labels: Mapping[str, str], path: str | Path) -> None:
 def read_gold(path: str | Path) -> GoldLabelSet:
     """key <TAB> label rows."""
     labels: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'key<TAB>label'")
-            key, label = parts
-            if key in labels:
-                raise DataError(f"{path}: line {lineno}: duplicate key {key!r}")
-            if label not in GOLD_LABELS:
-                raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
-            labels[key] = label
+    for lineno, (key, label) in read_rows(path, "\t", 2, comments=True):
+        if key in labels:
+            raise DataError(f"{path}: line {lineno}: duplicate key {key!r}")
+        if label not in GOLD_LABELS:
+            raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
+        labels[key] = label
     return GoldLabelSet(labels=labels)
 
 
 def read_annotations(path: str | Path) -> AnnotationTable:
-    """key <TAB> annotator1 <TAB> annotator2 rows."""
-    items: list[str] = []
-    col_a: list[str] = []
-    col_b: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"{path}: line {lineno}: expected 'key<TAB>label<TAB>label'"
-                )
-            for label in parts[1:]:
-                if label not in GOLD_LABELS:
-                    raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
-            items.append(parts[0])
-            col_a.append(parts[1])
-            col_b.append(parts[2])
+    """key <TAB> annotator1 <TAB> annotator2 rows; agreement needs two or more."""
+    rows: list[list[str]] = []
+    for lineno, row in read_rows(path, "\t", 3, comments=True):
+        for label in row[1:]:
+            if label not in GOLD_LABELS:
+                raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
+        rows.append(row)
+    if len(rows) < 2:
+        raise DataError(f"{path}: agreement needs at least 2 items, got {len(rows)}")
+    items, col_a, col_b = map(list, zip(*rows))
     return AnnotationTable(items=items, annotator_a=col_a, annotator_b=col_b)
 
 

@@ -1,12 +1,12 @@
-"""Small shared I/O helpers."""
+"""Small shared I/O helpers: the one text reader and the one CSV dialect."""
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import DataError
 
@@ -16,30 +16,31 @@ def fmt9(x: float) -> str:
     return f"{x:.9f}"
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one CSV dialect of every report: LF line ends and minimal quoting.
-
-    A float cell is written as fmt9; anything else as the csv module writes
-    it, None as a blank cell.
-    """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([fmt9(c) if isinstance(c, float) else c for c in row] for row in rows)
-
-
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def csv_field(text: str) -> str:
-    """text as a CSV field: quoted, '"' doubled, if it holds ',', '"', CR or LF.
-
-    write_csv's csv.writer quotes the same fields but one whose only such
-    character is CR, which a CSV reader then splits in two rows.
-    """
+    """text as a CSV field: quoted, '"' doubled, if it holds ',', '"', CR or LF."""
     if _NEEDS_QUOTES.search(text):
         return '"' + text.replace('"', '""') + '"'
     return text
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, float):
+        return fmt9(value)
+    return "" if value is None else csv_field(str(value))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV dialect of every report: LF line ends and csv_field quoting.
+
+    A float cell is written as fmt9, None as a blank cell and anything else as
+    its str().
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(map(csv_field, header)) + "\n")
+        fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def not_utf8_error(path: str | Path) -> DataError:
@@ -49,14 +50,70 @@ def not_utf8_error(path: str | Path) -> DataError:
     error does not say which line it was in. Lines are counted as a text-mode
     read counts them, at LF, CR and CRLF.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    for lineno, line in enumerate(data.splitlines(), start=1):
-        try:
-            line.decode("utf-8")
-        except UnicodeDecodeError:
-            return DataError(f"{path}: line {lineno}: not valid UTF-8")
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the lines up to and including the one that holds the first bad byte
+        lineno = len(data[: exc.start + 1].splitlines())
+        return DataError(f"{path}: line {lineno}: not valid UTF-8")
     return DataError(f"{path}: not valid UTF-8")
+
+
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
+    """path opened to read as strict UTF-8, newline as open() takes it.
+
+    Bytes that are not UTF-8 raise not_utf8_error(path) when the block reads
+    them.
+    """
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise not_utf8_error(path) from None
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its line end) of each line of a text file.
+
+    Lines end at LF, CR or CRLF and are numbered from 1; whitespace-only lines
+    are skipped.
+    """
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isspace():
+                yield lineno, line.rstrip("\n")
+
+
+def read_rows(
+    path: str | Path,
+    sep: str,
+    n_fields: int,
+    header: str | None = None,
+    comments: bool = False,
+) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of each line of read_lines, split at sep.
+
+    Every row has n_fields fields. With a header prefix, line 1 must start
+    with it and comes first, as (1, its fields) of any count. With comments,
+    lines that start with '#' are skipped.
+    """
+    lines = read_lines(path)
+    if header is not None:
+        lineno, line = next(lines, (0, ""))
+        if lineno != 1 or not line.startswith(header):
+            raise DataError(f"{path}: line 1: expected a header starting {header!r}")
+        yield 1, line.split(sep)
+    for lineno, line in lines:
+        if comments and line.startswith("#"):
+            continue
+        fields = line.split(sep)
+        if len(fields) != n_fields:
+            raise DataError(
+                f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
+            )
+        yield lineno, fields
 
 
 def sha256_file(path: str | Path) -> str:

@@ -6,6 +6,7 @@ import array
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet
 from .errors import ConfigError, DataError
-from .ioutil import fmt9
+from .ioutil import fmt9, read_lines, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -115,37 +116,32 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     seen: set[str] = set()
     dim: int | None = None
     n_zero = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            if vocab_cap is not None and len(vocab) >= vocab_cap:
-                break
-            parts = line.rstrip("\n").split(" ")
-            if len(parts) < 2:
-                raise DataError(f"{path}: line {lineno}: expected token and values")
-            token = parts[0]
-            try:
-                values = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: non-numeric field") from exc
-            if not all(math.isfinite(v) for v in values):
-                raise DataError(f"{path}: line {lineno}: non-finite value")
-            if dim is None:
-                dim = len(values)
-            elif len(values) != dim:
-                raise DataError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(values)}"
-                )
-            if token in seen:
-                log.warning("duplicate embedding token %r ignored (line %d)", token, lineno)
-                continue
-            if not any(values):
-                n_zero += 1
-                continue
-            seen.add(token)
-            vocab.append(token)
-            flat.extend(values)
+    for lineno, line in read_lines(path):
+        if vocab_cap is not None and len(vocab) >= vocab_cap:
+            break
+        parts = line.split(" ")
+        if len(parts) < 2:
+            raise DataError(f"{path}: line {lineno}: expected token and values")
+        token = parts[0]
+        try:
+            values = [float(v) for v in parts[1:]]
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: non-numeric field") from exc
+        if not all(math.isfinite(v) for v in values):
+            raise DataError(f"{path}: line {lineno}: non-finite value")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise DataError(f"{path}: line {lineno}: expected {dim} values, got {len(values)}")
+        if token in seen:
+            log.warning("duplicate embedding token %r ignored (line %d)", token, lineno)
+            continue
+        if not any(values):
+            n_zero += 1
+            continue
+        seen.add(token)
+        vocab.append(token)
+        flat.extend(values)
     if n_zero:
         log.warning("dropped %d zero vectors from %s", n_zero, path)
     vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(vocab), dim or 0)
@@ -261,60 +257,49 @@ def write_graph(
 
 
 def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGraph:
-    """Read write_graph's files, rejecting duplicate node rows and duplicate edges."""
+    """Read write_graph's files.
+
+    Line 1 of the edge file is the '#mode=' header. Rejects duplicate node
+    rows, duplicate edges and edges between nodes the node file lacks.
+    """
     frequency: dict[str, int] = {}
-    with open(nodes_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{nodes_path}: line {lineno}: expected 2 fields")
-            if parts[0] in frequency:
-                raise DataError(f"{nodes_path}: line {lineno}: duplicate node {parts[0]!r}")
-            try:
-                frequency[parts[0]] = int(parts[1])
-            except ValueError as exc:
-                raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
-    mode = HASHTAG_MODE
-    heads: list[str] = []
-    tails: list[str] = []
-    edge_weights: list[float] = []
-    seen: set[tuple[str, str]] = set()
-    with open(edges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.startswith("#"):
-                if line.startswith("#mode="):
-                    mode = line[len("#mode=") :].strip()
-                continue
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{edges_path}: line {lineno}: expected 3 fields")
-            a, b, raw_w = parts
-            try:
-                w = float(raw_w)
-            except ValueError as exc:
-                raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
-            if a == b:
-                raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
-            if not math.isfinite(w) or w <= 0:
-                raise DataError(f"{edges_path}: line {lineno}: non-positive weight")
-            pair = (a, b) if a < b else (b, a)
-            if pair in seen:
-                raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
-            seen.add(pair)
-            heads.append(a)
-            tails.append(b)
-            edge_weights.append(w)
-    nodes = sorted(frequency.keys() | set(heads) | set(tails))
+    for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2):
+        if node in frequency:
+            raise DataError(f"{nodes_path}: line {lineno}: duplicate node {node!r}")
+        try:
+            frequency[node] = int(raw_freq)
+        except ValueError as exc:
+            raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
+    nodes = sorted(frequency)
     index = {node: i for i, node in enumerate(nodes)}
-    rows = np.fromiter(map(index.__getitem__, heads), dtype=np.int64, count=len(heads))
-    cols = np.fromiter(map(index.__getitem__, tails), dtype=np.int64, count=len(tails))
-    one_way = sp.csr_matrix((np.array(edge_weights), (rows, cols)), shape=(len(nodes),) * 2)
+    edge_rows = read_rows(edges_path, "\t", 3, header="#mode=")
+    _, header = next(edge_rows)
+    mode = header[0][len("#mode=") :]
+    if len(header) != 1 or mode not in (HASHTAG_MODE, TOKEN_MODE):
+        raise DataError(f"{edges_path}: line 1: mode must be {HASHTAG_MODE} or {TOKEN_MODE}")
+    edges: dict[tuple[int, int], float] = {}
+    for lineno, (a, b, raw_w) in edge_rows:
+        try:
+            w = float(raw_w)
+        except ValueError as exc:
+            raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
+        if a == b:
+            raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
+        if not math.isfinite(w) or w <= 0:
+            raise DataError(f"{edges_path}: line {lineno}: non-positive weight")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            missing = a if i is None else b
+            raise DataError(f"{edges_path}: line {lineno}: node {missing!r} not in {nodes_path}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in edges:
+            raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
+        edges[pair] = w
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    upper = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    one_way = sp.csr_matrix((upper, (ends[0::2], ends[1::2])), shape=(len(nodes),) * 2)
     weights = one_way + one_way.T
     weights.sort_indices()
     return CooccurrenceGraph(
-        mode=mode, nodes=nodes, frequency=[frequency.get(n, 0) for n in nodes], weights=weights
+        mode=mode, nodes=nodes, frequency=[frequency[n] for n in nodes], weights=weights
     )

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import csv_field, fmt9, write_csv
+from .ioutil import csv_field, fmt9, open_text, read_rows, write_csv
 
 if TYPE_CHECKING:
     from .proplabel import PolarityLexicon
@@ -262,26 +262,27 @@ def write_score_csv(
 
 def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
     out: dict[str, dict[str, PolarityScore]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or len(header) != 4:
-            raise DataError(f"{path}: missing or malformed header")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
+        if header is None or header[1:] != ["dimension", "value", "n_items"]:
+            raise DataError(f"{path}: line 1: expected a '<key>,dimension,value,n_items' header")
+        for row in reader:
+            if not row or len(row) == 1 and row[0].isspace():
                 continue
+            lineno = reader.line_num
             if len(row) != 4:
-                raise DataError(f"{path}: line {lineno}: expected 4 fields")
+                raise DataError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
             key, dim, raw_value, raw_n = row
             try:
                 value = float(raw_value) if raw_value else None
                 n_items = int(raw_n)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad numeric field") from exc
+            if value is not None and math.isnan(value):
+                raise DataError(f"{path}: line {lineno}: value is NaN")
             if (value is None) != (n_items == 0):
-                raise DataError(
-                    f"{path}: line {lineno}: value and n_items disagree"
-                )
+                raise DataError(f"{path}: line {lineno}: value and n_items disagree")
             out.setdefault(dim, {})[key] = PolarityScore(value, n_items)
     return out
 
@@ -315,15 +316,8 @@ def write_tally_csv(
 def read_membership(path: str | Path) -> dict[str, str]:
     """user_id <TAB> group_name rows."""
     membership: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 'user<TAB>group'")
-            user, group = parts
-            if user in membership:
-                raise DataError(f"{path}: line {lineno}: duplicate user {user!r}")
-            membership[user] = group
+    for lineno, (user, group) in read_rows(path, "\t", 2, comments=True):
+        if user in membership:
+            raise DataError(f"{path}: line {lineno}: duplicate user {user!r}")
+        membership[user] = group
     return membership

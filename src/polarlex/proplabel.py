@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DataError
-from .ioutil import fmt9
+from .ioutil import fmt9, read_rows
 
 # Only the random walk needs numpy, and it imports it itself, so that the
 # lexicon readers and greedy propagation load without numpy or scipy.
@@ -327,44 +327,33 @@ def write_lexicon(lexicon: PolarityLexicon, path: str | Path) -> PolarityLexicon
 
 
 def read_lexicon(path: str | Path) -> PolarityLexicon:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#dimension="):
-            raise DataError(f"{path}: missing lexicon header")
+    rows = read_rows(path, "\t", 3, header="#dimension=")
+    _, header = next(rows)
+    try:
+        dim_part, scale_part = header
+        dimension = dim_part.split("=", 1)[1]
+        lo, hi = (float(v) for v in scale_part.split("=", 1)[1].split(","))
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"{path}: malformed lexicon header") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise DataError(f"{path}: bad scale [{lo}, {hi}]")
+    scores: dict[str, float] = {}
+    status: dict[str, str] = {}
+    for lineno, (item, raw_score, st) in rows:
+        if st not in (STATUS_SEED, STATUS_PROPAGATED, STATUS_UNLABELED):
+            raise DataError(f"{path}: line {lineno}: unknown status {st!r}")
+        status[item] = st
+        if st == STATUS_UNLABELED:
+            if raw_score:
+                raise DataError(f"{path}: line {lineno}: unlabeled item has a score")
+            continue
         try:
-            dim_part, scale_part = header[1:].split("\t")
-            dimension = dim_part.split("=", 1)[1]
-            lo, hi = (float(v) for v in scale_part.split("=", 1)[1].split(","))
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed lexicon header") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-            raise DataError(f"{path}: bad scale [{lo}, {hi}]")
-        scores: dict[str, float] = {}
-        status: dict[str, str] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 fields")
-            item, raw_score, st = parts
-            if st not in (STATUS_SEED, STATUS_PROPAGATED, STATUS_UNLABELED):
-                raise DataError(f"{path}: line {lineno}: unknown status {st!r}")
-            if st == STATUS_UNLABELED:
-                if raw_score:
-                    raise DataError(f"{path}: line {lineno}: unlabeled item has a score")
-                status[item] = st
-                continue
-            try:
-                score = float(raw_score)
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: bad score") from exc
-            if not lo <= score <= hi:
-                raise DataError(
-                    f"{path}: line {lineno}: score {score} outside scale [{lo}, {hi}]"
-                )
-            scores[item] = score
-            status[item] = st
+            score = float(raw_score)
+        except ValueError as exc:
+            raise DataError(f"{path}: line {lineno}: bad score") from exc
+        if not lo <= score <= hi:
+            raise DataError(f"{path}: line {lineno}: score {score} outside scale [{lo}, {hi}]")
+        scores[item] = score
     return PolarityLexicon(
         dimension_name=dimension, scores=scores, status=status, scale=(lo, hi)
     )
@@ -383,28 +372,23 @@ def write_seed_lexicon(seeds: SeedLexicon, path: str | Path) -> None:
 
 
 def read_seed_lexicon(path: str | Path) -> SeedLexicon:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith("#dimension="):
-            raise DataError(f"{path}: missing seed header")
-        try:
-            dim_part, a_part, b_part = header[1:].split("\t")
-            dimension = dim_part.split("=", 1)[1]
-            value_a = float(a_part.split("=", 1)[1])
-            value_b = float(b_part.split("=", 1)[1])
-        except (ValueError, IndexError) as exc:
-            raise DataError(f"{path}: malformed seed header") from exc
-        if not (math.isfinite(value_a) and math.isfinite(value_b)):
-            raise DataError(f"{path}: non-finite endpoint value")
-        pole_a: set[str] = set()
-        pole_b: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or parts[1] not in ("A", "B"):
-                raise DataError(f"{path}: line {lineno}: expected 'item<TAB>A|B'")
-            (pole_a if parts[1] == "A" else pole_b).add(parts[0])
+    rows = read_rows(path, "\t", 2, header="#dimension=")
+    _, header = next(rows)
+    try:
+        dim_part, a_part, b_part = header
+        dimension = dim_part.split("=", 1)[1]
+        value_a = float(a_part.split("=", 1)[1])
+        value_b = float(b_part.split("=", 1)[1])
+    except (ValueError, IndexError) as exc:
+        raise DataError(f"{path}: malformed seed header") from exc
+    if not (math.isfinite(value_a) and math.isfinite(value_b)):
+        raise DataError(f"{path}: non-finite endpoint value")
+    pole_a: set[str] = set()
+    pole_b: set[str] = set()
+    for lineno, (item, pole) in rows:
+        if pole not in ("A", "B"):
+            raise DataError(f"{path}: line {lineno}: pole must be A or B, got {pole!r}")
+        (pole_a if pole == "A" else pole_b).add(item)
     try:
         return SeedLexicon(
             dimension_name=dimension,

@@ -1,0 +1,165 @@
+"""Every file the CLI reads, under a fixed set of mutations.
+
+Each case copies one small run directory, mutates one file and runs, in
+process, the subcommand that reads it. A mutation that breaks the file must
+end in exit 1 or 2 with the file named on stderr; the others must leave the
+run working. No case may let an exception out of main.
+"""
+
+import json
+import shutil
+from dataclasses import dataclass
+
+import pytest
+
+from polarlex.cli import main
+
+
+@dataclass(frozen=True)
+class Kind:
+    path: str  # relative to the run directory
+    argv: tuple[str, ...]  # the subcommand that reads the file, and its flags
+    sep: str | None  # None for JSON
+    first: int = 0  # index of the first data line: after a header or comment
+    # (line, field) of a number to make nan or inf; line None: the first data
+    # line from the second on whose field is not blank
+    number: tuple[int | None, int] | None = None
+
+
+SEEDS = ("--seed-file", "seeds.tsv")
+GOLD = ("--gold", "gold.tsv")
+KINDS = {
+    "corpus": Kind("corpus.jsonl", ("ingest",), None),
+    "tokenized": Kind("out/tokenized.tsv", ("build-graph",), "\t"),
+    "graph-edges": Kind("out/graph.edges.tsv", ("propagate", *SEEDS), "\t", 1, (None, 2)),
+    "graph-nodes": Kind("out/graph.nodes.tsv", ("propagate", *SEEDS), "\t", 0, (None, 1)),
+    "lexicon": Kind("out/lexicon_community.tsv", ("score",), "\t", 1, (None, 1)),
+    "seeds": Kind("seeds.tsv", ("propagate", *SEEDS), "\t", 1, (0, 1)),
+    "tweet-scores": Kind("out/tweet_scores.csv", ("timeseries",), ",", 1, (None, 2)),
+    "user-scores": Kind("out/user_scores.csv", ("eval", *GOLD), ",", 1, (None, 2)),
+    "membership": Kind("membership.tsv", ("timeseries", "--membership", "membership.tsv"),
+                       "\t", 1),
+    "gold": Kind("gold.tsv", ("eval", *GOLD), "\t", 1),
+    "annotations": Kind("annotations.tsv",
+                        ("eval", *GOLD, "--annotations", "annotations.tsv"), "\t", 1),
+    "embeddings": Kind("emb.txt", ("build-graph", "--mode", "embedding", "--embeddings",
+                                   "emb.txt", "--knn-k", "2"), " ", 0, (None, 1)),
+    "config": Kind("config.json", ("eval", *GOLD, "--config", "config.json"), None),
+}
+MUTATIONS = ("empty", "no-header", "extra-field", "missing-field", "nan", "inf",
+             "invalid-utf8", "blank-line")
+HEADERS = {"graph-edges", "lexicon", "seeds", "tweet-scores", "user-scores"}
+NUMBERS = {"nan", "inf"}
+# Mutations that leave a valid file: whitespace-only lines are skipped, a
+# corpus object may carry other keys, every config key is optional, an empty
+# corpus, tokenized file or membership file holds no rows, and the score CSVs
+# carry any value but NaN, as write_score_csv writes them.
+ACCEPTED = {
+    *((kind, "blank-line") for kind in KINDS),
+    ("corpus", "empty"), ("tokenized", "empty"), ("membership", "empty"),
+    ("corpus", "extra-field"), ("config", "missing-field"),
+    ("tweet-scores", "inf"), ("user-scores", "inf"),
+}
+CASES = [
+    (kind, mutation)
+    for kind in KINDS
+    for mutation in MUTATIONS
+    if (mutation != "no-header" or kind in HEADERS)
+    and (mutation not in NUMBERS or KINDS[kind].number or kind == "config")
+]
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    """A run directory after synth and pipeline, plus the hand-written inputs."""
+    root = tmp_path_factory.mktemp("base")
+    synth = ["--n-users", "30", "--n-tweets", "400", "--hashtags-per-community", "12",
+             "--seed-fraction", "0.2", "--within", "0.9", "--cross", "0.1", "--rng-seed", "3"]
+    assert main(["synth", "--out-dir", str(root), *synth]) == 0
+    (root / "seeds_community.tsv").rename(root / "seeds.tsv")
+    gold = (root / "gold_users.tsv").read_text()
+    (root / "gold.tsv").write_text("# user<TAB>label\n" + gold)
+    (root / "membership.tsv").write_text("# user<TAB>group\n" + gold)
+    pairs = [line.split("\t") for line in gold.splitlines()[:6]]
+    (root / "annotations.tsv").write_text(
+        "# item<TAB>label<TAB>label\n" + "".join(f"{u}\t{g}\t{g}\n" for u, g in pairs)
+    )
+    (root / "emb.txt").write_text(
+        "".join(f"w{i:02d} {1.0 + 0.01 * i} {0.02 * i * (i % 2)}\n" for i in range(12))
+    )
+    (root / "config.json").write_text(
+        json.dumps({"gamma": 2, "kcore_k": 2, "tol": 1e-8}, indent=1) + "\n"
+    )
+    assert main(["pipeline", *common_flags(root), "--seed-file", str(root / "seeds.tsv")]) == 0
+    return root
+
+
+def common_flags(run):
+    return ["--out-dir", str(run / "out"), "--corpus", str(run / "corpus.jsonl"),
+            "--gamma", "2", "--kcore-k", "2"]
+
+
+def mutate(kind: Kind, mutation: str, text: str) -> bytes:
+    """text with one mutation applied to its second data line, or its whole."""
+    lines = text.splitlines(keepends=True)
+    at = kind.first + 1
+    if mutation == "empty":
+        return b""
+    if mutation == "no-header":
+        lines = lines[1:]
+    elif mutation == "invalid-utf8":
+        head = "".join(lines[:at]) + lines[at][:2]
+        return head.encode() + b"\xff" + "".join([lines[at][2:], *lines[at + 1:]]).encode()
+    elif mutation == "blank-line":
+        lines.insert(at, " \t \n")
+    elif kind.sep is None:
+        whole = kind.path == "config.json"
+        obj = json.loads(text if whole else lines[at])
+        if mutation == "extra-field":
+            obj["no_such_key"] = 1
+        elif mutation == "missing-field":
+            del obj["gamma" if whole else "text"]
+        else:
+            obj["tol"] = float(mutation)
+        if whole:
+            return json.dumps(obj, indent=1).encode()
+        lines[at] = json.dumps(obj) + "\n"
+    else:
+        if mutation in NUMBERS:
+            line, field = kind.number
+            if line is None:
+                line = next(i for i in range(at, len(lines))
+                            if lines[i].rstrip("\n").split(kind.sep)[field])
+        else:
+            line = at
+        fields = lines[line].rstrip("\n").split(kind.sep)
+        if mutation == "extra-field":
+            fields.append("1")
+        elif mutation == "missing-field":
+            fields.pop()
+        else:
+            name, eq, _ = fields[field].rpartition("=")
+            fields[field] = name + eq + mutation
+        lines[line] = kind.sep.join(fields) + "\n"
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("kind_name, mutation", CASES, ids=[f"{k}-{m}" for k, m in CASES])
+def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
+    kind = KINDS[kind_name]
+    run = tmp_path / "run"
+    shutil.copytree(base, run)
+    path = run / kind.path
+    path.write_bytes(mutate(kind, mutation, path.read_text()))
+    argv = [kind.argv[0], *common_flags(run),
+            *(str(run / a) if (run / a).is_file() else a for a in kind.argv[1:])]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    if (kind_name, mutation) in ACCEPTED:
+        assert code == 0, err
+        return
+    assert code in (1, 2), err
+    assert str(path) in err
+    if mutation == "invalid-utf8":
+        assert f"{path}: line {kind.first + 2}: not valid UTF-8" in err

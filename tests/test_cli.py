@@ -307,6 +307,21 @@ def test_eval_user_day_unit(tmp_path, synth_dir):
     assert accuracy > 0.5
 
 
+def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsys):
+    out = tmp_path / "run"
+    assert run_pipeline(out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv") == 0
+    scores = out / "tweet_scores.csv"
+    header, first, *rest = scores.read_text().splitlines(keepends=True)
+    scores.write_text(header + "".join(rest))
+    gold = tmp_path / "gold_days.tsv"
+    gold.write_text("u0000@2020-01-01\tpole_a\n")
+    code = main(["eval", "--out-dir", str(out), "--corpus", str(synth_dir / "corpus.jsonl"),
+                 "--gold", str(gold), "--eval-unit", "user_day"])
+    assert code == 2
+    tweet_id = first.split(",")[0]
+    assert f"{scores}: no 'community' row for tweet {tweet_id!r}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, synth_dir):
     config = tmp_path / "config.json"
     config.write_text(

@@ -134,6 +134,19 @@ class TestLoadCorpus:
         record = load_corpus(path)[0]
         assert record.timestamp == datetime(2020, 1, 1, 0, 0, tzinfo=timezone.utc)
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00"])
+    def test_timestamp_outside_utc_range_names_line(self, tmp_path, stamp):
+        # a valid ISO instant whose UTC time falls outside datetime's years 1-9999
+        path = tmp_path / "c.jsonl"
+        write_corpus([make_record()], path)
+        written = path.read_text().replace("2020-01-01T10:00:00+00:00", stamp)
+        assert corpus._WRITTEN_LINE.fullmatch(written.rstrip("\n"))
+        other = json.dumps(base_row(timestamp=stamp)) + "\n"
+        for line in (written, other):  # write_corpus's pattern, then json.loads
+            path.write_text(json.dumps(base_row(tweet_id="t0")) + "\n" + line)
+            with pytest.raises(DataError, match="line 2: "):
+                load_corpus(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "c.jsonl"
         records = [

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
+from polarlex.errors import DataError
 from polarlex.polarity import (
     BY_ITEM,
     BY_TWEET,
@@ -313,6 +314,15 @@ class TestScoreFiles:
         path = tmp_path / "scores.csv"
         path.write_text("tweet_id,dimension,value,n_items\nt1,dim,,3\n")
         with pytest.raises(Exception, match="line 2"):
+            read_score_csv(path)
+
+    def test_score_csv_line_numbers_count_quoted_line_breaks(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_score_csv({"dim": {"t\n1": PolarityScore(0.5, 1)}}, path, "tweet_id")
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("t2,dim,,3\n")
+        # the header is line 1, the quoted key spans lines 2 and 3
+        with pytest.raises(DataError, match="line 4: value and n_items disagree"):
             read_score_csv(path)
 
     def test_daily_series_csv_layout(self, tmp_path):
