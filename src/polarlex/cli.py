@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import logging
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
@@ -72,7 +74,8 @@ class RunConfig:
     days: int = 10
     rng_seed: int = 0
 
-    def validate(self, subcommand: str) -> None:
+    def validate(self) -> None:
+        """Checks each value against its choices or range; inputs are checked as read."""
         checks = [
             *((name, getattr(self, name) in allowed) for name, allowed in CHOICES.items()),
             ("gamma", self.gamma >= 1),
@@ -87,33 +90,6 @@ class RunConfig:
         for name, ok in checks:
             if not ok:
                 raise ConfigError(f"invalid value for {name}: {getattr(self, name)!r}")
-        needs_corpus = subcommand in ("ingest", "score", "timeseries", "commnet", "pipeline")
-        if needs_corpus or (subcommand == "eval" and self.eval_unit == "user_day"):
-            if not self.corpus:
-                raise ConfigError("corpus: no corpus file given")
-            if not Path(self.corpus).is_file():
-                raise ConfigError(f"corpus: file not found: {self.corpus}")
-        if subcommand in ("propagate", "pipeline"):
-            if not self.seed_files:
-                raise ConfigError("seed_files: at least one seed file required")
-            for path in self.seed_files:
-                if not Path(path).is_file():
-                    raise ConfigError(f"seed_files: file not found: {path}")
-        if subcommand in ("build-graph", "pipeline") and self.mode == "embedding":
-            if not self.embeddings:
-                raise ConfigError("embeddings: required for embedding mode")
-            if not Path(self.embeddings).is_file():
-                raise ConfigError(f"embeddings: file not found: {self.embeddings}")
-        if subcommand == "eval":
-            if not self.gold:
-                raise ConfigError("gold: gold label file required for eval")
-            if not Path(self.gold).is_file():
-                raise ConfigError(f"gold: file not found: {self.gold}")
-            if self.annotations and not Path(self.annotations).is_file():
-                raise ConfigError(f"annotations: file not found: {self.annotations}")
-        if subcommand in ("timeseries", "pipeline") and self.membership:
-            if not Path(self.membership).is_file():
-                raise ConfigError(f"membership: file not found: {self.membership}")
 
 
 # The type of each RunConfig field's values, which both its flag and a config
@@ -125,7 +101,8 @@ KINDS = {
 
 
 class _Runner:
-    """Tracks inputs and outputs of one run; removes partial outputs on failure.
+    """One run: checks and hashes each input as a stage reads it, and stages its
+    outputs inside out_dir until every stage has succeeded.
 
     Keeps the values its stages make for its later stages to take from memory.
     """
@@ -134,6 +111,7 @@ class _Runner:
         self.config = config
         self.subcommand = subcommand
         self.out_dir = Path(config.out_dir)
+        self.staging = self.out_dir / ".staging"
         self.inputs: dict[str, str] = {}
         self.outputs: list[Path] = []
         self.kept: dict[str, object] = {}
@@ -148,27 +126,46 @@ class _Runner:
         """Like get, for a value's last consumer: the run keeps it no longer."""
         return self.kept.pop(name) if name in self.kept else load(self)
 
-    def read(self, path: str | Path) -> Path:
+    def read(self, path: str | Path | None, field: str | None = None) -> Path:
+        """path, hashed for the manifest; field names the config field that gave
+        it, or is None for a file in the run directory."""
+        if not path:
+            raise ConfigError(f"{field}: no file given")
         path = Path(path)
         if not path.is_file():
-            raise ConfigError(f"input not found: {path}")
+            raise ConfigError(f"{field}: file not found: {path}" if field
+                              else f"input not found: {path}")
         self.inputs[str(path)] = sha256_file(path)
         return path
 
     def write(self, name: str) -> Path:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        path = self.out_dir / name
+        path = self.staging / name
         self.outputs.append(path)
         return path
 
-    def cleanup(self) -> None:
-        for path in self.outputs:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
+    def run(self, stages) -> None:
+        """Runs stages, then moves their outputs into out_dir, the manifest last.
 
-    def write_manifest(self) -> None:
+        A failed run leaves out_dir as it found it: it removes the staging
+        directory and any directory it made to hold it.
+        """
+        made = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
+        try:
+            shutil.rmtree(self.staging, ignore_errors=True)  # left by a killed run
+            self.staging.mkdir(parents=True)
+            for stage in stages:
+                stage(self)
+            for path in [*self.outputs, self.write_manifest()]:
+                os.replace(path, self.out_dir / path.name)
+            self.staging.rmdir()
+        except BaseException:
+            shutil.rmtree(self.staging, ignore_errors=True)
+            for directory in made:
+                with contextlib.suppress(OSError):
+                    directory.rmdir()
+            raise
+
+    def write_manifest(self) -> Path:
         manifest = {
             "tool": "polarlex",
             "version": __version__,
@@ -178,10 +175,11 @@ class _Runner:
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": sorted(p.name for p in self.outputs),
         }
-        path = self.out_dir / "manifest.json"
+        path = self.staging / "manifest.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        return path
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ class _Runner:
 
 def _read_records(run: _Runner) -> list[corpus.TweetRecord]:
     return corpus.load_corpus(
-        run.read(run.config.corpus), include_retweets=run.config.include_retweets
+        run.read(run.config.corpus, "corpus"), include_retweets=run.config.include_retweets
     )
 
 
@@ -207,8 +205,8 @@ def _read_graph(run: _Runner) -> CooccurrenceGraph:
 
 def _read_seeds(run: _Runner) -> list[proplabel.SeedLexicon]:
     """The seed files in order; two files may not name the same dimension."""
-    paths = run.config.seed_files
-    seed_sets = [proplabel.read_seed_lexicon(run.read(path)) for path in paths]
+    paths = run.config.seed_files or [None]  # None: read names the missing field
+    seed_sets = [proplabel.read_seed_lexicon(run.read(path, "seed_files")) for path in paths]
     dims = [seeds.dimension_name for seeds in seed_sets]
     for i, dim in enumerate(dims):
         if dim in dims[:i]:
@@ -236,9 +234,20 @@ def _lexicon_scales(run: _Runner, scored: dict) -> dict[str, tuple[float, float]
     return scales
 
 
-def _read_scores(name: str):
-    """Loader of the score CSV <name>.csv."""
-    return lambda run: polarity.read_score_csv(run.read(run.out_dir / f"{name}.csv"))
+def _read_user_scores(run: _Runner) -> dict[str, dict[str, polarity.PolarityScore]]:
+    return polarity.read_score_csv(run.read(run.out_dir / "user_scores.csv"))
+
+
+def _read_tweet_scores(run: _Runner) -> dict[str, dict[str, polarity.PolarityScore]]:
+    """tweet_scores.csv, which must score every corpus tweet in each dimension."""
+    path = run.out_dir / "tweet_scores.csv"
+    scores = polarity.read_score_csv(run.read(path))
+    records = run.get("records", _read_records)
+    for dim, by_tweet in sorted(scores.items()):
+        unscored = next((r.tweet_id for r in records if r.tweet_id not in by_tweet), None)
+        if unscored is not None:
+            raise DataError(f"{path}: no {dim!r} row for tweet {unscored!r}")
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +265,7 @@ def stage_build_graph(run: _Runner) -> None:
 
     cfg = run.config
     if cfg.mode == "embedding":
-        table = lexgraph.load_embeddings(run.read(cfg.embeddings), cfg.vocab_cap)
+        table = lexgraph.load_embeddings(run.read(cfg.embeddings, "embeddings"), cfg.vocab_cap)
         try:
             graph = lexgraph.build_knn_graph(table, cfg.knn_k)
         except ConfigError as exc:  # knn_k against the vectors the file holds
@@ -275,9 +284,10 @@ def stage_build_graph(run: _Runner) -> None:
 
 def stage_propagate(run: _Runner) -> None:
     cfg = run.config
+    seed_sets = _read_seeds(run)
     graph = run.take("graph", _read_graph)
     lexicons = run.kept["lexicons"] = []
-    for seeds in run.get("seeds", _read_seeds):
+    for seeds in seed_sets:
         if cfg.mode == "embedding":
             lexicon = proplabel.propagate_random_walk(
                 graph, seeds,
@@ -320,10 +330,10 @@ def stage_timeseries(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
     if cfg.membership:
-        membership = polarity.read_membership(run.read(cfg.membership))
+        membership = polarity.read_membership(run.read(cfg.membership, "membership"))
     else:
         membership = {r.user_id: "all" for r in records}
-    tweet_scores = run.take("tweet_scores", _read_scores("tweet_scores"))
+    tweet_scores = run.take("tweet_scores", _read_tweet_scores)
     for dim in sorted(tweet_scores):
         series = polarity.daily_series(records, tweet_scores[dim], membership)
         polarity.write_daily_series_csv(series, run.write(f"daily_series_{dim}.csv"))
@@ -332,7 +342,7 @@ def stage_timeseries(run: _Runner) -> None:
 def stage_commnet(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
-    user_scores = run.get("user_scores", _read_scores("user_scores"))
+    user_scores = run.get("user_scores", _read_user_scores)
     scales = _lexicon_scales(run, user_scores)
     graph = commnet.build_comm_graph(
         records, user_scores, scales, include_mentions=not cfg.drop_mentions
@@ -349,27 +359,22 @@ def stage_commnet(run: _Runner) -> None:
 
 def stage_eval(run: _Runner) -> None:
     cfg = run.config
-    gold = evalkit.read_gold(run.read(cfg.gold))
-    annotations = (
-        evalkit.read_annotations(run.read(cfg.annotations)) if cfg.annotations else None
-    )
+    gold = evalkit.read_gold(run.read(cfg.gold, "gold"))
+    annotations = None
+    if cfg.annotations:
+        annotations = evalkit.read_annotations(run.read(cfg.annotations, "annotations"))
     reports = []
     if cfg.eval_unit == "account":
-        scores_by_dim = run.get("user_scores", _read_scores("user_scores"))
+        scores_by_dim = run.get("user_scores", _read_user_scores)
     else:
         days = corpus.group_by_user_day(run.get("records", _read_records))
-        scores_by_dim = run.get("tweet_scores", _read_scores("tweet_scores"))
+        scores_by_dim = run.get("tweet_scores", _read_tweet_scores)
     scales = _lexicon_scales(run, scores_by_dim)
     for dim in sorted(scores_by_dim):
         scale, scores = scales[dim], scores_by_dim[dim]
         if cfg.eval_unit == "account":
             predictions = {user: polarity.ternarize(s.value, scale) for user, s in scores.items()}
         else:
-            unscored = next((t for ids in days.values() for t in ids if t not in scores), None)
-            if unscored is not None:
-                raise DataError(
-                    f"{run.out_dir / 'tweet_scores.csv'}: no {dim!r} row for tweet {unscored!r}"
-                )
             predictions = {
                 f"{key.user_id}@{key.day.isoformat()}": polarity.ternarize(
                     polarity.score_aggregate(ids, scores, cfg.weighting).value, scale
@@ -524,21 +529,12 @@ def main(argv: list[str] | None = None) -> int:
         if not args.subcommand:
             raise ConfigError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         config = build_config(args)
-        config.validate(args.subcommand)
-        run = _Runner(config, args.subcommand)
-        try:
-            if args.subcommand in ("propagate", "pipeline"):
-                # bad or clashing seed files fail the run before it writes anything
-                run.get("seeds", _read_seeds)
-            if args.subcommand == "pipeline":
-                for stage in PIPELINE_STAGES:
-                    stage(run)
-            else:
-                STAGE_BY_NAME[args.subcommand](run)
-            run.write_manifest()
-        except Exception:
-            run.cleanup()
-            raise
+        config.validate()
+        if args.subcommand == "pipeline":
+            stages = PIPELINE_STAGES
+        else:
+            stages = (STAGE_BY_NAME[args.subcommand],)
+        _Runner(config, args.subcommand).run(stages)
     except ConfigError as exc:
         print(f"polarlex: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

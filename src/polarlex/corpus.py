@@ -19,6 +19,10 @@ REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 HASHTAG_MODE = "hashtag"
 TOKEN_MODE = "token"
 
+# json.loads decodes an escape such as \ud800 to a lone surrogate, which is no
+# Unicode text and cannot be written back as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 @dataclass(slots=True)
 class TweetRecord:
@@ -96,6 +100,12 @@ def record_from_json(obj: dict) -> TweetRecord:
         if value is not None and not isinstance(value, str):
             raise DataError(f"{key} must be a string or null")
     user_id, timestamp, text = obj["user_id"], obj["timestamp"], obj["text"]
+    strings = {"tweet_id": tweet_id, "user_id": user_id, "timestamp": timestamp, "text": text,
+               "retweet_of_user": retweet_of_user, "reply_to_user": reply_to_user,
+               "mentions": "".join(mentions)}
+    for key, value in strings.items():
+        if isinstance(value, str) and _SURROGATE.search(value):
+            raise DataError(f"{key} holds a lone surrogate, which is not Unicode text")
     return TweetRecord(
         tweet_id=tweet_id,
         user_id=user_id if isinstance(user_id, str) else str(user_id),
@@ -235,44 +245,29 @@ def _piece_item(raw: str) -> tuple[str, bool]:
     return piece.casefold(), False
 
 
-def _tokenize_with(
-    text: str, memo: dict[str, tuple[str, bool]]
-) -> tuple[list[str], list[str]]:
-    """tokenize_text, classifying each distinct piece once per memo."""
-    tags: list[str] = []
-    tokens: list[str] = []
-    for raw in text.split():
-        item = memo.get(raw)
-        if item is None:
-            item = memo[raw] = _piece_item(raw)
-        name, is_tag = item
-        if name:
-            tokens.append(name)
-            if is_tag:
-                tags.append(name)
-    return list(dict.fromkeys(tags)), tokens
-
-
-def tokenize_text(text: str) -> tuple[list[str], list[str]]:
-    """Split on Unicode whitespace and normalize; returns (hashtags, tokens).
+def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
+    """Each record's text split on Unicode whitespace and normalized, in input order.
 
     Hashtags are case-folded with '#' removed and deduplicated in first-seen
     order; every hashtag occurrence also counts as a token. Mentions and URLs
-    are dropped entirely.
-    """
-    return _tokenize_with(text, {})
-
-
-def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
-    """tokenize_text over each record's text, in input order.
-
-    Pieces repeat across tweets, so each distinct piece is classified once per
-    call; the memo lives only as long as the call.
+    are dropped entirely. Pieces repeat across tweets, so each distinct piece
+    is classified once per call; the memo lives only as long as the call.
     """
     memo: dict[str, tuple[str, bool]] = {}
     out: list[TokenizedTweet] = []
     for record in records:
-        hashtags, tokens = _tokenize_with(record.text, memo)
+        tags: list[str] = []
+        tokens: list[str] = []
+        for raw in record.text.split():
+            item = memo.get(raw)
+            if item is None:
+                item = memo[raw] = _piece_item(raw)
+            name, is_tag = item
+            if name:
+                tokens.append(name)
+                if is_tag:
+                    tags.append(name)
+        hashtags = list(dict.fromkeys(tags))
         out.append(TokenizedTweet(tweet_id=record.tweet_id, hashtags=hashtags, tokens=tokens))
     return out
 

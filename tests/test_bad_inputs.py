@@ -3,7 +3,9 @@
 Each case copies one small run directory, mutates one file and runs, in
 process, the subcommand that reads it. A mutation that breaks the file must
 end in exit 1 or 2 with the file named on stderr; the others must leave the
-run working. No case may let an exception out of main.
+run working. No case may let an exception out of main. A second table edits
+one field that only its reader's own checks reject, such as an unknown
+lexicon status.
 """
 
 import json
@@ -144,18 +146,26 @@ def mutate(kind: Kind, mutation: str, text: str) -> bytes:
     return "".join(lines).encode()
 
 
-@pytest.mark.parametrize("kind_name, mutation", CASES, ids=[f"{k}-{m}" for k, m in CASES])
-def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
-    kind = KINDS[kind_name]
+def run_edited(tmp_path, capsys, base, kind: Kind, edit) -> tuple[int, str, object]:
+    """Exit code and stderr of kind's subcommand on a copy of base whose file
+    of that kind holds edit(its text), and that file's path."""
     run = tmp_path / "run"
     shutil.copytree(base, run)
     path = run / kind.path
-    path.write_bytes(mutate(kind, mutation, path.read_text()))
+    path.write_bytes(edit(path.read_text()))
     argv = [kind.argv[0], *common_flags(run),
             *(str(run / a) if (run / a).is_file() else a for a in kind.argv[1:])]
     capsys.readouterr()
     code = main(argv)
-    err = capsys.readouterr().err
+    return code, capsys.readouterr().err, path
+
+
+@pytest.mark.parametrize("kind_name, mutation", CASES, ids=[f"{k}-{m}" for k, m in CASES])
+def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
+    kind = KINDS[kind_name]
+    code, err, path = run_edited(
+        tmp_path, capsys, base, kind, lambda text: mutate(kind, mutation, text)
+    )
     if (kind_name, mutation) in ACCEPTED:
         assert code == 0, err
         return
@@ -163,3 +173,45 @@ def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
     assert str(path) in err
     if mutation == "invalid-utf8":
         assert f"{path}: line {kind.first + 2}: not valid UTF-8" in err
+
+
+# Edits that only one reader's own checks reject: (kind, id, line index, the
+# field to set, by index or JSON key, its new value or None to drop the fields
+# from there on, and the message after the file's path).
+EDITS = [
+    ("corpus", "lone-surrogate", 1, "text", "#b\ud800", "line 2: text holds a lone surrogate"),
+    ("lexicon", "bad-header", 0, 1, "scale=x", "malformed lexicon header"),
+    ("lexicon", "unknown-status", 1, 2, "maybe", "line 2: unknown status 'maybe'"),
+    ("lexicon", "bad-score", 1, 1, "x", "line 2: bad score"),
+    ("seeds", "bad-header", 0, 1, "value_a=x", "malformed seed header"),
+    ("graph-edges", "unknown-mode", 0, 0, "#mode=foo", "line 1: mode must be hashtag or token"),
+    ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
+    ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
+    ("gold", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),
+    ("tweet-scores", "bad-value", 1, 2, "x", "line 2: bad numeric field"),
+]
+
+
+def set_field(kind: Kind, line: int, field, value, text: str) -> bytes:
+    lines = text.splitlines(keepends=True)
+    if kind.sep is None:
+        obj = json.loads(lines[line])
+        obj[field] = value
+        lines[line] = json.dumps(obj) + "\n"  # a lone surrogate becomes its \ud800 escape
+    else:
+        fields = lines[line].rstrip("\n").split(kind.sep)
+        fields[field:] = [] if value is None else [value, *fields[field + 1:]]
+        lines[line] = kind.sep.join(fields) + "\n"
+    return "".join(lines).encode()
+
+
+@pytest.mark.parametrize("kind_name, line, field, value, message",
+                         [edit[:1] + edit[2:] for edit in EDITS],
+                         ids=[f"{edit[0]}-{edit[1]}" for edit in EDITS])
+def test_bad_edit(tmp_path, capsys, base, kind_name, line, field, value, message):
+    kind = KINDS[kind_name]
+    code, err, path = run_edited(
+        tmp_path, capsys, base, kind, lambda text: set_field(kind, line, field, value, text)
+    )
+    assert code == 2, err
+    assert f"{path}: {message}" in err

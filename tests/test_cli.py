@@ -3,6 +3,7 @@ import csv
 import gc
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -163,6 +164,13 @@ def test_corrupt_corpus_exit_two(tmp_path, capsys):
             ('"is_retweet": "false"', "is_retweet must be true, false or null"),
         ]
     ]
+    # json.loads decodes a \ud800 escape to a lone surrogate, which no writer encodes
+    typed += [
+        (int_retweet.replace('"text": "#a #b", "retweet_of_user": 42', '"text": "#b\\ud800"'),
+         "text holds a lone surrogate"),
+        (int_retweet.replace('"t2", "user_id": "u"', '"t2", "user_id": "u\\ud800"')
+         .replace(', "retweet_of_user": 42', ""), "user_id holds a lone surrogate"),
+    ]
     for text, line in [("{not json\n", 1), (tab_id, 1), *not_objects]:
         corpus.write_text(text)
         code = main(["ingest", "--corpus", str(corpus), "--out-dir", str(tmp_path / "o")])
@@ -198,6 +206,151 @@ def test_failed_run_removes_partial_outputs(tmp_path):
     assert main(["ingest", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
     assert not (out / "tokenized.tsv").exists()
     assert not (out / "manifest.json").exists()
+
+
+def tree(path):
+    """Each file under path with its bytes, and each directory, by relative path."""
+    return {
+        str(p.relative_to(path)): p.read_bytes() if p.is_file() else None
+        for p in path.rglob("*")
+    }
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A synth corpus in synth/ and a pipeline run on it in out/."""
+    root = tmp_path_factory.mktemp("finished")
+    run_synth(root / "synth")
+    synth = root / "synth"
+    assert run_pipeline(root / "out", synth / "corpus.jsonl", synth / "seeds_community.tsv") == 0
+    return root
+
+
+def test_failed_rerun_leaves_the_previous_run_whole(tmp_path, finished, capsys):
+    # a rerun that fails in its fifth stage, on a membership file naming one
+    # user twice, must leave every artifact and the manifest of the run before
+    out = tmp_path / "out"
+    shutil.copytree(finished / "out", out)
+    before = tree(out)
+    synth = finished / "synth"
+    membership = tmp_path / "membership.tsv"
+    membership.write_text("u00000\tx\nu00000\ty\n")
+    fresh = tmp_path / "new" / "out"
+    for out_dir in (out, fresh):
+        code = run_pipeline(out_dir, synth / "corpus.jsonl", synth / "seeds_community.tsv",
+                            ["--membership", str(membership)])
+        assert code == 2
+        assert f"{membership}: line 2: duplicate user 'u00000'" in capsys.readouterr().err
+    assert tree(out) == before
+    # nor does a failed run leave the directories it made for its outputs
+    assert not (tmp_path / "new").exists()
+
+
+def test_run_clears_a_staging_directory_left_by_a_killed_run(tmp_path, finished):
+    out = tmp_path / "out"
+    (out / ".staging").mkdir(parents=True)
+    (out / ".staging" / "lexicon_stale.tsv").write_text("stale\n")
+    corpus = finished / "synth" / "corpus.jsonl"
+    assert main(["ingest", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    assert sorted(tree(out)) == ["manifest.json", "tokenized.tsv"]
+    assert (out / "tokenized.tsv").read_bytes() == (finished / "out/tokenized.tsv").read_bytes()
+
+
+# Each value RunConfig.validate rejects: every choice, through a config file
+# since the flags' own choices would reject it first, and every range at its edge.
+BAD_VALUES = [
+    *((name, "bogus") for name in cli.CHOICES),
+    *((name, 0) for name in ("gamma", "max_outer", "vocab_cap", "knn_k", "kcore_k", "max_iter")),
+    ("restart_prob", 0.0),
+    ("restart_prob", 1.0),
+    ("tol", 0.0),
+]
+
+
+@pytest.mark.parametrize("name, value", BAD_VALUES)
+def test_invalid_value_is_named_and_leaves_out_dir(tmp_path, finished, capsys, name, value):
+    out = tmp_path / "out"
+    shutil.copytree(finished / "out", out)
+    before = tree(out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value}))
+    synth = finished / "synth"
+    code = main(["pipeline", "--config", str(config), "--out-dir", str(out),
+                 "--corpus", str(synth / "corpus.jsonl"),
+                 "--seed-file", str(synth / "seeds_community.tsv")])
+    assert code == 1
+    assert f"config error: invalid value for {name}: {value!r}" in capsys.readouterr().err
+    assert tree(out) == before
+
+
+# A subcommand, the inputs it is given and the input it lacks. Inputs are
+# config fields, given as the synth run's files; other flags pass as they are.
+LACKING = [
+    *(((sub,), "corpus") for sub in ("ingest", "score", "timeseries", "commnet")),
+    (("pipeline", "seed_files"), "corpus"),
+    (("eval", "gold", "--eval-unit", "user_day"), "corpus"),
+    (("propagate",), "seed_files"),
+    (("pipeline", "corpus"), "seed_files"),
+    (("build-graph", "--mode", "embedding"), "embeddings"),
+    (("pipeline", "corpus", "seed_files", "--mode", "embedding"), "embeddings"),
+    (("eval",), "gold"),
+]
+# Inputs that are optional, so only a given file can be absent.
+OPTIONAL = [
+    (("eval", "gold"), "annotations"),
+    (("timeseries", "corpus"), "membership"),
+    (("pipeline", "corpus", "seed_files"), "membership"),
+]
+INPUT_CASES = [
+    *((argv, field, absent) for argv, field in LACKING for absent in (False, True)),
+    *((argv, field, True) for argv, field in OPTIONAL),
+]
+
+
+def input_flag(field):
+    return "--seed-file" if field == "seed_files" else "--" + field.replace("_", "-")
+
+
+def input_case_id(argv, field, absent):
+    values = [a for a in argv if a in ("user_day", "embedding")]
+    return "-".join([argv[0], *values, field, "absent" if absent else "none"])
+
+
+@pytest.mark.parametrize(
+    "argv, field, absent", INPUT_CASES, ids=[input_case_id(*case) for case in INPUT_CASES]
+)
+def test_lacking_input_is_named_and_leaves_out_dir(tmp_path, finished, capsys, argv, field,
+                                                   absent):
+    out = tmp_path / "out"
+    shutil.copytree(finished / "out", out)
+    before = tree(out)
+    synth = finished / "synth"
+    files = {"corpus": "corpus.jsonl", "seed_files": "seeds_community.tsv",
+             "gold": "gold_users.tsv"}
+    sub, *given = argv
+    args = [sub, "--out-dir", str(out), "--gamma", "2", "--kcore-k", "2"]
+    for arg in given:
+        args += [input_flag(arg), str(synth / files[arg])] if arg in files else [arg]
+    missing = tmp_path / "absent.txt"
+    if absent:
+        args += [input_flag(field), str(missing)]
+    assert main(args) == 1
+    want = f"{field}: file not found: {missing}" if absent else f"{field}: no file given"
+    assert f"config error: {want}" in capsys.readouterr().err
+    assert tree(out) == before
+
+
+@pytest.mark.parametrize("sub", ["synth", "ingest", "pipeline"])
+def test_out_dir_that_is_a_file_exit_two(tmp_path, finished, capsys, sub):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    synth = finished / "synth"
+    code = main([sub, "--out-dir", str(out), "--corpus", str(synth / "corpus.jsonl"),
+                 "--seed-file", str(synth / "seeds_community.tsv"), "--gamma", "2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "i/o error" in err and str(out) in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_main_turns_gc_off_for_the_run_and_restores_it(tmp_path, synth_dir, monkeypatch):
@@ -308,6 +461,7 @@ def test_eval_user_day_unit(tmp_path, synth_dir):
 
 
 def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsys):
+    # timeseries reads the same file and must reject it the same way
     out = tmp_path / "run"
     assert run_pipeline(out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv") == 0
     scores = out / "tweet_scores.csv"
@@ -315,11 +469,14 @@ def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsy
     scores.write_text(header + "".join(rest))
     gold = tmp_path / "gold_days.tsv"
     gold.write_text("u0000@2020-01-01\tpole_a\n")
-    code = main(["eval", "--out-dir", str(out), "--corpus", str(synth_dir / "corpus.jsonl"),
-                 "--gold", str(gold), "--eval-unit", "user_day"])
-    assert code == 2
-    tweet_id = first.split(",")[0]
-    assert f"{scores}: no 'community' row for tweet {tweet_id!r}" in capsys.readouterr().err
+    corpus = ["--corpus", str(synth_dir / "corpus.jsonl")]
+    capsys.readouterr()
+    for argv in (["eval", "--gold", str(gold), "--eval-unit", "user_day"], ["timeseries"]):
+        code = main([*argv, *corpus, "--out-dir", str(out)])
+        assert code == 2, argv[0]
+        tweet_id = first.split(",")[0]
+        err = capsys.readouterr().err
+        assert f"{scores}: no 'community' row for tweet {tweet_id!r}" in err, argv[0]
 
 
 def test_config_file_with_flag_override(tmp_path, synth_dir):

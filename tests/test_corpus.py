@@ -13,7 +13,6 @@ from polarlex.corpus import (
     load_corpus,
     parse_timestamp,
     tokenize,
-    tokenize_text,
     write_corpus,
 )
 from polarlex.errors import DataError
@@ -25,6 +24,12 @@ def make_record(tweet_id="t1", user="u1", ts="2020-01-01T10:00:00+00:00", text="
     return TweetRecord(
         tweet_id=tweet_id, user_id=user, timestamp=parse_timestamp(ts), text=text
     )
+
+
+def tokenize_text(text):
+    """(hashtags, tokens) of one text, through tokenize on a one-record list."""
+    (tweet,) = tokenize([make_record(text=text)])
+    return tweet.hashtags, tweet.tokens
 
 
 def write_jsonl(path, rows):

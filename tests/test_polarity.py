@@ -1,3 +1,4 @@
+import copy
 import math
 from datetime import date
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from polarlex import polarity
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
 from polarlex.errors import DataError
 from polarlex.polarity import (
@@ -291,13 +293,17 @@ class TestScoreFiles:
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         csv_write_score_csv(scores, path, "user_id", key_order)
         want = path.read_bytes()
-        got = write_score_csv(scores, path, "user_id", key_order)
-        assert got == read_score_csv(path)
-        # csv.writer leaves a name holding CR but no ',', '"' or LF bare,
-        # which reads back as two rows; write_score_csv quotes it
-        written = {name for dim, by_key in scores.items() for name in (dim, *by_key)}
-        if not any("\r" in name and not set(',"\n') & set(name) for name in written):
-            assert path.read_bytes() == want
+        # also written in several blocks with a ragged last one
+        for block in (3, polarity.ROW_BLOCK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(polarity, "ROW_BLOCK", block)
+                got = write_score_csv(copy.deepcopy(scores), path, "user_id", key_order)
+            assert got == read_score_csv(path)
+            # csv.writer leaves a name holding CR but no ',', '"' or LF bare,
+            # which reads back as two rows; write_score_csv quotes it
+            written = {name for dim, by_key in scores.items() for name in (dim, *by_key)}
+            if not any("\r" in name and not set(',"\n') & set(name) for name in written):
+                assert path.read_bytes() == want
 
     def test_membership_reader(self, tmp_path):
         path = tmp_path / "members.tsv"
