@@ -146,8 +146,10 @@ class _Runner:
     def run(self, stages) -> None:
         """Runs stages, then moves their outputs into out_dir, the manifest last.
 
-        A failed run leaves out_dir as it found it: it removes the staging
-        directory and any directory it made to hold it.
+        A run that fails before that move leaves out_dir as it found it: it
+        removes the staging directory and any directory it made to hold it.
+        The old manifest goes before the first move, so a move that fails
+        partway leaves no manifest to vouch for a mix of two runs.
         """
         made = [d for d in (self.out_dir, *self.out_dir.parents) if not d.exists()]
         try:
@@ -155,7 +157,9 @@ class _Runner:
             self.staging.mkdir(parents=True)
             for stage in stages:
                 stage(self)
-            for path in [*self.outputs, self.write_manifest()]:
+            manifest = self.write_manifest()
+            (self.out_dir / manifest.name).unlink(missing_ok=True)
+            for path in [*self.outputs, manifest]:
                 os.replace(path, self.out_dir / path.name)
             self.staging.rmdir()
         except BaseException:

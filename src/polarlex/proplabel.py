@@ -20,9 +20,6 @@ from .ioutil import fmt9, read_rows
 # Only the random walk needs numpy, and it imports it itself, so that the
 # lexicon readers and greedy propagation load without numpy or scipy.
 if TYPE_CHECKING:
-    import numpy as np
-    import scipy.sparse as sp
-
     from .lexgraph import CooccurrenceGraph
 
 log = logging.getLogger(__name__)
@@ -82,15 +79,33 @@ class PolarityLexicon:
     scale: tuple[float, float]
 
 
-def _seed_values_in_graph(seeds: SeedLexicon, index: dict[str, int]) -> dict[int, float]:
-    values: dict[int, float] = {}
-    for item in sorted(seeds.pole_a_items):
-        if item in index:
-            values[index[item]] = seeds.value_a
-    for item in sorted(seeds.pole_b_items):
-        if item in index:
-            values[index[item]] = seeds.value_b
-    return values
+def _seeds_in_graph(seeds: SeedLexicon, nodes: list[str]) -> tuple[list[int], list[int]]:
+    """Pole A's and pole B's seeds among nodes, as node indices in name order."""
+    index = {node: i for i, node in enumerate(nodes)}
+    idx_a = [index[item] for item in sorted(seeds.pole_a_items) if item in index]
+    idx_b = [index[item] for item in sorted(seeds.pole_b_items) if item in index]
+    return idx_a, idx_b
+
+
+def _lexicon(
+    seeds: SeedLexicon,
+    nodes: list[str],
+    labels: list[float | None],
+    poles: tuple[list[int], list[int]],
+) -> PolarityLexicon:
+    """The lexicon of one label per node (None: unlabeled), with the seeds at
+    the node indices in poles labeled with their pole's value."""
+    status = [STATUS_UNLABELED if v is None else STATUS_PROPAGATED for v in labels]
+    for seed_idx, value in zip(poles, (seeds.value_a, seeds.value_b)):
+        for n in seed_idx:
+            labels[n] = value
+            status[n] = STATUS_SEED
+    return PolarityLexicon(
+        dimension_name=seeds.dimension_name,
+        scores={node: v for node, v in zip(nodes, labels) if v is not None},
+        status=dict(zip(nodes, status)),
+        scale=seeds.scale,
+    )
 
 
 def propagate_greedy(
@@ -120,22 +135,23 @@ def propagate_greedy(
     indptr = graph.weights.indptr.tolist()
     indices = graph.weights.indices.tolist()
     data = graph.weights.data.tolist()
-    seed_values = _seed_values_in_graph(seeds, {node: i for i, node in enumerate(nodes)})
-    if not seed_values:
+    idx_a, idx_b = poles = _seeds_in_graph(seeds, nodes)
+    seed_idx = idx_a + idx_b
+    if not seed_idx:
         raise DataError(f"{seeds.dimension_name}: no seeds reachable in the graph")
     lo, hi = seeds.scale
-    status = {node: STATUS_UNLABELED for node in nodes}
     labels: list[float | None] = [None] * len(nodes)
-    for n, v in seed_values.items():
-        labels[n] = v
-        status[nodes[n]] = STATUS_SEED
+    for n in idx_a:
+        labels[n] = seeds.value_a
+    for n in idx_b:
+        labels[n] = seeds.value_b
 
     deg = [stop - start for start, stop in zip(indptr, indptr[1:])]
     max_deg = max(deg, default=0)
     # deficit[n] counts n's unlabeled neighbors; a candidate is an unlabeled
     # node with at least one labeled neighbor
     deficit = list(deg)
-    for n in seed_values:
+    for n in seed_idx:
         for nbr in indices[indptr[n] : indptr[n + 1]]:
             deficit[nbr] -= 1
     candidates = {n for n, d in enumerate(deficit) if d < deg[n] and labels[n] is None}
@@ -177,7 +193,6 @@ def propagate_greedy(
                 else:
                     ready.append(j)
             labels[n] = min(hi, max(lo, math.fsum(num) / math.fsum(den)))
-            status[nodes[n]] = STATUS_PROPAGATED
             candidates.discard(n)
         i += 1
         sweeps += 1
@@ -189,51 +204,14 @@ def propagate_greedy(
             target = min(map(deficit.__getitem__, candidates))
             i = max(i, min(target * gamma, max_outer))
 
-    scores = {nodes[n]: v for n, v in enumerate(labels) if v is not None}
+    lexicon = _lexicon(seeds, nodes, labels, poles)
     log.info(
         "%s: greedy propagation ran %d sweeps, final slack %d: "
         "%d labeled, %d unlabeled, %d seeds",
         seeds.dimension_name, sweeps, slack,
-        len(scores), len(nodes) - len(scores), len(seed_values),
+        len(lexicon.scores), len(nodes) - len(lexicon.scores), len(seed_idx),
     )
-    return PolarityLexicon(
-        dimension_name=seeds.dimension_name, scores=scores, status=status, scale=(lo, hi)
-    )
-
-
-def _restart_walk(
-    matrix: sp.csr_matrix,
-    inv_degree: np.ndarray,
-    dangling: np.ndarray,
-    seed_idx: list[int],
-    restart_prob: float,
-    tol: float,
-    max_iter: int,
-    dimension: str,
-    pole: str,
-) -> np.ndarray:
-    import numpy as np
-
-    n = matrix.shape[0]
-    s = np.zeros(n)
-    s[seed_idx] = 1.0 / len(seed_idx)
-    p = s.copy()
-    for _ in range(max_iter):
-        spread = matrix @ (p * inv_degree)
-        if dangling.any():
-            spread = spread + float(p[dangling].sum()) * s
-        p_next = (1.0 - restart_prob) * spread + restart_prob * s
-        delta = float(np.max(np.abs(p_next - p)))
-        p = p_next
-        if delta < tol:
-            break
-    else:
-        log.warning(
-            "%s: random walk from %s did not converge in max_iter=%d iterations "
-            "(final delta %.3g, tol %.3g)",
-            dimension, pole, max_iter, delta, tol,
-        )
-    return p
+    return lexicon
 
 
 def propagate_random_walk(
@@ -265,46 +243,42 @@ def propagate_random_walk(
             "value_a=1 and value_b=0"
         )
     nodes = graph.nodes
-    index = {node: i for i, node in enumerate(nodes)}
-    idx_a = [index[s] for s in sorted(seeds.pole_a_items) if s in index]
-    idx_b = [index[s] for s in sorted(seeds.pole_b_items) if s in index]
-    if not idx_a:
-        raise DataError(f"{seeds.dimension_name}: pole_a has no seed items in the graph")
-    if not idx_b:
-        raise DataError(f"{seeds.dimension_name}: pole_b has no seed items in the graph")
+    poles = _seeds_in_graph(seeds, nodes)
+    for pole, seed_idx in zip(("pole_a", "pole_b"), poles):
+        if not seed_idx:
+            raise DataError(f"{seeds.dimension_name}: {pole} has no seed items in the graph")
 
     matrix = graph.weights
     degree = np.asarray(matrix.sum(axis=1)).ravel()
     dangling = degree == 0.0
     inv_degree = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, degree))
 
-    dim = seeds.dimension_name
-    p_a = _restart_walk(
-        matrix, inv_degree, dangling, idx_a, restart_prob, tol, max_iter, dim, "pole_a"
-    )
-    p_b = _restart_walk(
-        matrix, inv_degree, dangling, idx_b, restart_prob, tol, max_iter, dim, "pole_b"
-    )
+    visits = []
+    for pole, seed_idx in zip(("pole_a", "pole_b"), poles):
+        s = np.zeros(len(nodes))
+        s[seed_idx] = 1.0 / len(seed_idx)
+        p = s.copy()
+        for _ in range(max_iter):
+            spread = matrix @ (p * inv_degree)
+            if dangling.any():
+                spread = spread + float(p[dangling].sum()) * s
+            p_next = (1.0 - restart_prob) * spread + restart_prob * s
+            delta = float(np.max(np.abs(p_next - p)))
+            p = p_next
+            if delta < tol:
+                break
+        else:
+            log.warning(
+                "%s: random walk from %s did not converge in max_iter=%d iterations "
+                "(final delta %.3g, tol %.3g)",
+                seeds.dimension_name, pole, max_iter, delta, tol,
+            )
+        visits.append(p.tolist())
 
-    total = p_a + p_b
-    scores: dict[str, float] = {}
-    status = {node: STATUS_UNLABELED for node in nodes}
-    for i, node in enumerate(nodes):
-        if total[i] > 0.0:
-            scores[node] = min(1.0, max(0.0, float(p_a[i] / total[i])))
-            status[node] = STATUS_PROPAGATED
-    for i in idx_a:
-        scores[nodes[i]] = 1.0
-        status[nodes[i]] = STATUS_SEED
-    for i in idx_b:
-        scores[nodes[i]] = 0.0
-        status[nodes[i]] = STATUS_SEED
-    return PolarityLexicon(
-        dimension_name=seeds.dimension_name,
-        scores=scores,
-        status=status,
-        scale=(0.0, 1.0),
-    )
+    labels: list[float | None] = [
+        min(1.0, max(0.0, a / (a + b))) if a + b > 0.0 else None for a, b in zip(*visits)
+    ]
+    return _lexicon(seeds, nodes, labels, poles)
 
 
 def write_lexicon(lexicon: PolarityLexicon, path: str | Path) -> PolarityLexicon:
@@ -381,6 +355,8 @@ def read_seed_lexicon(path: str | Path) -> SeedLexicon:
         value_b = float(b_part.split("=", 1)[1])
     except (ValueError, IndexError) as exc:
         raise DataError(f"{path}: malformed seed header") from exc
+    if "/" in dimension or "\0" in dimension:  # it names the dimension's output files
+        raise DataError(f"{path}: line 1: dimension name holds '/' or NUL: {dimension!r}")
     if not (math.isfinite(value_a) and math.isfinite(value_b)):
         raise DataError(f"{path}: non-finite endpoint value")
     pole_a: set[str] = set()

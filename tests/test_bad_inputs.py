@@ -184,6 +184,10 @@ EDITS = [
     ("lexicon", "unknown-status", 1, 2, "maybe", "line 2: unknown status 'maybe'"),
     ("lexicon", "bad-score", 1, 1, "x", "line 2: bad score"),
     ("seeds", "bad-header", 0, 1, "value_a=x", "malformed seed header"),
+    ("seeds", "slash-in-dimension", 0, 0, "#dimension=a/b",
+     "line 1: dimension name holds '/' or NUL: 'a/b'"),
+    ("seeds", "nul-in-dimension", 0, 0, "#dimension=a\0b",
+     "line 1: dimension name holds '/' or NUL: 'a\\x00b'"),
     ("graph-edges", "unknown-mode", 0, 0, "#mode=foo", "line 1: mode must be hashtag or token"),
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),

@@ -246,6 +246,23 @@ def test_failed_rerun_leaves_the_previous_run_whole(tmp_path, finished, capsys):
     assert not (tmp_path / "new").exists()
 
 
+def test_commit_failing_partway_leaves_no_manifest(tmp_path, finished, capsys):
+    # a directory where the previous run had homophily.csv stops the rerun's
+    # commit after it has moved some of its outputs in; no manifest may then
+    # vouch for the mix of the two runs
+    out = tmp_path / "out"
+    shutil.copytree(finished / "out", out)
+    (out / "homophily.csv").unlink()
+    (out / "homophily.csv").mkdir()
+    synth = finished / "synth"
+    code = run_pipeline(out, synth / "corpus.jsonl", synth / "seeds_community.tsv",
+                        ["--kcore-k", "8"])
+    assert code == 2
+    assert "i/o error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    assert not (out / ".staging").exists()
+
+
 def test_run_clears_a_staging_directory_left_by_a_killed_run(tmp_path, finished):
     out = tmp_path / "out"
     (out / ".staging").mkdir(parents=True)
@@ -647,6 +664,33 @@ def assert_pipeline_matches_stages(tmp_path, args):
 @pytest.mark.parametrize("mode", ["hashtag", "token", "embedding"])
 def test_pipeline_matches_single_stages(tmp_path, synth_dir, mode):
     assert_pipeline_matches_stages(tmp_path, mode_args(tmp_path, synth_dir, mode))
+
+
+@pytest.mark.parametrize("mode", ["hashtag", "token"])
+def test_two_dimensions_through_pipeline(tmp_path, synth_dir, mode):
+    # The synth seeds, and the same seeds with poles A and B swapped. Swapping
+    # negates every product and fsum of greedy exactly, and the synth scale
+    # is symmetric, so every score of the second negates the first's. (The
+    # walk's 1 - x on [0, 1] is not exact, so embedding mode is left out.)
+    seeds = synth_dir / "seeds_community.tsv"
+    header, *rows = seeds.read_text().splitlines()
+    swapped = tmp_path / "seeds_swapped.tsv"
+    swapped.write_text("\n".join([
+        header.replace("#dimension=community", "#dimension=swapped"),
+        *(row[:-1] + {"A": "B", "B": "A"}[row[-1]] for row in rows),
+    ]) + "\n")
+    args = [*mode_args(tmp_path, synth_dir, mode), "--seed-file", str(swapped)]
+    assert_pipeline_matches_stages(tmp_path, args)
+    out = tmp_path / "piped"
+    lexicon = proplabel.read_lexicon(out / "lexicon_community.tsv")
+    mirror = proplabel.read_lexicon(out / "lexicon_swapped.tsv")
+    assert mirror.status == lexicon.status
+    assert mirror.scores == {item: -score for item, score in lexicon.scores.items()}
+    assert proplabel.STATUS_PROPAGATED in lexicon.status.values()
+    users = read_score_csv(out / "user_scores.csv")
+    negated = {user: (None if s.value is None else -s.value, s.n_items)
+               for user, s in users["community"].items()}
+    assert {user: (s.value, s.n_items) for user, s in users["swapped"].items()} == negated
 
 
 def test_pipeline_matches_single_stages_without_tweets(tmp_path, synth_dir):

@@ -262,6 +262,69 @@ class TestKnnGraph:
         assert all(d >= 3 for d in degree.values())
 
 
+# The k-NN similarities come from a BLAS matrix product, whose rounding
+# depends on the kernel and thread count the BLAS picks at run time. The
+# in-memory weights do differ between OpenBLAS kernels and between 1 and 2
+# threads; the graph files are the same because write_graph rounds each
+# weight to 9 decimals, and a stage after build-graph reads that text back.
+# Byte-identical runs across machines rest on that rounding.
+KNN_FILE_SCRIPT = """
+import sys
+import numpy as np
+from polarlex.lexgraph import EmbeddingTable, build_knn_graph, write_graph
+
+rng = np.random.default_rng(17)
+centers = 2.0 * rng.standard_normal((2, 100))
+vectors = centers[np.arange(3000) % 2] + rng.standard_normal((3000, 100))
+table = EmbeddingTable([f"t{i:04d}" for i in range(3000)], vectors)
+write_graph(build_knn_graph(table, 25), sys.argv[1], sys.argv[2])
+"""
+# each forced OpenBLAS kernel, and the /proc/cpuinfo flag it needs
+OPENBLAS_KERNELS = {"Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+
+def _openblas_kernels() -> list[str]:
+    """The kernels this machine can run, if numpy's BLAS is an OpenBLAS that
+    picks its kernel at run time; else none."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    if "DYNAMIC_ARCH" not in blas.get("openblas configuration", ""):
+        return []
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            flags = set(next(line for line in fh if line.startswith("flags")).split())
+    except (OSError, StopIteration):
+        return []
+    return [kernel for kernel, flag in OPENBLAS_KERNELS.items() if flag in flags]
+
+
+def test_knn_graph_files_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_env):
+    import re
+    import subprocess
+    import sys
+
+    kernels = _openblas_kernels()
+    if len(kernels) < 2:
+        pytest.skip("needs an OpenBLAS built with DYNAMIC_ARCH and two kernels to force")
+    files = {}
+    cores = set()
+    for kernel in kernels:
+        for threads in ("1", "2"):
+            out = tmp_path / f"{kernel}-{threads}"
+            out.mkdir()
+            env = {**src_env, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads,
+                   "OPENBLAS_VERBOSE": "2"}
+            proc = subprocess.run(
+                [sys.executable, "-c", KNN_FILE_SCRIPT, out / "edges.tsv", out / "nodes.tsv"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            # OpenBLAS names the kernel it runs; each forced one must differ
+            cores.add(re.search(r"Core: (\S+)", proc.stderr)[1])
+            files[out.name] = ((out / "edges.tsv").read_bytes(), (out / "nodes.tsv").read_bytes())
+    assert len(cores) == len(kernels)
+    assert len(set(files.values())) == 1, sorted(files)
+
+
 def _file_graphs():
     """Whole counts, fractional k-NN weights and a mix of both."""
     tag_sets = [["a", "b", "c"], ["a", "b"], ["b", "c", "d", "e"], ["e", "f"], ["z"]]

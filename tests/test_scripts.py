@@ -99,3 +99,50 @@ def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
     assert {"cli.stage.ingest", "corpus.load_corpus"} <= names
     for (owner, attr), original in zip(patched, originals):
         assert getattr(owner, attr) is original, attr
+
+
+STUB_RUN = """
+import argparse, json, sys
+from pathlib import Path
+
+ap = argparse.ArgumentParser()
+for flag in ("--workload", "--seed", "--seconds", "--trace"):
+    ap.add_argument(flag)
+args = ap.parse_args()
+checkout = Path.cwd()
+with open(checkout.parent / "calls.log", "a") as fh:
+    fh.write(f"{checkout.name} {args.workload} {args.seed} {args.seconds} {args.trace}\\n")
+if (checkout / f"fail-{args.seed}").exists():
+    sys.exit(3)
+out = Path(".polarbench/out")
+out.mkdir(parents=True, exist_ok=True)
+metrics = {"wall_s": {"value": float(args.seed), "unit": "s"}}
+(out / f"{args.workload}-seed{args.seed}-trace{args.trace}.json").write_text(
+    json.dumps({"side": checkout.name, "result": {"metrics": metrics}}))
+"""
+
+
+def test_bench_pair_alternates_sides_and_collects_results(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "polarbench").mkdir(parents=True)
+        (tmp_path / side / "polarbench" / "run.py").write_text(STUB_RUN)
+    (tmp_path / "change" / "fail-102").write_text("")
+    out = tmp_path / "pairs"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_pair.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--workload", "token-zipf", "--pairs", "3", "--seed", "101", "--seconds", "2.5",
+         "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "pair 1, change, seed 102: exit code 3" in proc.stderr
+    calls = (tmp_path / "calls.log").read_text().splitlines()
+    assert calls == [f"{side} token-zipf {seed} 2.5 0" for side, seed in [
+        ("parent", 101), ("change", 101), ("change", 102), ("parent", 102),
+        ("parent", 103), ("change", 103)]]
+    for side, seeds in (("parent", [101, 102, 103]), ("change", [101, 103])):
+        results = sorted(p.name for p in (out / side).glob("*.json"))
+        assert results == [f"token-zipf-seed{seed}-trace0.json" for seed in seeds]
+        for name in results:
+            assert json.loads((out / side / name).read_text())["side"] == side
