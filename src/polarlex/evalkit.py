@@ -203,9 +203,7 @@ def write_gold(labels: Mapping[str, str], path: str | Path) -> None:
 def read_gold(path: str | Path) -> GoldLabelSet:
     """key <TAB> label rows."""
     labels: dict[str, str] = {}
-    for lineno, (key, label) in read_rows(path, "\t", 2, comments=True):
-        if key in labels:
-            raise DataError(f"{path}: line {lineno}: duplicate key {key!r}")
+    for lineno, (key, label) in read_rows(path, "\t", 2, key="key", comments=True):
         if label not in GOLD_LABELS:
             raise DataError(f"{path}: line {lineno}: unknown label {label!r}")
         labels[key] = label
@@ -215,7 +213,7 @@ def read_gold(path: str | Path) -> GoldLabelSet:
 def read_annotations(path: str | Path) -> AnnotationTable:
     """key <TAB> annotator1 <TAB> annotator2 rows; agreement needs two or more."""
     rows: list[list[str]] = []
-    for lineno, row in read_rows(path, "\t", 3, comments=True):
+    for lineno, row in read_rows(path, "\t", 3, key="key", comments=True):
         for label in row[1:]:
             if label not in GOLD_LABELS:
                 raise DataError(f"{path}: line {lineno}: unknown label {label!r}")

@@ -90,21 +90,27 @@ def read_rows(
     path: str | Path,
     sep: str,
     n_fields: int,
-    header: str | None = None,
+    header: Sequence[str] = (),
+    key: str | None = None,
     comments: bool = False,
 ) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of each line of read_lines, split at sep.
 
-    Every row has n_fields fields. With a header prefix, line 1 must start
-    with it and comes first, as (1, its fields) of any count. With comments,
-    lines that start with '#' are skipped.
+    With header key names, line 1 must be '#' and then exactly those
+    key=value fields, in that order, and comes first as (1, the values); a
+    value may hold '='. Every other row has n_fields fields. With key, the
+    first field names its row, and a repeated one is a data error. With
+    comments, lines that start with '#' are skipped.
     """
     lines = read_lines(path)
-    if header is not None:
+    if header:
         lineno, line = next(lines, (0, ""))
-        if lineno != 1 or not line.startswith(header):
-            raise DataError(f"{path}: line 1: expected a header starting {header!r}")
-        yield 1, line.split(sep)
+        pairs = [f.partition("=") for f in line[1:].split(sep)] if line.startswith("#") else []
+        if lineno != 1 or [(name, eq) for name, eq, _ in pairs] != [(k, "=") for k in header]:
+            shown = "#" + sep.join(f"{k}=<{k}>" for k in header)
+            raise DataError(f"{path}: line 1: expected the header {shown!r}")
+        yield 1, [value for _, _, value in pairs]
+    seen: set[str] = set()
     for lineno, line in lines:
         if comments and line.startswith("#"):
             continue
@@ -113,7 +119,19 @@ def read_rows(
             raise DataError(
                 f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}"
             )
+        if key is not None:
+            if fields[0] in seen:
+                raise DataError(f"{path}: line {lineno}: duplicate {key} {fields[0]!r}")
+            seen.add(fields[0])
         yield lineno, fields
+
+
+def check_dimension_name(path: str | Path, lineno: int, name: str) -> str:
+    """name, read at line lineno of path, if it can be part of a dimension's
+    output file names: a name holding '/' or NUL is a data error."""
+    if "/" in name or "\0" in name:
+        raise DataError(f"{path}: line {lineno}: dimension name holds '/' or NUL: {name!r}")
+    return name
 
 
 def sha256_file(path: str | Path) -> str:

@@ -263,19 +263,16 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
     rows, duplicate edges and edges between nodes the node file lacks.
     """
     frequency: dict[str, int] = {}
-    for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2):
-        if node in frequency:
-            raise DataError(f"{nodes_path}: line {lineno}: duplicate node {node!r}")
+    for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2, key="node"):
         try:
             frequency[node] = int(raw_freq)
         except ValueError as exc:
             raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
     nodes = sorted(frequency)
     index = {node: i for i, node in enumerate(nodes)}
-    edge_rows = read_rows(edges_path, "\t", 3, header="#mode=")
-    _, header = next(edge_rows)
-    mode = header[0][len("#mode=") :]
-    if len(header) != 1 or mode not in (HASHTAG_MODE, TOKEN_MODE):
+    edge_rows = read_rows(edges_path, "\t", 3, header=("mode",))
+    _, (mode,) = next(edge_rows)
+    if mode not in (HASHTAG_MODE, TOKEN_MODE):
         raise DataError(f"{edges_path}: line 1: mode must be {HASHTAG_MODE} or {TOKEN_MODE}")
     edges: dict[tuple[int, int], float] = {}
     for lineno, (a, b, raw_w) in edge_rows:

@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import csv_field, fmt9, open_text, read_rows, write_csv
+from .ioutil import check_dimension_name, csv_field, fmt9, open_text, read_rows, write_csv
 
 if TYPE_CHECKING:
     from .proplabel import PolarityLexicon
@@ -283,7 +283,12 @@ def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
                 raise DataError(f"{path}: line {lineno}: value is NaN")
             if (value is None) != (n_items == 0):
                 raise DataError(f"{path}: line {lineno}: value and n_items disagree")
-            out.setdefault(dim, {})[key] = PolarityScore(value, n_items)
+            by_key = out.get(dim)
+            if by_key is None:
+                by_key = out[check_dimension_name(path, lineno, dim)] = {}
+            elif key in by_key:
+                raise DataError(f"{path}: line {lineno}: duplicate {header[0]} {key!r} in {dim!r}")
+            by_key[key] = PolarityScore(value, n_items)
     return out
 
 
@@ -315,9 +320,7 @@ def write_tally_csv(
 
 def read_membership(path: str | Path) -> dict[str, str]:
     """user_id <TAB> group_name rows."""
-    membership: dict[str, str] = {}
-    for lineno, (user, group) in read_rows(path, "\t", 2, comments=True):
-        if user in membership:
-            raise DataError(f"{path}: line {lineno}: duplicate user {user!r}")
-        membership[user] = group
-    return membership
+    return {
+        user: group
+        for _, (user, group) in read_rows(path, "\t", 2, key="user", comments=True)
+    }

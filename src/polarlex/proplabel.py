@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DataError
-from .ioutil import fmt9, read_rows
+from .ioutil import check_dimension_name, fmt9, read_rows
 
 # Only the random walk needs numpy, and it imports it itself, so that the
 # lexicon readers and greedy propagation load without numpy or scipy.
@@ -84,6 +84,11 @@ def _seeds_in_graph(seeds: SeedLexicon, nodes: list[str]) -> tuple[list[int], li
     index = {node: i for i, node in enumerate(nodes)}
     idx_a = [index[item] for item in sorted(seeds.pole_a_items) if item in index]
     idx_b = [index[item] for item in sorted(seeds.pole_b_items) if item in index]
+    log.info(
+        "%s: %d of %d pole A seeds and %d of %d pole B seeds are in the graph",
+        seeds.dimension_name, len(idx_a), len(seeds.pole_a_items),
+        len(idx_b), len(seeds.pole_b_items),
+    )
     return idx_a, idx_b
 
 
@@ -301,16 +306,15 @@ def write_lexicon(lexicon: PolarityLexicon, path: str | Path) -> PolarityLexicon
 
 
 def read_lexicon(path: str | Path) -> PolarityLexicon:
-    rows = read_rows(path, "\t", 3, header="#dimension=")
-    _, header = next(rows)
+    rows = read_rows(path, "\t", 3, header=("dimension", "scale"), key="item")
+    _, (dimension, scale) = next(rows)
+    check_dimension_name(path, 1, dimension)
     try:
-        dim_part, scale_part = header
-        dimension = dim_part.split("=", 1)[1]
-        lo, hi = (float(v) for v in scale_part.split("=", 1)[1].split(","))
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{path}: malformed lexicon header") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise DataError(f"{path}: bad scale [{lo}, {hi}]")
+        lo, hi = map(float, scale.split(","))
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            raise ValueError
+    except ValueError:
+        raise DataError(f"{path}: line 1: bad scale {scale!r}") from None
     scores: dict[str, float] = {}
     status: dict[str, str] = {}
     for lineno, (item, raw_score, st) in rows:
@@ -346,19 +350,15 @@ def write_seed_lexicon(seeds: SeedLexicon, path: str | Path) -> None:
 
 
 def read_seed_lexicon(path: str | Path) -> SeedLexicon:
-    rows = read_rows(path, "\t", 2, header="#dimension=")
-    _, header = next(rows)
+    rows = read_rows(path, "\t", 2, header=("dimension", "value_a", "value_b"))
+    _, (dimension, raw_a, raw_b) = next(rows)
+    check_dimension_name(path, 1, dimension)
     try:
-        dim_part, a_part, b_part = header
-        dimension = dim_part.split("=", 1)[1]
-        value_a = float(a_part.split("=", 1)[1])
-        value_b = float(b_part.split("=", 1)[1])
-    except (ValueError, IndexError) as exc:
-        raise DataError(f"{path}: malformed seed header") from exc
-    if "/" in dimension or "\0" in dimension:  # it names the dimension's output files
-        raise DataError(f"{path}: line 1: dimension name holds '/' or NUL: {dimension!r}")
+        value_a, value_b = float(raw_a), float(raw_b)
+    except ValueError as exc:
+        raise DataError(f"{path}: line 1: bad endpoint value") from exc
     if not (math.isfinite(value_a) and math.isfinite(value_b)):
-        raise DataError(f"{path}: non-finite endpoint value")
+        raise DataError(f"{path}: line 1: non-finite endpoint value")
     pole_a: set[str] = set()
     pole_b: set[str] = set()
     for lineno, (item, pole) in rows:

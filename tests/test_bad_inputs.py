@@ -180,10 +180,15 @@ def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
 # from there on, and the message after the file's path).
 EDITS = [
     ("corpus", "lone-surrogate", 1, "text", "#b\ud800", "line 2: text holds a lone surrogate"),
-    ("lexicon", "bad-header", 0, 1, "scale=x", "malformed lexicon header"),
+    ("lexicon", "bad-header", 0, 1, "scale=x", "line 1: bad scale 'x'"),
+    ("lexicon", "scale-renamed", 0, 1, "range=-1.000000000,1.000000000",
+     "line 1: expected the header '#dimension=<dimension>\\tscale=<scale>'"),
+    ("lexicon", "slash-in-dimension", 0, 0, "#dimension=a/b",
+     "line 1: dimension name holds '/' or NUL: 'a/b'"),
+    ("lexicon", "duplicate-item", 2, 0, "ha0000", "line 3: duplicate item 'ha0000'"),
     ("lexicon", "unknown-status", 1, 2, "maybe", "line 2: unknown status 'maybe'"),
     ("lexicon", "bad-score", 1, 1, "x", "line 2: bad score"),
-    ("seeds", "bad-header", 0, 1, "value_a=x", "malformed seed header"),
+    ("seeds", "bad-header", 0, 1, "value_a=x", "line 1: bad endpoint value"),
     ("seeds", "slash-in-dimension", 0, 0, "#dimension=a/b",
      "line 1: dimension name holds '/' or NUL: 'a/b'"),
     ("seeds", "nul-in-dimension", 0, 0, "#dimension=a\0b",
@@ -192,7 +197,10 @@ EDITS = [
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
     ("gold", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),
+    ("annotations", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),
     ("tweet-scores", "bad-value", 1, 2, "x", "line 2: bad numeric field"),
+    ("tweet-scores", "slash-in-dimension", 1, 1, "a/b",
+     "line 2: dimension name holds '/' or NUL: 'a/b'"),
 ]
 
 
@@ -216,6 +224,37 @@ def test_bad_edit(tmp_path, capsys, base, kind_name, line, field, value, message
     kind = KINDS[kind_name]
     code, err, path = run_edited(
         tmp_path, capsys, base, kind, lambda text: set_field(kind, line, field, value, text)
+    )
+    assert code == 2, err
+    assert f"{path}: {message}" in err
+
+
+def swap_endpoints(text: str) -> str:
+    header, rest = text.split("\n", 1)
+    dimension, value_a, value_b = header.split("\t")
+    return f"{dimension}\t{value_b}\t{value_a}\n{rest}"
+
+
+def repeat_line_2(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    return "".join([*lines[:2], *lines[1:]])
+
+
+# Edits of whole lines: (kind, id, the edit, and the message after the file's path).
+LINE_EDITS = [
+    ("seeds", "endpoints-swapped", swap_endpoints,
+     "line 1: expected the header "
+     "'#dimension=<dimension>\\tvalue_a=<value_a>\\tvalue_b=<value_b>'"),
+    ("tweet-scores", "row-repeated", repeat_line_2,
+     "line 3: duplicate tweet_id 't0000000' in 'community'"),
+]
+
+
+@pytest.mark.parametrize("kind_name, edit, message", [e[:1] + e[2:] for e in LINE_EDITS],
+                         ids=[f"{e[0]}-{e[1]}" for e in LINE_EDITS])
+def test_bad_line_edit(tmp_path, capsys, base, kind_name, edit, message):
+    code, err, path = run_edited(
+        tmp_path, capsys, base, KINDS[kind_name], lambda text: edit(text).encode()
     )
     assert code == 2, err
     assert f"{path}: {message}" in err

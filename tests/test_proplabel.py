@@ -231,8 +231,9 @@ class TestPropagateGreedy:
         with caplog.at_level(logging.INFO, logger="polarlex.proplabel"):
             propagate_greedy(graph, seeds, gamma=5)
         assert [r.getMessage() for r in caplog.records] == [
+            "dim: 1 of 1 pole A seeds and 1 of 1 pole B seeds are in the graph",
             "dim: greedy propagation ran 2 sweeps, final slack 1: "
-            "4 labeled, 2 unlabeled, 2 seeds"
+            "4 labeled, 2 unlabeled, 2 seeds",
         ]
 
     @given(random_graph_with_seeds())
@@ -283,6 +284,17 @@ class TestPropagateGreedy:
             write_lexicon(lexicon, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("propagate", [propagate_greedy, propagate_random_walk])
+def test_logs_seeds_in_graph(caplog, propagate):
+    graph = graph_of({("a", "x"): 1, ("x", "b"): 1, ("b", "c"): 1})
+    seeds = SeedLexicon("dim", {"a", "absent"}, {"b", "c"}, 1.0, 0.0)
+    with caplog.at_level(logging.INFO, logger="polarlex.proplabel"):
+        propagate(graph, seeds)
+    assert caplog.records[0].getMessage() == (
+        "dim: 1 of 2 pole A seeds and 2 of 2 pole B seeds are in the graph"
+    )
 
 
 class TestPropagateRandomWalk:
