@@ -10,7 +10,9 @@ writes in a checkout of that side. Runs of one workload and seed on both
 sides form a pair. For every workload and end-to-end metric of
 BENCHMARK.json, the summary gives each side's median, quartiles and run count
 over the paired runs, and how many pairs the change won, lost or tied in the
-metric's better direction. Unpaired runs are listed, not summarized.
+metric's better direction. Each workload also counts the pairs whose two runs
+wrote the same artifact digests, since a speed-up that changes an output byte
+does not count. Unpaired runs are listed, not summarized.
 
     python3 scripts/bench_json.py --pr 6 --parent ../parent/.polarbench/out \\
         --change .polarbench/out
@@ -66,6 +68,11 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                           "change": sum(c["result"]["attempted"] for _, c in pairs)},
             "failed": {"parent": sum(p["result"]["failed"] for p, _ in pairs),
                        "change": sum(c["result"]["failed"] for _, c in pairs)},
+            "digests_identical": {
+                "pairs": sum("digests" in p and p["digests"] == c.get("digests")
+                             for p, c in pairs),
+                "of": len(pairs),
+            },
             "metrics": {},
         }
         for metric in metrics:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import __version__, commnet, corpus, evalkit, polarity, proplabel
 from .errors import ConfigError, DataError
-from .ioutil import open_text, sha256_file
+from .ioutil import open_text, sha256_file, unique_keys
 
 # lexgraph and synthgen load numpy and scipy, so only the stages that use them
 # import them; the other subcommands start without either.
@@ -485,7 +485,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config: file not found: {path}")
     try:
         with open_text(path) as fh:
-            data = json.load(fh, parse_constant=_not_a_json_number)
+            data = json.load(fh, parse_constant=_not_a_json_number,
+                             object_pairs_hook=unique_keys)
     except DataError as exc:  # not UTF-8
         raise ConfigError(f"config: {exc}") from None
     except ValueError as exc:

@@ -8,7 +8,7 @@ from typing import Mapping, Sequence
 
 from .corpus import TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import fmt9, write_csv
+from .ioutil import csv_field, fmt9, write_csv
 from .polarity import UNCLASSIFIED, PolarityScore, ternarize
 
 
@@ -16,7 +16,7 @@ from .polarity import UNCLASSIFIED, PolarityScore, ternarize
 class CommGraph:
     """Undirected interaction-count graph with per-dimension user polarity.
 
-    edges maps each user pair (a, b) with a < b to [a_to_b, b_to_a] event
+    edges maps each pair (a, b) of nodes with a < b to [a_to_b, b_to_a] event
     counts; polarity[dim] holds only the users that have a score, on the
     scales[dim] scale.
     """
@@ -148,8 +148,9 @@ def _write_graphml(graph: CommGraph, path: str | Path) -> None:
             fh.write('  <graph id="G" edgedefault="undirected" />\n</graphml>\n')
             return
         fh.write('  <graph id="G" edgedefault="undirected">\n')
+        ids: dict[str, str] = {}
         for node in sorted(graph.nodes):
-            node_id = node.translate(_ATTR_ESCAPES)
+            ids[node] = node_id = node.translate(_ATTR_ESCAPES)
             if not dims:
                 fh.write(f'    <node id="{node_id}" />\n')
                 continue
@@ -161,9 +162,8 @@ def _write_graphml(graph: CommGraph, path: str | Path) -> None:
                 fh.write(f'      <data key="dl{idx}">{graph.label(dim, node)}</data>\n')
             fh.write("    </node>\n")
         for (a, b), (ab, ba) in sorted(graph.edges.items()):
-            source, target = a.translate(_ATTR_ESCAPES), b.translate(_ATTR_ESCAPES)
             fh.write(
-                f'    <edge source="{source}" target="{target}">\n'
+                f'    <edge source="{ids[a]}" target="{ids[b]}">\n'
                 f'      <data key="ec">{ab + ba}</data>\n'
                 f'      <data key="ea">{ab}</data>\n'
                 f'      <data key="eb">{ba}</data>\n'
@@ -173,11 +173,14 @@ def _write_graphml(graph: CommGraph, path: str | Path) -> None:
 
 
 def _write_edge_csv(graph: CommGraph, path: str | Path) -> None:
-    write_csv(
-        path,
-        ["user_a", "user_b", "count", "count_a_to_b", "count_b_to_a"],
-        ([a, b, ab + ba, ab, ba] for (a, b), (ab, ba) in sorted(graph.edges.items())),
-    )
+    """One row per edge in write_csv's dialect, each user quoted once."""
+    names = {user: csv_field(user) for user in graph.nodes}
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("user_a,user_b,count,count_a_to_b,count_b_to_a\n")
+        fh.writelines(
+            f"{names[a]},{names[b]},{ab + ba},{ab},{ba}\n"
+            for (a, b), (ab, ba) in sorted(graph.edges.items())
+        )
 
 
 def export_graph(

@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
-from .ioutil import read_lines, read_rows
+from .ioutil import read_lines, read_rows, unique_keys
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
@@ -164,7 +164,8 @@ def load_corpus(path: str | Path, include_retweets: bool = True) -> list[TweetRe
     for lineno, line in read_lines(path):
         match = match_line(line)
         try:
-            record = _record_from_match(match) if match else record_from_json(json.loads(line))
+            record = (_record_from_match(match) if match
+                      else record_from_json(json.loads(line, object_pairs_hook=unique_keys)))
         except (ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if record.tweet_id in seen:

@@ -43,6 +43,19 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         fh.writelines(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
+def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The JSON object of pairs, for json's object_pairs_hook; a repeated key
+    is a ValueError naming it, where json would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def not_utf8_error(path: str | Path) -> DataError:
     """The error naming the first line of a file that is not valid UTF-8.
 

@@ -138,8 +138,11 @@ def propagate_greedy(
         raise ConfigError("max_outer must be >= 1")
     nodes = graph.nodes
     indptr = graph.weights.indptr.tolist()
-    indices = graph.weights.indices.tolist()
-    data = graph.weights.data.tolist()
+    # Views over the CSR's own buffers: a slice copies nothing and iterating
+    # one yields Python ints and floats, so no per-entry object outlives its
+    # row scan (list copies of the two would cost about 76 bytes per entry).
+    indices = memoryview(graph.weights.indices)
+    data = memoryview(graph.weights.data)
     idx_a, idx_b = poles = _seeds_in_graph(seeds, nodes)
     seed_idx = idx_a + idx_b
     if not seed_idx:

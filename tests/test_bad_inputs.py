@@ -240,8 +240,20 @@ def repeat_line_2(text: str) -> str:
     return "".join([*lines[:2], *lines[1:]])
 
 
+def repeat_user_id(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[1] = lines[1].rstrip("\n")[:-1] + ', "user_id": "zzz"}\n'
+    return "".join(lines)
+
+
+def repeat_kcore_k(text: str) -> str:
+    return text.replace("{", '{"kcore_k": 50, ', 1)
+
+
 # Edits of whole lines: (kind, id, the edit, and the message after the file's path).
 LINE_EDITS = [
+    ("corpus", "repeated-key", repeat_user_id, "line 2: duplicate key 'user_id'"),
+    ("config", "repeated-key", repeat_kcore_k, "duplicate key 'kcore_k'"),
     ("seeds", "endpoints-swapped", swap_endpoints,
      "line 1: expected the header "
      "'#dimension=<dimension>\\tvalue_a=<value_a>\\tvalue_b=<value_b>'"),
@@ -256,5 +268,5 @@ def test_bad_line_edit(tmp_path, capsys, base, kind_name, edit, message):
     code, err, path = run_edited(
         tmp_path, capsys, base, KINDS[kind_name], lambda text: edit(text).encode()
     )
-    assert code == 2, err
+    assert code == (1 if kind_name == "config" else 2), err
     assert f"{path}: {message}" in err

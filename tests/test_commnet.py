@@ -13,6 +13,7 @@ from polarlex.commnet import (
 )
 from polarlex.corpus import TweetRecord, parse_timestamp
 from polarlex.errors import DataError
+from polarlex.ioutil import write_csv
 from polarlex.polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED, PolarityScore
 
 from graphs import read_edge_csv, read_graphml
@@ -269,6 +270,20 @@ class TestExport:
         export_graph(graph, path, "edge_csv")
         back = read_edge_csv(path)
         assert back.edges == graph.edges
+
+    def test_names_that_need_escaping_on_both_writers(self, tmp_path):
+        names = ["a&b", 'q"t', "c,d", "r\re", "plain"]
+        graph = plain_graph(names, itertools.combinations(names, 2),
+                            labels={"a&b": POLE_A, "c,d": POLE_B})
+        graph.edges[("a&b", "c,d")] = [2, 3]
+        export_graph(graph, tmp_path / "g.graphml", "graphml")
+        assert (tmp_path / "g.graphml").read_bytes() == reference_graphml(graph)
+        export_graph(graph, tmp_path / "edges.csv", "edge_csv")
+        write_csv(tmp_path / "expected.csv",
+                  ["user_a", "user_b", "count", "count_a_to_b", "count_b_to_a"],
+                  ([a, b, ab + ba, ab, ba] for (a, b), (ab, ba) in sorted(graph.edges.items())))
+        assert (tmp_path / "edges.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+        assert read_edge_csv(tmp_path / "edges.csv").edges == graph.edges
 
     def test_deterministic_bytes(self, tmp_path):
         graph = self.full_graph(30)

@@ -1,12 +1,15 @@
 import logging
 import random
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarlex.errors import ConfigError, DataError
+from polarlex.lexgraph import CooccurrenceGraph
 from polarlex.proplabel import (
     STATUS_PROPAGATED,
     STATUS_SEED,
@@ -193,6 +196,45 @@ class TestPropagateGreedy:
         graph = graph_of(edges, extra_nodes=nodes)
         lexicon = assert_matches_sweep_all(graph, seeds, gamma, 1_000_000)
         assert len(lexicon.scores) > 1000
+
+    @pytest.fixture(scope="class")
+    def dense_graph(self):
+        """2000 nodes and over 200k stored entries, about 100 per row."""
+        rng = random.Random(18)
+        nodes = [f"d{i:04d}" for i in range(2000)]
+        edges = {}
+        while len(edges) < 101_000:
+            a, b = rng.sample(nodes, 2)
+            edges[(min(a, b), max(a, b))] = rng.choice([1.0, 2.0, 0.5, 3.25])
+        seeds = SeedLexicon("dim", set(nodes[:20]), set(nodes[20:40]), 1.0, -1.0)
+        return graph_of(edges), seeds
+
+    def test_copies_no_whole_matrix(self, dense_graph):
+        # .tolist() copies of indices and data cost about 76 bytes per stored
+        # entry; the node-sized lists and the lexicon stay well under 16
+        graph, seeds = dense_graph
+        tracemalloc.start()
+        try:
+            lexicon = propagate_greedy(graph, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(lexicon.scores) == graph.num_nodes
+        assert peak < 16 * graph.weights.nnz
+
+    def test_int64_index_arrays_give_the_same_lexicon(self, dense_graph):
+        graph, seeds = dense_graph
+        w = graph.weights
+        wide = w.copy()
+        wide.indices, wide.indptr = w.indices.astype(np.int64), w.indptr.astype(np.int64)
+        assert (memoryview(w.indices).format, memoryview(wide.indices).format) == ("i", "l")
+        wide_graph = CooccurrenceGraph(graph.mode, graph.nodes, graph.frequency, wide)
+        expected = propagate_greedy(graph, seeds)
+        lexicon = propagate_greedy(wide_graph, seeds)
+        assert lexicon.status == expected.status
+        assert {k: v.hex() for k, v in lexicon.scores.items()} == {
+            k: v.hex() for k, v in expected.scores.items()
+        }
 
     def test_node_made_eligible_by_smaller_name_joins_the_sweep(self):
         # gamma=2: pass 0 (slack 0) labels nothing, so the next sweep is pass 2

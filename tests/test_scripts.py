@@ -39,30 +39,41 @@ def test_run_synthetic_pipeline_script(tmp_path, src_env):
     assert run_demo(src_env, "--seed-fraction", "7", "--out-dir", str(tmp_path / "bad")).returncode == 1
 
 
-def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
-    def result(wall, failed=0):
-        metrics = {"wall_s": wall, "tweets_per_s": 100 / wall, "peak_rss_mb": 50.0,
-                   "user_accuracy": 1.0, "setup_s": 0.5}
-        return {"result": {"attempted": 4, "failed": failed, "metrics": {
-            name: {"value": value, "unit": "x"} for name, value in metrics.items()}}}
+def bench_result(wall, failed=0, digests=None):
+    """A polarbench result file's details, with digests if given."""
+    metrics = {"wall_s": wall, "tweets_per_s": 100 / wall, "peak_rss_mb": 50.0,
+               "user_accuracy": 1.0, "setup_s": 0.5}
+    details = {"result": {"attempted": 4, "failed": failed, "metrics": {
+        name: {"value": value, "unit": "x"} for name, value in metrics.items()}}}
+    if digests is not None:
+        details["digests"] = digests
+    return details
 
+
+def run_bench_json(tmp_path, pr):
+    """The summary bench_json.py writes for tmp_path/parent and tmp_path/change."""
+    out = tmp_path / f"BENCH_pr{pr}.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_json.py"), "--pr", str(pr),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
     sides = {"parent": {101: 5.0, 102: 6.0, 103: 4.0, 104: 9.0},
              "change": {101: 4.0, 102: 6.0, 103: 4.5, 105: 1.0}}
     for side, walls in sides.items():
         (tmp_path / side).mkdir()
         for seed, wall in walls.items():
             name = f"hashtag-100k-seed{seed}-trace0.json"
-            (tmp_path / side / name).write_text(json.dumps(result(wall, failed=seed == 103)))
+            (tmp_path / side / name).write_text(
+                json.dumps(bench_result(wall, failed=seed == 103)))
         (tmp_path / side / "hashtag-100k-seed101-trace1.json").write_text("{}")
-    out = tmp_path / "BENCH_pr9.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_json.py"), "--pr", "9",
-         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-         "--out", str(out)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    summary = json.loads(out.read_text())
+    summary = run_bench_json(tmp_path, 9)
     assert summary["pr"] == 9
     entry = summary["workloads"]["hashtag-100k"]
     assert entry["seeds"] == [101, 102, 103]
@@ -74,6 +85,18 @@ def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
     assert (wall["change_wins"], wall["change_losses"], wall["ties"]) == (1, 1, 1)
     tweets = entry["metrics"]["tweets_per_s"]
     assert (tweets["change_wins"], tweets["change_losses"]) == (1, 1)
+
+
+def test_bench_json_counts_pairs_that_wrote_the_same_bytes(tmp_path):
+    digests = {"parent": {101: {"a.tsv": "1", "b.csv": "2"}, 102: {"a.tsv": "3"}},
+               "change": {101: {"a.tsv": "1", "b.csv": "2"}, 102: {"a.tsv": "4"}}}
+    for side, by_seed in digests.items():
+        (tmp_path / side).mkdir()
+        for seed, files in by_seed.items():
+            (tmp_path / side / f"token-zipf-seed{seed}-trace0.json").write_text(
+                json.dumps(bench_result(2.0, digests=files)))
+    entry = run_bench_json(tmp_path, 18)["workloads"]["token-zipf"]
+    assert entry["digests_identical"] == {"pairs": 1, "of": 2}
 
 
 def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
