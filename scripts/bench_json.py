@@ -10,9 +10,18 @@ writes in a checkout of that side. Runs of one workload and seed on both
 sides form a pair. For every workload and end-to-end metric of
 BENCHMARK.json, the summary gives each side's median, quartiles and run count
 over the paired runs, and how many pairs the change won, lost or tied in the
-metric's better direction. Each workload also counts the pairs whose two runs
-wrote the same artifact digests, since a speed-up that changes an output byte
-does not count. Unpaired runs are listed, not summarized.
+metric's better direction. Two verdicts go with each metric:
+
+  worse_by       how much worse the change's median is than the parent's, as
+                 a fraction of the parent's (negative when better), beside
+                 the metric's regression bound from BENCHMARK.json
+  gain_rule_met  whether the change won at least 9 of every 10 pairs, ties
+                 counting for neither side, and its median is better than
+                 the parent's by more than the parent's q3 - q1
+
+Each workload also counts the pairs whose two runs wrote the same artifact
+digests, since a speed-up that changes an output byte does not count.
+Unpaired runs are listed, not summarized.
 
     python3 scripts/bench_json.py --pr 6 --parent ../parent/.polarbench/out \\
         --change .polarbench/out
@@ -82,14 +91,21 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
             if not values:
                 continue
             gains = [sign * (c - p) for p, c in values]
+            before, after = quartiles([p for p, _ in values]), quartiles([c for _, c in values])
+            wins = sum(g > 0 for g in gains)
+            gain = sign * (after["median"] - before["median"])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
-                "parent": quartiles([p for p, _ in values]),
-                "change": quartiles([c for _, c in values]),
-                "change_wins": sum(g > 0 for g in gains),
+                "bound": metric["bound"],
+                "parent": before,
+                "change": after,
+                "change_wins": wins,
                 "change_losses": sum(g < 0 for g in gains),
                 "ties": sum(g == 0 for g in gains),
+                "worse_by": -gain / abs(before["median"]) if before["median"] else None,
+                "gain_rule_met": 10 * wins >= 9 * len(gains)
+                and gain > before["q3"] - before["q1"],
             }
         out[workload] = entry
     return out

@@ -201,12 +201,21 @@ def write_tokenized(tweets: Iterable[TokenizedTweet], path: str | Path) -> None:
 
 
 def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
+    """Read write_tokenized's rows.
+
+    Every occurrence of an item is the same str object, so the tweets hold
+    one copy per distinct item, not one per occurrence.
+    """
+    one = {}.setdefault
+
+    def items(field: str) -> list[str]:
+        if not field:
+            return []
+        parts = field.split(" ")
+        return [*map(one, parts, parts)]
+
     return [
-        TokenizedTweet(
-            tweet_id=tweet_id,
-            hashtags=tags.split(" ") if tags else [],
-            tokens=tokens.split(" ") if tokens else [],
-        )
+        TokenizedTweet(tweet_id=tweet_id, hashtags=items(tags), tokens=items(tokens))
         for _, (tweet_id, tags, tokens) in read_rows(path, "\t", 3)
     ]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import array
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -124,10 +125,11 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
             raise DataError(f"{path}: line {lineno}: expected token and values")
         token = parts[0]
         try:
-            values = [float(v) for v in parts[1:]]
+            values = list(map(float, parts[1:]))
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric field") from exc
-        if not all(math.isfinite(v) for v in values):
+        # a sum of finite values is finite unless it overflows
+        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
             raise DataError(f"{path}: line {lineno}: non-finite value")
         if dim is None:
             dim = len(values)
@@ -183,8 +185,11 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     starts = range(0, n - 1, block)
     log.info("k-NN: %d tokens, k=%d, %d rows per block in %d blocks",
              n, k, block, len(starts))
+    # every block is computed into this one buffer, so that the next block's
+    # similarities are never allocated while the last one's are still held
+    buf = np.empty((min(n, block + 1), n), dtype=unit.dtype)
     for start, stop in zip(starts, [*starts[1:], n]):
-        sims = unit[start:stop] @ unit.T
+        sims = np.matmul(unit[start:stop], unit.T, out=buf[: stop - start])
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
         # row by row, since argpartition returns an index for every column
@@ -195,7 +200,7 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         rank = np.lexsort((cand, -cand_sim), axis=1)[:, :k]
         best[start + rows] = np.take_along_axis(cand, rank, axis=1)
         best_sim[start + rows] = np.take_along_axis(cand_sim, rank, axis=1)
-    del unit, sims, cand, cand_sim, rank
+    del unit, buf, sims, cand, cand_sim, rank
     # math.acos, not np.arccos, whose last bits can differ; a chunk at a time,
     # so that no more than ACOS_BLOCK cosines are Python floats at once
     cos = np.clip(best_sim.ravel(), -1.0, 1.0)
@@ -223,32 +228,43 @@ def write_graph(
     the written 9-decimal strings parsed back.
     """
     nodes = graph.nodes
-    # row-major with sorted columns, so the a < b pairs come out in name order
-    upper = sp.triu(graph.weights, k=1).tocoo()
+    # row by row with sorted columns, so the a < b pairs come out in name order
+    upper = sp.triu(graph.weights, k=1, format="csr")
+    indptr = upper.indptr.tolist()
     # Co-occurrence counts are whole numbers, and fmt9 of a positive whole
-    # number n is f"{n}.000000000", which is cheaper to format and reads back
-    # as n.
+    # number n is f"{n}.000000000", which reads back as n. A line is its
+    # row's head, its column's name and its weight's tail; each head and each
+    # whole count's tail is formatted once.
     whole = bool(((upper.data % 1 == 0) & (upper.data > 0)).all())
     read_back = None if whole else np.empty(upper.nnz)
+    if whole:
+        tails = {w: f"\t{int(w)}.000000000\n" for w in np.unique(upper.data).tolist()}
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
         for start in range(0, upper.nnz, EDGE_BLOCK):
-            block = slice(start, start + EDGE_BLOCK)
-            rows, cols = upper.row[block].tolist(), upper.col[block].tolist()
+            stop = min(start + EDGE_BLOCK, upper.nnz)
+            names = list(map(nodes.__getitem__, upper.indices[start:stop].tolist()))
             if whole:
-                lines = [f"{nodes[i]}\t{nodes[j]}\t{int(w)}.000000000\n"
-                         for i, j, w in zip(rows, cols, upper.data[block].tolist())]
+                ends = list(map(tails.__getitem__, upper.data[start:stop].tolist()))
             else:
-                texts = list(map(fmt9, upper.data[block].tolist()))
-                read_back[block] = list(map(float, texts))
-                lines = [f"{nodes[i]}\t{nodes[j]}\t{t}\n" for i, j, t in zip(rows, cols, texts)]
+                texts = list(map(fmt9, upper.data[start:stop].tolist()))
+                read_back[start:stop] = list(map(float, texts))
+                ends = [f"\t{t}\n" for t in texts]
+            lines = []
+            # every row with entries in this block, the first and last in part
+            row = bisect_right(indptr, start) - 1
+            while indptr[row] < stop:
+                head = nodes[row] + "\t"
+                lo, hi = max(indptr[row], start) - start, min(indptr[row + 1], stop) - start
+                lines += [head + name + end for name, end in zip(names[lo:hi], ends[lo:hi])]
+                row += 1
             fh.write("".join(lines))
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node, freq in zip(nodes, graph.frequency):
             fh.write(f"{node}\t{freq}\n")
     if whole:
         return graph
-    one_way = sp.csr_matrix((read_back, (upper.row, upper.col)), shape=graph.weights.shape)
+    one_way = sp.csr_matrix((read_back, upper.indices, upper.indptr), shape=graph.weights.shape)
     weights = one_way + one_way.T
     weights.sort_indices()
     return CooccurrenceGraph(

@@ -33,7 +33,7 @@ BY_ITEM = "by_item"
 BY_TWEET = "by_tweet"
 
 
-@dataclass
+@dataclass(slots=True)
 class PolarityScore:
     """Mean lexicon score of some unit; value is None when nothing matched."""
 

@@ -12,8 +12,10 @@ from polarlex.corpus import (
     group_by_user_day,
     load_corpus,
     parse_timestamp,
+    read_tokenized,
     tokenize,
     write_corpus,
+    write_tokenized,
 )
 from polarlex.errors import DataError
 
@@ -283,6 +285,22 @@ class TestLoadCorpusMatchesJsonOracle:
         monkeypatch.setattr(corpus.json, "loads", no_json)
         assert load_corpus(path) == want
         assert load_corpus(path, include_retweets=False) == [r for r in want if not r.is_retweet]
+
+
+class TestReadTokenized:
+    def test_one_string_per_distinct_item(self, tmp_path):
+        records = [make_record("t1", text="#Peace talks #war"),
+                   make_record("t2", text="no #war talks #WAR"),
+                   make_record("t3", text="@someone")]
+        tweets = tokenize(records)
+        path = tmp_path / "tokenized.tsv"
+        write_tokenized(tweets, path)
+        back = read_tokenized(path)
+        assert back == tweets
+        first, second, _ = back
+        assert first.hashtags[1] is second.hashtags[0] is second.tokens[3]
+        items = [item for tw in back for item in (*tw.hashtags, *tw.tokens)]
+        assert len({id(item) for item in items}) == len(set(items))
 
 
 class TestTokenize:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -138,6 +140,13 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(path)
 
+    def test_finite_values_whose_sum_overflows_load(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("tok 1e308 1e308\nneg -1e308 -1e308\n")
+        table = load_embeddings(path)
+        assert table.vocabulary == ["tok", "neg"]
+        assert table.vectors.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+
     @pytest.mark.parametrize(
         ("text", "vocab_cap"),
         [
@@ -251,6 +260,22 @@ class TestKnnGraph:
         for key, w in expected.items():
             assert edges[key] == pytest.approx(w, abs=1e-12)
 
+    def test_holds_one_similarity_block_at_a_time(self, monkeypatch):
+        # 400 rows of 2000 similarities per block, 6.4 MB; every other array
+        # of the build is under 0.1 MB, so two blocks held at once would show
+        n, rows = 2000, 400
+        vectors = np.random.default_rng(5).standard_normal((n, 4))
+        table = EmbeddingTable([f"w{i:04d}" for i in range(n)], vectors)
+        monkeypatch.setattr(lexgraph, "KNN_BLOCK_BYTES", 8 * n * rows)
+        tracemalloc.start()
+        try:
+            graph = build_knn_graph(table, k=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.num_nodes == n
+        assert peak < 1.5 * lexgraph.KNN_BLOCK_BYTES
+
     def test_degree_at_least_k(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(30)]
@@ -347,10 +372,11 @@ class TestGraphFiles:
         assert edge_dict(back) == edge_dict(graph)
         assert (back.nodes, back.frequency) == (graph.nodes, graph.frequency)
 
-    @pytest.mark.parametrize("block", [3, lexgraph.EDGE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 3, lexgraph.EDGE_BLOCK])
     def test_bytes_match_per_line_writer(self, tmp_path, monkeypatch, block):
         # whole counts, fractional k-NN weights and a mix of both, also
-        # written in several blocks with a ragged last one
+        # written in several blocks with a ragged last one, and one edge per
+        # block, so that a node's row spans blocks
         monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
         for graph in _file_graphs():

@@ -69,6 +69,11 @@ class TestScoreTweets:
         assert scores["t1"].n_items == 3
 
 
+    def test_scores_keep_no_instance_dict(self):
+        # one score per tweet per dimension is held at once
+        assert not hasattr(PolarityScore(0.5, 1), "__dict__")
+
+
 class TestScoreAggregate:
     def test_single_tweet_same_under_both_weightings(self):
         scores = score_tweets([tt("t1", ["h1", "h3"])], lexicon_fixture())

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from polarlex import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +99,35 @@ def test_bench_json_counts_pairs_that_wrote_the_same_bytes(tmp_path):
                 json.dumps(bench_result(2.0, digests=files)))
     entry = run_bench_json(tmp_path, 18)["workloads"]["token-zipf"]
     assert entry["digests_identical"] == {"pairs": 1, "of": 2}
+
+
+def test_bench_json_gives_regression_and_gain_verdicts(tmp_path):
+    parent = [5.0 + 0.1 * i for i in range(10)]  # median 5.45, q3 - q1 = 0.45
+    change = {
+        "hashtag-100k": [w - 1.0 for w in parent[:9]] + parent[9:],  # 9 wins, 1 tie
+        "token-zipf": [w - 0.01 for w in parent],  # 10 wins by less than q3 - q1
+        "embedding-knn": [w - 1.0 for w in parent[:8]] + [w + 1.0 for w in parent[8:]],
+    }
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    for workload, walls in change.items():
+        for seed, (p, c) in enumerate(zip(parent, walls)):
+            name = f"{workload}-seed{seed}-trace0.json"
+            (tmp_path / "parent" / name).write_text(json.dumps(bench_result(p)))
+            (tmp_path / "change" / name).write_text(json.dumps(bench_result(c)))
+    workloads = run_bench_json(tmp_path, 19)["workloads"]
+    met = {w: workloads[w]["metrics"]["wall_s"]["gain_rule_met"] for w in change}
+    assert met == {"hashtag-100k": True, "token-zipf": False, "embedding-knn": False}
+    wall = workloads["hashtag-100k"]["metrics"]["wall_s"]
+    assert wall["bound"] == 0.25
+    assert wall["worse_by"] == pytest.approx((4.45 - 5.45) / 5.45)
+    tweets = workloads["hashtag-100k"]["metrics"]["tweets_per_s"]
+    assert tweets["gain_rule_met"] and tweets["worse_by"] < 0
+    slower = workloads["embedding-knn"]["metrics"]["tweets_per_s"]
+    assert slower["worse_by"] == pytest.approx(1 - slower["change"]["median"]
+                                               / slower["parent"]["median"])
+    rss = workloads["hashtag-100k"]["metrics"]["peak_rss_mb"]
+    assert (rss["bound"], rss["worse_by"], rss["gain_rule_met"]) == (0.1, 0.0, False)
 
 
 def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
