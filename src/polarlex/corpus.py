@@ -241,9 +241,7 @@ def _piece_item(raw: str) -> tuple[str, bool]:
     """The item a whitespace piece stands for and whether it is a hashtag.
 
     The item is "" for a piece that is dropped: only punctuation, a mention,
-    a URL or a bare run of '#'. A hashtag's name is the item of the text after
-    its '#'s, so every item tokenizes to itself: '#:0' is '0', and '#@a' and
-    '#http://x' are dropped. The result depends on the piece alone.
+    a URL or a bare run of '#'. The result depends on the piece alone.
     """
     if raw.isalnum():  # letters and digits only: no punctuation, no '#' or '@'
         return raw.casefold(), False
@@ -253,7 +251,7 @@ def _piece_item(raw: str) -> tuple[str, bool]:
     if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
         return "", False
     if piece.startswith("#"):
-        return _piece_item(piece.lstrip("#"))[0], True
+        return piece.lstrip("#").casefold(), True
     return piece.casefold(), False
 
 

@@ -334,11 +334,6 @@ class TestTokenize:
         assert tags == ["امن"]
         assert tokens == ["امن", "امن", "शांति"]
 
-    def test_hashtag_name_is_the_item_of_its_text(self):
-        tags, tokens = tokenize_text("#:0 #!A #«#b #@c #http://x.co #.")
-        assert tags == ["0", "a", "b"]
-        assert tokens == ["0", "a", "b"]
-
     def test_record_wrapper(self):
         record = make_record(text="#One two")
         (tt,) = tokenize([record])
@@ -378,32 +373,6 @@ def corpora(draw):
     return ["".join(piece + sep for piece, sep in words) for words in parts]
 
 
-def settled_item(name):
-    """The verbatim tokenizer's item for name, re-tokenized until it is its own item."""
-    while name:
-        (again,) = oracles.tokenize_text(name)[1] or [""]
-        if again == name:
-            break
-        name = again
-    return name
-
-
-def expected_tokenize_text(text):
-    """The verbatim tokenizer, each hashtag's name taken as the item of its text.
-
-    The verbatim tokenizer keeps a hashtag's name as written after the '#':
-    '#!a' gives '!a', which tokenizes to 'a'. tokenize gives 'a' at once.
-    """
-    tags, tokens = [], []
-    for raw in text.split():
-        piece_tags, items = oracles.tokenize_text(raw)
-        if piece_tags:
-            items = [name for name in map(settled_item, items) if name]
-            tags += items
-        tokens += items
-    return list(dict.fromkeys(tags)), tokens
-
-
 class TestTokenizeMatchesOracle:
     @settings(max_examples=300)
     @given(corpora())
@@ -412,9 +381,9 @@ class TestTokenizeMatchesOracle:
     def test_corpus_matches_verbatim_tokenizer(self, texts):
         records = [make_record(f"t{i}", text=text) for i, text in enumerate(texts)]
         got = [(tw.tweet_id, tw.hashtags, tw.tokens) for tw in tokenize(records)]
-        assert got == [(r.tweet_id, *expected_tokenize_text(r.text)) for r in records]
+        assert got == [(r.tweet_id, *oracles.tokenize_text(r.text)) for r in records]
         for text in texts:
-            assert tokenize_text(text) == expected_tokenize_text(text)
+            assert tokenize_text(text) == oracles.tokenize_text(text)
 
 
 class TestGroupByUserDay:
