@@ -6,8 +6,10 @@ import array
 import logging
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, count
+from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -79,16 +81,19 @@ def build_cooccurrence(
     """
     if mode not in (HASHTAG_MODE, TOKEN_MODE):
         raise ConfigError(f"unknown graph mode {mode!r}")
-    index: dict[str, int] = {}
-    cols: list[int] = []
-    indptr = [0]
-    for tw in tweets:
-        items = tw.hashtags if mode == HASHTAG_MODE else tw.tokens
-        cols.extend(index.setdefault(item, len(index)) for item in dict.fromkeys(items))
-        indptr.append(len(cols))
+    items = attrgetter("hashtags" if mode == HASHTAG_MODE else "tokens")
+    # a missing item is given the next column: every item's first occurrence
+    # takes the columns 0, 1, 2, ... in turn
+    index: defaultdict[str, int] = defaultdict(count().__next__)
+    indptr = [0, *accumulate(map(len, map(items, tweets)))]
+    cols = np.fromiter(map(index.__getitem__, chain.from_iterable(map(items, tweets))),
+                       dtype=np.intp, count=indptr[-1])
     incidence = sp.csr_matrix(
         (np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(index))
     )
+    # an item repeated within a tweet counts once
+    incidence.sum_duplicates()
+    incidence.data[:] = 1
     names = list(index)
     kept: Sequence[int] = range(len(names))
     if mode == TOKEN_MODE and vocab_cap is not None and len(names) > vocab_cap:
@@ -128,8 +133,7 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
             values = list(map(float, parts[1:]))
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: non-numeric field") from exc
-        # a sum of finite values is finite unless it overflows
-        if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+        if not all(map(math.isfinite, values)):
             raise DataError(f"{path}: line {lineno}: non-finite value")
         if dim is None:
             dim = len(values)

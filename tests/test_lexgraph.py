@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,20 +87,26 @@ class TestBuildCooccurrence:
 
     @given(
         st.lists(
-            st.lists(st.sampled_from("abcdefg"), max_size=5),
+            st.lists(st.sampled_from("gfedcba"), max_size=8),
             min_size=1,
             max_size=20,
         ),
+        st.sampled_from(["hashtag", "token"]),
         st.randoms(),
     )
-    def test_tweet_order_irrelevant_and_matches_oracle(self, tag_sets, rnd):
-        tweets = [tt(f"t{i}", sorted(set(tags))) for i, tags in enumerate(tag_sets)]
-        graph = build_cooccurrence(tweets, "hashtag")
+    def test_tweet_order_irrelevant_and_matches_oracle(self, item_lists, mode, rnd):
+        # unsorted items, repeated within a tweet, count once per tweet
+        tweets = [tt(f"t{i}", items) for i, items in enumerate(item_lists)]
+        graph = build_cooccurrence(tweets, mode)
         shuffled = list(tweets)
         rnd.shuffle(shuffled)
-        assert edge_dict(build_cooccurrence(shuffled, "hashtag")) == edge_dict(graph)
-        expected = brute_force_pairs([tw.hashtags for tw in tweets])
+        assert edge_dict(build_cooccurrence(shuffled, mode)) == edge_dict(graph)
+        expected = brute_force_pairs(item_lists)
         assert edge_dict(graph) == {pair: float(n) for pair, n in expected.items()}
+        tweets_with = Counter(item for items in item_lists for item in set(items))
+        assert graph.nodes == sorted(tweets_with)
+        assert graph.frequency == [tweets_with[node] for node in graph.nodes]
+        assert graph.weights.has_sorted_indices
 
 
 class TestLoadEmbeddings:
