@@ -10,7 +10,7 @@ writes in a checkout of that side. Runs of one workload and seed on both
 sides form a pair. For every workload and end-to-end metric of
 BENCHMARK.json, the summary gives each side's median, quartiles and run count
 over the paired runs, and how many pairs the change won, lost or tied in the
-metric's better direction. Two verdicts go with each metric:
+metric's better direction. Three verdicts go with each metric:
 
   worse_by       how much worse the change's median is than the parent's, as
                  a fraction of the parent's (negative when better), beside
@@ -18,6 +18,10 @@ metric's better direction. Two verdicts go with each metric:
   gain_rule_met  whether the change won at least 9 of every 10 pairs, ties
                  counting for neither side, and its median is better than
                  the parent's by more than the parent's q3 - q1
+  unresolved     whether the runs spread too widely to tell: either side's
+                 q3 - q1 exceeds the metric's bound as a fraction of that
+                 side's median, and not every change run beats every
+                 parent run
 
 Each workload also counts the pairs whose two runs wrote the same artifact
 digests, since a speed-up that changes an output byte does not count.
@@ -93,6 +97,9 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
             gains = [sign * (c - p) for p, c in values]
             before, after = quartiles([p for p, _ in values]), quartiles([c for _, c in values])
             wins = sum(g > 0 for g in gains)
+            spread = any(side["q3"] - side["q1"] > metric["bound"] * abs(side["median"])
+                         for side in (before, after))
+            beats_all = min(sign * c for _, c in values) > max(sign * p for p, _ in values)
             gain = sign * (after["median"] - before["median"])
             entry["metrics"][name] = {
                 "unit": metric["unit"],
@@ -106,6 +113,7 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "worse_by": -gain / abs(before["median"]) if before["median"] else None,
                 "gain_rule_met": 10 * wins >= 9 * len(gains)
                 and gain > before["q3"] - before["q1"],
+                "unresolved": spread and not beats_all,
             }
         out[workload] = entry
     return out

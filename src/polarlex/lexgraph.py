@@ -5,10 +5,9 @@ from __future__ import annotations
 import array
 import logging
 import math
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, count
+from itertools import accumulate, chain, count, pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -27,11 +26,6 @@ MIN_KNN_WEIGHT = 1e-6
 # bytes of float64 similarities computed per matrix product in build_knn_graph;
 # a block holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two
 KNN_BLOCK_BYTES = 32 << 20
-# cosines turned into Python floats at a time for math.acos in build_knn_graph
-ACOS_BLOCK = 1 << 16
-# edges formatted per write in write_graph; one write for all of them would
-# hold every line of a large graph in memory at once
-EDGE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -205,13 +199,10 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         best[start + rows] = np.take_along_axis(cand, rank, axis=1)
         best_sim[start + rows] = np.take_along_axis(cand_sim, rank, axis=1)
     del unit, buf, sims, cand, cand_sim, rank
-    # math.acos, not np.arccos, whose last bits can differ; a chunk at a time,
-    # so that no more than ACOS_BLOCK cosines are Python floats at once
+    # math.acos, not np.arccos, whose last bits can differ; the view hands
+    # math.acos one cosine at a time, so no list of them is ever built
     cos = np.clip(best_sim.ravel(), -1.0, 1.0)
-    angle = np.empty(len(cos))
-    for start in range(0, len(cos), ACOS_BLOCK):
-        chunk = slice(start, start + ACOS_BLOCK)
-        angle[chunk] = list(map(math.acos, cos[chunk].tolist()))
+    angle = np.fromiter(map(math.acos, memoryview(cos)), np.float64, len(cos))
     w = np.maximum(MIN_KNN_WEIGHT, 1.0 - angle / math.pi)
     directed = sp.csr_matrix((w, (np.repeat(np.arange(n), k), best.ravel())), shape=(n, n))
     order = sorted(range(n), key=vocab.__getitem__)
@@ -234,46 +225,45 @@ def write_graph(
     nodes = graph.nodes
     # row by row with sorted columns, so the a < b pairs come out in name order
     upper = sp.triu(graph.weights, k=1, format="csr")
-    indptr = upper.indptr.tolist()
-    # Co-occurrence counts are whole numbers, and fmt9 of a positive whole
-    # number n is f"{n}.000000000", which reads back as n. A line is its
-    # row's head, its column's name and its weight's tail; each head and each
-    # whole count's tail is formatted once.
+    # Views over the CSR's buffers: a row's slice copies nothing, and only that
+    # row's names and lines are held at once. A line is its row's head, its
+    # column's name and its weight's tail.
+    columns, weights = memoryview(upper.indices), memoryview(upper.data)
+    # Co-occurrence counts are whole numbers, which read back as themselves
+    # from their 9 decimals, so each distinct count's tail is formatted once.
     whole = bool(((upper.data % 1 == 0) & (upper.data > 0)).all())
-    read_back = None if whole else np.empty(upper.nnz)
+    read_back = array.array("d")
     if whole:
-        tails = {w: f"\t{int(w)}.000000000\n" for w in np.unique(upper.data).tolist()}
+        tails = {w: f"\t{fmt9(w)}\n" for w in np.unique(upper.data).tolist()}
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
-        for start in range(0, upper.nnz, EDGE_BLOCK):
-            stop = min(start + EDGE_BLOCK, upper.nnz)
-            names = list(map(nodes.__getitem__, upper.indices[start:stop].tolist()))
+        for row, (lo, hi) in enumerate(pairwise(upper.indptr.tolist())):
             if whole:
-                ends = list(map(tails.__getitem__, upper.data[start:stop].tolist()))
+                ends = map(tails.__getitem__, weights[lo:hi])
             else:
-                texts = list(map(fmt9, upper.data[start:stop].tolist()))
-                read_back[start:stop] = list(map(float, texts))
+                texts = list(map(fmt9, weights[lo:hi]))
+                read_back.extend(map(float, texts))
                 ends = [f"\t{t}\n" for t in texts]
-            lines = []
-            # every row with entries in this block, the first and last in part
-            row = bisect_right(indptr, start) - 1
-            while indptr[row] < stop:
-                head = nodes[row] + "\t"
-                lo, hi = max(indptr[row], start) - start, min(indptr[row + 1], stop) - start
-                lines += [head + name + end for name, end in zip(names[lo:hi], ends[lo:hi])]
-                row += 1
-            fh.write("".join(lines))
+            head = nodes[row] + "\t"
+            names = map(nodes.__getitem__, columns[lo:hi])
+            fh.write("".join([head + name + end for name, end in zip(names, ends)]))
     with open(nodes_path, "w", encoding="utf-8") as fh:
         for node, freq in zip(nodes, graph.frequency):
             fh.write(f"{node}\t{freq}\n")
     if whole:
         return graph
-    one_way = sp.csr_matrix((read_back, upper.indices, upper.indptr), shape=graph.weights.shape)
+    one_way = sp.csr_matrix((np.frombuffer(read_back), upper.indices, upper.indptr),
+                            shape=graph.weights.shape)
+    return CooccurrenceGraph(
+        mode=graph.mode, nodes=nodes, frequency=graph.frequency, weights=_symmetric(one_way)
+    )
+
+
+def _symmetric(one_way: sp.csr_matrix) -> sp.csr_matrix:
+    """The graph weights whose a < b entries one_way holds: one_way + one_way.T, sorted."""
     weights = one_way + one_way.T
     weights.sort_indices()
-    return CooccurrenceGraph(
-        mode=graph.mode, nodes=nodes, frequency=graph.frequency, weights=weights
-    )
+    return weights
 
 
 def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGraph:
@@ -315,8 +305,5 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
     ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     upper = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
     one_way = sp.csr_matrix((upper, (ends[0::2], ends[1::2])), shape=(len(nodes),) * 2)
-    weights = one_way + one_way.T
-    weights.sort_indices()
-    return CooccurrenceGraph(
-        mode=mode, nodes=nodes, frequency=[frequency[n] for n in nodes], weights=weights
-    )
+    return CooccurrenceGraph(mode=mode, nodes=nodes, frequency=[frequency[n] for n in nodes],
+                             weights=_symmetric(one_way))

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
@@ -25,9 +25,6 @@ NEUTRAL = "neutral"
 UNCLASSIFIED = "unclassified"
 
 TERNARY_LABELS = (POLE_A, POLE_B, NEUTRAL, UNCLASSIFIED)
-
-# write_score_csv writes this many rows at a time
-ROW_BLOCK = 1 << 16
 
 BY_ITEM = "by_item"
 BY_TWEET = "by_tweet"
@@ -240,9 +237,7 @@ def write_score_csv(
     rounded in place to its written text, and a dimension with no rows is left
     out.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{csv_field(key_column)},dimension,value,n_items\n")
-        lines: list[str] = []
+    def lines() -> Iterator[str]:
         for dim in sorted(scores_by_dim):
             scores = scores_by_dim[dim]
             dim_field = csv_field(dim)
@@ -252,11 +247,11 @@ def write_score_csv(
                 if s.value is not None:
                     text = fmt9(s.value)
                     s.value = float(text)
-                lines.append(f"{csv_field(key)},{dim_field},{text},{s.n_items}\n")
-                if len(lines) == ROW_BLOCK:
-                    fh.write("".join(lines))
-                    lines.clear()
-        fh.write("".join(lines))
+                yield f"{csv_field(key)},{dim_field},{text},{s.n_items}\n"
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"{csv_field(key_column)},dimension,value,n_items\n")
+        fh.writelines(lines())
     return {dim: scores for dim, scores in scores_by_dim.items() if scores}
 
 

@@ -331,7 +331,8 @@ def _strip_piece(piece: str) -> str:
 def tokenize_text(text: str) -> tuple[list[str], list[str]]:
     """Split on Unicode whitespace and normalize; returns (hashtags, tokens).
 
-    Hashtags are case-folded with '#' removed and deduplicated in first-seen
+    A hashtag's name is the token that the text after its '#'s gives, so
+    '#:0' is '0' and '#@a' is dropped. Hashtags are deduplicated in first-seen
     order; every hashtag occurrence also counts as a token. Mentions and URLs
     are dropped entirely.
     """
@@ -345,7 +346,8 @@ def tokenize_text(text: str) -> tuple[list[str], list[str]]:
         if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
             continue
         if piece.startswith("#"):
-            name = piece.lstrip("#").casefold()
+            # the text after the '#'s holds no whitespace: one token at most
+            name = "".join(tokenize_text(piece.lstrip("#"))[1])
             if not name:
                 continue
             tokens.append(name)

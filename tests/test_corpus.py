@@ -347,6 +347,10 @@ class TestTokenize:
         assert all(t for t in tokens)
 
     @given(st.text(max_size=200))
+    @example("#:0")
+    @example("#!A")
+    @example("#@c")
+    @example("#'#x")
     def test_idempotent_on_own_tokens(self, text):
         _, tokens = tokenize_text(text)
         _, again = tokenize_text(" ".join(tokens))
@@ -378,6 +382,7 @@ class TestTokenizeMatchesOracle:
     @given(corpora())
     @example([])
     @example(["#Straße", "Straße #Straße"])
+    @example(["#:0 #!A", "#@c #'#x #x"])
     def test_corpus_matches_verbatim_tokenizer(self, texts):
         records = [make_record(f"t{i}", text=text) for i, text in enumerate(texts)]
         got = [(tw.tweet_id, tw.hashtags, tw.tokens) for tw in tokenize(records)]

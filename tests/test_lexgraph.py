@@ -379,12 +379,8 @@ class TestGraphFiles:
         assert edge_dict(back) == edge_dict(graph)
         assert (back.nodes, back.frequency) == (graph.nodes, graph.frequency)
 
-    @pytest.mark.parametrize("block", [1, 3, lexgraph.EDGE_BLOCK])
-    def test_bytes_match_per_line_writer(self, tmp_path, monkeypatch, block):
-        # whole counts, fractional k-NN weights and a mix of both, also
-        # written in several blocks with a ragged last one, and one edge per
-        # block, so that a node's row spans blocks
-        monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
+    def test_bytes_match_per_line_writer(self, tmp_path):
+        # whole counts, fractional k-NN weights and a mix of both
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
         for graph in _file_graphs():
             write_graph(graph, edges, nodes)
@@ -392,9 +388,7 @@ class TestGraphFiles:
             assert edges.read_bytes() == expected_edges.encode()
             assert nodes.read_bytes() == expected_nodes.encode()
 
-    @pytest.mark.parametrize("block", [3, lexgraph.EDGE_BLOCK])
-    def test_returns_graph_as_read_back(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(lexgraph, "EDGE_BLOCK", block)
+    def test_returns_graph_as_read_back(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
         cooc, knn, mixed = _file_graphs()
         for graph in (cooc, knn, mixed):

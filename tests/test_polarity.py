@@ -1,12 +1,11 @@
-import copy
 import math
+import tracemalloc
 from datetime import date
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polarlex import polarity
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
 from polarlex.errors import DataError
 from polarlex.polarity import (
@@ -298,17 +297,28 @@ class TestScoreFiles:
         path = tmp_path_factory.mktemp("scores") / "scores.csv"
         csv_write_score_csv(scores, path, "user_id", key_order)
         want = path.read_bytes()
-        # also written in several blocks with a ragged last one
-        for block in (3, polarity.ROW_BLOCK):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(polarity, "ROW_BLOCK", block)
-                got = write_score_csv(copy.deepcopy(scores), path, "user_id", key_order)
-            assert got == read_score_csv(path)
-            # csv.writer leaves a name holding CR but no ',', '"' or LF bare,
-            # which reads back as two rows; write_score_csv quotes it
-            written = {name for dim, by_key in scores.items() for name in (dim, *by_key)}
-            if not any("\r" in name and not set(',"\n') & set(name) for name in written):
-                assert path.read_bytes() == want
+        got = write_score_csv(scores, path, "user_id", key_order)
+        assert got == read_score_csv(path)
+        # csv.writer leaves a name holding CR but no ',', '"' or LF bare,
+        # which reads back as two rows; write_score_csv quotes it
+        written = {name for dim, by_key in scores.items() for name in (dim, *by_key)}
+        if not any("\r" in name and not set(',"\n') & set(name) for name in written):
+            assert path.read_bytes() == want
+
+    def test_streams_rows(self, tmp_path):
+        # 200k rows of about 25 bytes: a writer that held its lines, or even
+        # a block of 65k of them, would peak well above 2 MB
+        keys = [f"t{i:07d}" for i in range(200_000)]
+        scores = {"dim": {key: PolarityScore(i / 7, 1) for i, key in enumerate(keys)}}
+        path = tmp_path / "scores.csv"
+        tracemalloc.start()
+        try:
+            write_score_csv(scores, path, "tweet_id", keys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 200_000 * 20
+        assert peak < 2 << 20
 
     def test_membership_reader(self, tmp_path):
         path = tmp_path / "members.tsv"

@@ -130,6 +130,33 @@ def test_bench_json_gives_regression_and_gain_verdicts(tmp_path):
     assert (rss["bound"], rss["worse_by"], rss["gain_rule_met"]) == (0.1, 0.0, False)
 
 
+def test_bench_json_marks_metrics_whose_runs_spread_wider_than_the_bound(tmp_path):
+    tight = [5.0 + 0.1 * i for i in range(10)]  # (q3 - q1) / median = 0.45 / 5.45
+    wide = [1.0 + i for i in range(10)]  # (q3 - q1) / median = 4.5 / 5.5
+    sides = {
+        "hashtag-100k": (tight, [w - 0.01 for w in tight]),
+        "token-zipf": (wide, [w + 0.1 for w in wide]),
+        "embedding-knn": (wide, [0.5] * 10),  # every change run beats every parent run
+        "hashtag-staged": (tight, wide),
+    }
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    for workload, walls in sides.items():
+        for seed, (p, c) in enumerate(zip(*walls)):
+            name = f"{workload}-seed{seed}-trace0.json"
+            (tmp_path / "parent" / name).write_text(json.dumps(bench_result(p)))
+            (tmp_path / "change" / name).write_text(json.dumps(bench_result(c)))
+    workloads = run_bench_json(tmp_path, 20)["workloads"]
+    unresolved = {w: workloads[w]["metrics"]["wall_s"]["unresolved"] for w in sides}
+    assert unresolved == {"hashtag-100k": False, "token-zipf": True, "embedding-knn": False,
+                          "hashtag-staged": True}
+    # the same bound holds for a higher-is-better metric
+    assert workloads["token-zipf"]["metrics"]["tweets_per_s"]["unresolved"]
+    assert not workloads["embedding-knn"]["metrics"]["tweets_per_s"]["unresolved"]
+    # runs that all read the same value are never unresolved
+    assert not workloads["token-zipf"]["metrics"]["peak_rss_mb"]["unresolved"]
+
+
 def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "polarbench"))
     spans = importlib.import_module("spans")
