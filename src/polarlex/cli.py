@@ -367,24 +367,22 @@ def stage_eval(run: _Runner) -> None:
     annotations = None
     if cfg.annotations:
         annotations = evalkit.read_annotations(run.read(cfg.annotations, "annotations"))
-    reports = []
+    # per dimension, the score of each unit the gold file may name
     if cfg.eval_unit == "account":
         scores_by_dim = run.get("user_scores", _read_user_scores)
     else:
         days = corpus.group_by_user_day(run.get("records", _read_records))
-        scores_by_dim = run.get("tweet_scores", _read_tweet_scores)
+        scores_by_dim = {
+            dim: {key: polarity.score_aggregate(ids, scores, cfg.weighting)
+                  for key, ids in days.items()}
+            for dim, scores in run.get("tweet_scores", _read_tweet_scores).items()
+        }
     scales = _lexicon_scales(run, scores_by_dim)
+    reports = []
     for dim in sorted(scores_by_dim):
-        scale, scores = scales[dim], scores_by_dim[dim]
-        if cfg.eval_unit == "account":
-            predictions = {user: polarity.ternarize(s.value, scale) for user, s in scores.items()}
-        else:
-            predictions = {
-                f"{key.user_id}@{key.day.isoformat()}": polarity.ternarize(
-                    polarity.score_aggregate(ids, scores, cfg.weighting).value, scale
-                )
-                for key, ids in days.items()
-            }
+        scale = scales[dim]
+        predictions = {unit: polarity.ternarize(s.value, scale)
+                       for unit, s in scores_by_dim[dim].items()}
         covered = {k: v for k, v in gold.labels.items() if k in predictions}
         dropped = len(gold.labels) - len(covered)
         if dropped:
@@ -417,7 +415,7 @@ def stage_synth(run: _Runner) -> None:
     corpus.write_corpus(records, run.write("corpus.jsonl"))
     evalkit.write_gold(truth.user_labels, run.write("gold_users.tsv"))
     evalkit.write_gold(truth.hashtag_labels, run.write("gold_hashtags.tsv"))
-    proplabel.write_seed_lexicon(truth.seeds, run.write(f"seeds_{spec.dimension}.tsv"))
+    proplabel.write_seed_lexicon(truth.seeds, run.write(f"seeds_{synthgen.DIMENSION}.tsv"))
     log.info("synthesized %d tweets from %d users", len(records), cfg.n_users)
 
 
@@ -453,26 +451,26 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _ArgumentParser:
+    """One parser for every subcommand: each takes every flag, before or after it."""
     parser = _ArgumentParser(
         prog="polarlex",
         description="Polarity scoring for short-text corpora via graph label propagation.",
     )
     parser.add_argument("--version", action="version", version=f"polarlex {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", metavar="|".join(SUBCOMMANDS))
-    for name in SUBCOMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="JSON config file")
-        for f in fields(RunConfig):
-            kind = KINDS[f.name]
-            if kind is list:
-                p.add_argument("--seed-file", action="append", dest=f.name, default=None)
-                continue
-            if kind is bool:
-                options = {"action": argparse.BooleanOptionalAction}
-            else:
-                options = {"type": kind, "choices": CHOICES.get(f.name)}
-            flag = "--" + f.name.replace("_", "-")
-            p.add_argument(flag, dest=f.name, default=None, **options)
+    parser.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS,
+                        metavar="|".join(SUBCOMMANDS))
+    parser.add_argument("--config", default=None, help="JSON config file")
+    for f in fields(RunConfig):
+        kind = KINDS[f.name]
+        if kind is list:
+            parser.add_argument("--seed-file", action="append", dest=f.name, default=None)
+            continue
+        if kind is bool:
+            options = {"action": argparse.BooleanOptionalAction}
+        else:
+            options = {"type": kind, "choices": CHOICES.get(f.name)}
+        flag = "--" + f.name.replace("_", "-")
+        parser.add_argument(flag, dest=f.name, default=None, **options)
     return parser
 
 

@@ -50,12 +50,6 @@ class TokenizedTweet:
     tokens: list[str]
 
 
-@dataclass(frozen=True, order=True)
-class UserDayKey:
-    user_id: str
-    day: date
-
-
 def parse_timestamp(raw: str) -> datetime:
     """Parse an ISO-8601 instant; naive values are taken as UTC."""
     text = raw.strip()
@@ -251,11 +245,13 @@ def _piece_item(raw: str) -> tuple[str, bool]:
     piece = _strip_piece(raw)
     if not piece or piece.startswith("@"):
         return "", False
-    if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
-        return "", False
     if piece.startswith("#"):
         return _piece_item(piece.lstrip("#"))[0], True
-    return piece.casefold(), False
+    item = piece.casefold()
+    # on the folded text, so that 'httpſ://x' (long s) is no token 'https://x'
+    if item.startswith(("http://", "https://")):
+        return "", False
+    return item, False
 
 
 def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
@@ -285,10 +281,10 @@ def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
     return out
 
 
-def group_by_user_day(corpus: Iterable[TweetRecord]) -> dict[UserDayKey, list[str]]:
-    """Bucket tweet ids by (user, UTC day), keys in (user_id, day) order."""
-    groups: dict[UserDayKey, list[str]] = {}
+def group_by_user_day(corpus: Iterable[TweetRecord]) -> dict[str, list[str]]:
+    """Bucket tweet ids by user and UTC day, keyed 'user_id@YYYY-MM-DD' as a gold
+    file names a user-day; keys in (user_id, day) order."""
+    groups: dict[tuple[str, date], list[str]] = {}
     for record in corpus:
-        key = UserDayKey(record.user_id, record.day())
-        groups.setdefault(key, []).append(record.tweet_id)
-    return {key: groups[key] for key in sorted(groups)}
+        groups.setdefault((record.user_id, record.day()), []).append(record.tweet_id)
+    return {f"{user}@{day.isoformat()}": groups[user, day] for user, day in sorted(groups)}

@@ -20,6 +20,12 @@ BASE_TIME = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
 NEUTRAL_LABEL = "neutral"
 
+# The share of tweets that retweet, mention or reply to another user, the share
+# of those whose target is in the author's community, and the seed dimension.
+P_INTERACTION = 0.3
+INTERACTION_HOMOPHILY = 0.9
+DIMENSION = "community"
+
 
 @dataclass
 class SynthSpec:
@@ -34,9 +40,6 @@ class SynthSpec:
     n_neutral_hashtags: int = 0
     n_days: int = 10
     rng_seed: int = 0
-    p_interaction: float = 0.3
-    interaction_homophily: float = 0.9
-    dimension: str = "community"
 
     def validate(self) -> None:
         if self.n_users < 2:
@@ -47,7 +50,7 @@ class SynthSpec:
             raise ConfigError("hashtags_per_community must be >= 1")
         if not 0.0 < self.seed_fraction <= 1.0:
             raise ConfigError("seed_fraction must be in (0, 1]")
-        for name in ("p_within", "p_cross", "p_interaction", "interaction_homophily"):
+        for name in ("p_within", "p_cross"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
@@ -78,7 +81,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
     neutral hashtags disconnected from the polar communities) or polar, in
     which case each of its 1-4 tag slots draws from the author's community
     or the other one in proportion p_within : p_cross. Interactions pick a
-    same-community target with probability interaction_homophily.
+    same-community target with probability INTERACTION_HOMOPHILY.
     """
     spec.validate()
     rng = np.random.default_rng(np.random.PCG64(spec.rng_seed))
@@ -129,8 +132,8 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
         retweet_of = None
         mentions: list[str] = []
         reply_to = None
-        if float(rng.random()) < spec.p_interaction:
-            same = float(rng.random()) < spec.interaction_homophily
+        if float(rng.random()) < P_INTERACTION:
+            same = float(rng.random()) < INTERACTION_HOMOPHILY
             target_pool = [
                 u for u in users_by_community[own if same else other] if u != author
             ]
@@ -176,7 +179,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
         seed_sets[pole] = {used[int(i)] for i in picked}
 
     seeds = SeedLexicon(
-        dimension_name=spec.dimension,
+        dimension_name=DIMENSION,
         pole_a_items=seed_sets[POLE_A],
         pole_b_items=seed_sets[POLE_B],
         value_a=1.0,

@@ -343,7 +343,7 @@ def tokenize_text(text: str) -> tuple[list[str], list[str]]:
         piece = _strip_piece(raw)
         if not piece or piece.startswith("@"):
             continue
-        if piece[:7].lower() == "http://" or piece[:8].lower() == "https://":
+        if piece.casefold().startswith(("http://", "https://")):
             continue
         if piece.startswith("#"):
             # the text after the '#'s holds no whitespace: one token at most

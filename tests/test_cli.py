@@ -1,4 +1,3 @@
-import argparse
 import csv
 import gc
 import hashlib
@@ -137,7 +136,10 @@ def test_version_and_help_return_ok(capsys):
     assert capsys.readouterr().out.startswith("polarlex ")
     for argv in (["--help"], ["ingest", "--help"]):
         assert main(argv) == 0
-        assert capsys.readouterr().out.startswith("usage: polarlex")
+        out = capsys.readouterr().out
+        assert out.startswith("usage: polarlex")
+        assert all(f"--{f.name.replace('_', '-')}" in out
+                   for f in fields(cli.RunConfig) if f.name != "seed_files"), argv
 
 
 def test_bad_flag_value_exit_one(tmp_path, capsys):
@@ -459,7 +461,7 @@ def test_eval_user_day_unit(tmp_path, synth_dir):
     gold = tmp_path / "gold_days.tsv"
     rows = []
     for key in list(group_by_user_day(records))[:40]:
-        rows.append(f"{key.user_id}@{key.day.isoformat()}\t{labels[key.user_id]}")
+        rows.append(f"{key}\t{labels[key.rpartition('@')[0]]}")
     gold.write_text("\n".join(rows) + "\n")
     code = main(
         [
@@ -475,6 +477,36 @@ def test_eval_user_day_unit(tmp_path, synth_dir):
     overall = (out / "eval_overall.csv").read_text().splitlines()[1]
     accuracy = float(overall.split(",")[1])
     assert accuracy > 0.5
+
+
+# sha256 of eval_poles.csv and eval_overall.csv on the synth run, per unit
+EVAL_DIGESTS = {
+    "account": ("a27bc9b227d0dbb524e1bac44bd0c1128dc6bc6a6256ad78752a2405422fe6e0",
+                "f20c07f76e2d64aedfca669db91cba4bda0d9a2643c79d523f28dfde065f33f3"),
+    "user_day": ("fcc9bd63e47cd4e2f5be366e6aa3ebca949b43b68891003b76dff50556124c32",
+                 "729af317252a2804e2c700bff3ef0acdac0dcf72c64fa13dd9dd30df56c9aef6"),
+}
+
+
+@pytest.mark.parametrize("unit, extra", [("account", []),
+                                         ("user_day", ["--weighting", "by_tweet"])])
+def test_eval_golden_bytes(tmp_path, synth_dir, unit, extra):
+    from polarlex.corpus import load_corpus
+
+    out = tmp_path / "run"
+    corpus = synth_dir / "corpus.jsonl"
+    assert run_pipeline(out, corpus, synth_dir / "seeds_community.tsv") == 0
+    gold = synth_dir / "gold_users.tsv"
+    if unit == "user_day":
+        labels = dict(line.split("\t") for line in gold.read_text().splitlines())
+        days = sorted({(r.user_id, r.day().isoformat()) for r in load_corpus(corpus)})
+        gold = tmp_path / "gold_days.tsv"
+        gold.write_text("".join(f"{user}@{day}\t{labels[user]}\n" for user, day in days))
+    argv = ["eval", "--out-dir", str(out), "--corpus", str(corpus), "--gold", str(gold)]
+    assert main([*argv, "--eval-unit", unit, *extra]) == 0
+    got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("eval_poles.csv", "eval_overall.csv"))
+    assert got == EVAL_DIGESTS[unit]
 
 
 def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsys):
@@ -824,19 +856,21 @@ def test_run_config_takes_proplabel_defaults():
 def test_every_config_field_is_a_flag(monkeypatch):
     monkeypatch.delenv("POLARLEX_CONFIG", raising=False)
     parser = cli._build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert tuple(subparsers.choices) == cli.SUBCOMMANDS
-    expected_options = {"-h", "--help", "--config"}
+    (subcommand,) = (a for a in parser._actions if not a.option_strings)
+    assert tuple(subcommand.choices) == cli.SUBCOMMANDS
+    expected_options = {"-h", "--help", "--version", "--config"}
     for f in fields(cli.RunConfig):
         value, argv, options = flag_sample(f)
         expected_options |= options
         assert value != f.default, f.name
         for sub in cli.SUBCOMMANDS:
-            config = cli.build_config(parser.parse_args([sub, *argv]))
-            assert config == cli.RunConfig(**{f.name: value}), (sub, f.name)
-    for sub, subparser in subparsers.choices.items():
-        options = {s for a in subparser._actions for s in a.option_strings}
-        assert options == expected_options, sub
+            for args in ([sub, *argv], [*argv, sub]):
+                parsed = parser.parse_args(args)
+                assert parsed.subcommand == sub, args
+                assert cli.build_config(parsed) == cli.RunConfig(**{f.name: value}), args
+    assert {s for a in parser._actions for s in a.option_strings} == expected_options
+    # the RunConfig flags, then help, version, the subcommand and config
+    assert len(parser._actions) == len(fields(cli.RunConfig)) + 4
 
 
 # sha256 of every pipeline artifact but manifest.json; a change to any stage

@@ -1,5 +1,5 @@
 import json
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -351,6 +351,8 @@ class TestTokenize:
     @example("#!A")
     @example("#@c")
     @example("#'#x")
+    @example("httpſ://x")
+    @example("#httpſ://x")
     def test_idempotent_on_own_tokens(self, text):
         _, tokens = tokenize_text(text)
         _, again = tokenize_text(" ".join(tokens))
@@ -414,10 +416,7 @@ class TestGroupByUserDay:
             make_record("t1", ts="2020-01-02T01:00:00+05:00"),
             make_record("t2", ts="2020-01-01T22:00:00Z"),
         ]
-        groups = group_by_user_day(records)
-        assert len(groups) == 1
-        (key,) = groups
-        assert key.day == date(2020, 1, 1)
+        assert group_by_user_day(records) == {"u1@2020-01-01": ["t1", "t2"]}
 
     def test_three_users_two_days(self):
         records = []
@@ -437,13 +436,15 @@ class TestGroupByUserDay:
         assert sum(len(v) for v in groups.values()) == 10
 
     def test_keys_sorted(self):
+        # by (user_id, day), not by key text: 'u1' sorts before 'u1!', '@' after '!'
         records = [
             make_record("t1", user="u2", ts="2020-01-02T10:00:00Z"),
             make_record("t2", user="u1", ts="2020-01-03T10:00:00Z"),
-            make_record("t3", user="u1", ts="2020-01-01T10:00:00Z"),
+            make_record("t3", user="u1!", ts="2020-01-01T10:00:00Z"),
+            make_record("t4", user="u1", ts="2020-01-01T10:00:00Z"),
         ]
         keys = list(group_by_user_day(records))
-        assert keys == sorted(keys)
+        assert keys == ["u1@2020-01-01", "u1@2020-01-03", "u1!@2020-01-01", "u2@2020-01-02"]
 
     @given(
         st.lists(

@@ -25,9 +25,13 @@ def test_run_synthetic_pipeline_script(tmp_path, src_env):
     out = tmp_path / "demo"
     result = run_demo(
         src_env, "--n-users", "30", "--n-tweets", "400", "--hashtags-per-community", "12",
-        "--kcore-k", "2", "--out-dir", str(out),
+        "--gamma", "3", "--out-dir", str(out),
     )
     assert result.returncode == 0, result.stderr
+    # every flag but --out-dir reaches each step; the demo's defaults fill the rest
+    config = json.loads((out / "run" / "manifest.json").read_text())["config"]
+    assert (config["gamma"], config["kcore_k"], config["rng_seed"], config["n_users"]) == (
+        3, 5, 7, 30)
     for name in ("corpus.jsonl", "seeds_community.tsv", "gold_users.tsv", "gold_hashtags.tsv",
                  "run/graph.edges.tsv", "run/graph.nodes.tsv", "run/lexicon_community.tsv",
                  "run/tally.csv", "run/eval_poles.csv", "run/eval_overall.csv",

@@ -7,7 +7,7 @@ from polarlex.errors import ConfigError
 from polarlex.lexgraph import build_cooccurrence
 from polarlex.polarity import POLE_A
 from polarlex.proplabel import propagate_greedy
-from polarlex.synthgen import NEUTRAL_LABEL, SynthSpec, generate
+from polarlex.synthgen import NEUTRAL_LABEL, P_INTERACTION, SynthSpec, generate
 
 from graphs import adjacency
 
@@ -110,10 +110,7 @@ class TestGenerate:
                 assert not tags_by_id[r.tweet_id] & neutral_tags
 
     def test_interactions_present(self):
-        spec = SynthSpec(
-            n_users=30, n_tweets=300, hashtags_per_community=10,
-            p_interaction=0.5, rng_seed=17,
-        )
+        spec = SynthSpec(n_users=30, n_tweets=300, hashtags_per_community=10, rng_seed=17)
         records, _ = generate(spec)
         kinds = Counter()
         for r in records:
@@ -125,6 +122,8 @@ class TestGenerate:
             if r.reply_to_user:
                 kinds["reply"] += 1
         assert set(kinds) == {"retweet", "mention", "reply"}
+        # one kind per interacting tweet, drawn at the P_INTERACTION rate
+        assert abs(sum(kinds.values()) / len(records) - P_INTERACTION) < 0.1
 
     def test_infeasible_specs_rejected(self):
         with pytest.raises(ConfigError):
