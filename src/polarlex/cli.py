@@ -15,12 +15,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import __version__, commnet, corpus, evalkit, polarity, proplabel
+from . import __version__, commnet, corpus, evalkit, polarity, proplabel, synthgen
 from .errors import ConfigError, DataError
 from .ioutil import open_text, sha256_file, unique_keys
 
-# lexgraph and synthgen load numpy and scipy, so only the stages that use them
-# import them; the other subcommands start without either.
+# lexgraph loads numpy and scipy at import, so only the stages that use it
+# import it; the other subcommands start without either.
 if TYPE_CHECKING:
     from .lexgraph import CooccurrenceGraph
 
@@ -42,7 +42,7 @@ EXIT_DATA = 2
 
 
 @dataclass
-class RunConfig:
+class RunConfig(synthgen.SynthSpec):
     corpus: str | None = None
     seed_files: list[str] = field(default_factory=list)
     embeddings: str | None = None
@@ -64,18 +64,10 @@ class RunConfig:
     include_retweets: bool = True
     drop_mentions: bool = False
     eval_unit: str = "account"
-    n_users: int = 200
-    n_tweets: int = 5000
-    hashtags_per_community: int = 100
-    seed_fraction: float = 0.1
-    within: float = 0.95
-    cross: float = 0.05
-    neutral_hashtags: int = 0
-    days: int = 10
-    rng_seed: int = 0
 
     def validate(self) -> None:
         """Checks each value against its choices or range; inputs are checked as read."""
+        super().validate()
         checks = [
             *((name, getattr(self, name) in allowed) for name, allowed in CHOICES.items()),
             ("gamma", self.gamma >= 1),
@@ -312,14 +304,13 @@ def stage_score(run: _Runner) -> None:
     records = run.get("records", _read_records)
     tweets = run.take("tweets", lambda _: corpus.tokenize(records))
     item_mode = corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE
+    lexicons = run.get("lexicons", _read_lexicons)
     tweet_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
-    tallies: dict[str, list[polarity.TallyRow]] = {}
-    for lexicon in run.get("lexicons", _read_lexicons):
+    for lexicon in lexicons:
         dim = lexicon.dimension_name
         tweet_scores[dim] = polarity.score_tweets(tweets, lexicon, mode=item_mode)
         user_scores[dim] = polarity.score_users(records, tweet_scores[dim], cfg.weighting)
-        tallies[dim] = polarity.overall_tally(user_scores[dim], tweet_scores[dim], lexicon.scale)
     order = [r.tweet_id for r in records]
     run.kept["tweet_scores"] = polarity.write_score_csv(
         tweet_scores, run.write("tweet_scores.csv"), "tweet_id", order
@@ -327,6 +318,11 @@ def stage_score(run: _Runner) -> None:
     run.kept["user_scores"] = polarity.write_score_csv(
         user_scores, run.write("user_scores.csv"), "user_id"
     )
+    # after the writes, which round each score in place to what later stages read
+    tallies: dict[str, list[polarity.TallyRow]] = {}
+    for lexicon in lexicons:
+        dim = lexicon.dimension_name
+        tallies[dim] = polarity.overall_tally(user_scores[dim], tweet_scores[dim], lexicon.scale)
     polarity.write_tally_csv(tallies, run.write("tally.csv"))
 
 
@@ -397,26 +393,12 @@ def stage_eval(run: _Runner) -> None:
 
 
 def stage_synth(run: _Runner) -> None:
-    from . import synthgen
-
-    cfg = run.config
-    spec = synthgen.SynthSpec(
-        n_users=cfg.n_users,
-        n_tweets=cfg.n_tweets,
-        hashtags_per_community=cfg.hashtags_per_community,
-        seed_fraction=cfg.seed_fraction,
-        p_within=cfg.within,
-        p_cross=cfg.cross,
-        n_neutral_hashtags=cfg.neutral_hashtags,
-        n_days=cfg.days,
-        rng_seed=cfg.rng_seed,
-    )
-    records, truth = synthgen.generate(spec)
+    records, truth = synthgen.generate(run.config)
     corpus.write_corpus(records, run.write("corpus.jsonl"))
     evalkit.write_gold(truth.user_labels, run.write("gold_users.tsv"))
     evalkit.write_gold(truth.hashtag_labels, run.write("gold_hashtags.tsv"))
     proplabel.write_seed_lexicon(truth.seeds, run.write(f"seeds_{synthgen.DIMENSION}.tsv"))
-    log.info("synthesized %d tweets from %d users", len(records), cfg.n_users)
+    log.info("synthesized %d tweets from %d users", len(records), run.config.n_users)
 
 
 PIPELINE_STAGES = (

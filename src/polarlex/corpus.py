@@ -64,12 +64,19 @@ def parse_timestamp(raw: str) -> datetime:
 def record_from_json(obj: dict) -> TweetRecord:
     if not isinstance(obj, dict):
         raise DataError(f"expected a JSON object, got {type(obj).__name__}")
+    required = []
     for key in REQUIRED_KEYS:
-        if key not in obj or obj[key] is None:
+        value = obj.get(key)
+        if value is None:
             raise DataError(f"missing required key {key!r}")
-    tweet_id = obj["tweet_id"]
-    if not isinstance(tweet_id, str):
-        tweet_id = str(tweet_id)
+        # json gives exact types, so type() tells a bool from an int
+        is_id = key in ("tweet_id", "user_id")
+        if is_id and type(value) is int:
+            value = str(value)
+        if type(value) is not str:
+            raise DataError(f"{key} must be a string" + (" or an integer" if is_id else ""))
+        required.append(value)
+    tweet_id, user_id, timestamp, text = required
     if not tweet_id:
         raise DataError("empty tweet_id")
     # write_tokenized writes one tab-separated row per tweet, keyed by tweet_id.
@@ -93,7 +100,6 @@ def record_from_json(obj: dict) -> TweetRecord:
     for key, value in (("retweet_of_user", retweet_of_user), ("reply_to_user", reply_to_user)):
         if value is not None and not isinstance(value, str):
             raise DataError(f"{key} must be a string or null")
-    user_id, timestamp, text = obj["user_id"], obj["timestamp"], obj["text"]
     strings = {"tweet_id": tweet_id, "user_id": user_id, "timestamp": timestamp, "text": text,
                "retweet_of_user": retweet_of_user, "reply_to_user": reply_to_user,
                "mentions": "".join(mentions)}
@@ -102,9 +108,9 @@ def record_from_json(obj: dict) -> TweetRecord:
             raise DataError(f"{key} holds a lone surrogate, which is not Unicode text")
     return TweetRecord(
         tweet_id=tweet_id,
-        user_id=user_id if isinstance(user_id, str) else str(user_id),
-        timestamp=parse_timestamp(timestamp if isinstance(timestamp, str) else str(timestamp)),
-        text=text if isinstance(text, str) else str(text),
+        user_id=user_id,
+        timestamp=parse_timestamp(timestamp),
+        text=text,
         is_retweet=bool(is_retweet),
         retweet_of_user=retweet_of_user,
         mentions=mentions,

@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
-import numpy as np
-
 from .corpus import TweetRecord
 from .errors import ConfigError
 from .polarity import POLE_A, POLE_B
@@ -29,16 +27,16 @@ DIMENSION = "community"
 
 @dataclass
 class SynthSpec:
-    """Knobs for the generator; probabilities are per tag slot or per tweet."""
+    """Generator knobs, each also a CLI flag; probabilities are per tag slot or per tweet."""
 
     n_users: int = 200
     n_tweets: int = 5000
     hashtags_per_community: int = 100
     seed_fraction: float = 0.1
-    p_within: float = 0.95
-    p_cross: float = 0.05
-    n_neutral_hashtags: int = 0
-    n_days: int = 10
+    within: float = 0.95
+    cross: float = 0.05
+    neutral_hashtags: int = 0
+    days: int = 10
     rng_seed: int = 0
 
     def validate(self) -> None:
@@ -50,18 +48,18 @@ class SynthSpec:
             raise ConfigError("hashtags_per_community must be >= 1")
         if not 0.0 < self.seed_fraction <= 1.0:
             raise ConfigError("seed_fraction must be in (0, 1]")
-        for name in ("p_within", "p_cross"):
+        for name in ("within", "cross"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1]")
-        if self.p_within + self.p_cross > 1.0 + 1e-12:
-            raise ConfigError("p_within + p_cross must not exceed 1")
-        if self.n_neutral_hashtags < 0:
-            raise ConfigError("n_neutral_hashtags must be >= 0")
-        if self.n_days < 1:
-            raise ConfigError("n_days must be >= 1")
-        if self.p_within + self.p_cross == 0.0 and self.n_neutral_hashtags == 0:
-            raise ConfigError("no tag source: p_within + p_cross is 0 and no neutral pool")
+        if self.within + self.cross > 1.0 + 1e-12:
+            raise ConfigError("within + cross must not exceed 1")
+        if self.neutral_hashtags < 0:
+            raise ConfigError("neutral_hashtags must be >= 0")
+        if self.days < 1:
+            raise ConfigError("days must be >= 1")
+        if self.within + self.cross == 0.0 and self.neutral_hashtags == 0:
+            raise ConfigError("no tag source: within + cross is 0 and no neutral pool")
 
 
 @dataclass
@@ -80,9 +78,12 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
     Each tweet is either neutral (all tags from the neutral pool, keeping
     neutral hashtags disconnected from the polar communities) or polar, in
     which case each of its 1-4 tag slots draws from the author's community
-    or the other one in proportion p_within : p_cross. Interactions pick a
+    or the other one in proportion within : cross. Interactions pick a
     same-community target with probability INTERACTION_HOMOPHILY.
     """
+    # imported here so that the CLI, whose RunConfig is a SynthSpec, starts without it
+    import numpy as np
+
     spec.validate()
     rng = np.random.default_rng(np.random.PCG64(spec.rng_seed))
 
@@ -92,15 +93,15 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
         POLE_A: [f"ha{i:04d}" for i in range(spec.hashtags_per_community)],
         POLE_B: [f"hb{i:04d}" for i in range(spec.hashtags_per_community)],
     }
-    neutral_pool = [f"nt{i:04d}" for i in range(spec.n_neutral_hashtags)]
+    neutral_pool = [f"nt{i:04d}" for i in range(spec.neutral_hashtags)]
     users_by_community = {
         POLE_A: [u for u in users if community[u] == POLE_A],
         POLE_B: [u for u in users if community[u] == POLE_B],
     }
 
-    p_polar = spec.p_within + spec.p_cross
-    p_own = spec.p_within / p_polar if p_polar > 0 else 0.0
-    window_seconds = spec.n_days * 86400
+    p_polar = spec.within + spec.cross
+    p_own = spec.within / p_polar if p_polar > 0 else 0.0
+    window_seconds = spec.days * 86400
 
     records: list[TweetRecord] = []
     used_tags: dict[str, set[str]] = {POLE_A: set(), POLE_B: set(), NEUTRAL_LABEL: set()}
@@ -172,7 +173,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
         if not used:
             raise ConfigError(
                 f"community {pole} has no hashtags in the generated corpus; "
-                "increase n_tweets or p_within"
+                "increase n_tweets or within"
             )
         k = max(1, round(spec.seed_fraction * len(used)))
         picked = rng.choice(len(used), size=min(k, len(used)), replace=False)

@@ -100,8 +100,8 @@ ACCEPTANCE_SPEC = SynthSpec(
     n_tweets=5000,
     hashtags_per_community=100,
     seed_fraction=0.10,
-    p_within=0.95,
-    p_cross=0.05,
+    within=0.95,
+    cross=0.05,
     rng_seed=7,
 )
 
@@ -185,9 +185,9 @@ def test_c04_unreachable_neutral_hashtags():
             n_tweets=5000,
             hashtags_per_community=100,
             seed_fraction=0.10,
-            p_within=0.95,
-            p_cross=0.0,
-            n_neutral_hashtags=40,
+            within=0.95,
+            cross=0.0,
+            neutral_hashtags=40,
             rng_seed=7,
         )
         records, truth = generate(spec)
@@ -396,8 +396,8 @@ def test_c10_scale_budget():
             n_tweets=100_000,
             hashtags_per_community=5000,
             seed_fraction=0.10,
-            p_within=0.95,
-            p_cross=0.05,
+            within=0.95,
+            cross=0.05,
             rng_seed=7,
         )
         records, truth = generate(spec)

@@ -180,6 +180,14 @@ def test_bad_input(tmp_path, capsys, base, kind_name, mutation):
 # from there on, and the message after the file's path).
 EDITS = [
     ("corpus", "lone-surrogate", 1, "text", "#b\ud800", "line 2: text holds a lone surrogate"),
+    ("corpus", "tweet-id-float", 1, "tweet_id", 3.5,
+     "line 2: tweet_id must be a string or an integer"),
+    ("corpus", "user-id-bool", 1, "user_id", True,
+     "line 2: user_id must be a string or an integer"),
+    ("corpus", "user-id-array", 1, "user_id", ["u", 1],
+     "line 2: user_id must be a string or an integer"),
+    ("corpus", "timestamp-number", 1, "timestamp", 20190214, "line 2: timestamp must be a string"),
+    ("corpus", "text-object", 1, "text", {"x": "#d"}, "line 2: text must be a string"),
     ("lexicon", "bad-header", 0, 1, "scale=x", "line 1: bad scale 'x'"),
     ("lexicon", "scale-renamed", 0, 1, "range=-1.000000000,1.000000000",
      "line 1: expected the header '#dimension=<dimension>\\tscale=<scale>'"),

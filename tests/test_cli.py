@@ -148,6 +148,79 @@ def test_bad_flag_value_exit_one(tmp_path, capsys):
     assert "seed_fraction" in capsys.readouterr().err
 
 
+def test_synth_value_out_of_range_fails_every_subcommand(tmp_path, synth_dir, capsys):
+    out = tmp_path / "out"
+    code = main(["ingest", "--corpus", str(synth_dir / "corpus.jsonl"), "--within", "2",
+                 "--out-dir", str(out)])
+    assert code == 1
+    assert "config error: within must be in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# The synth flags of each spec, and the sha256 of each output it writes; the
+# manifest's without its timestamp, as json.dumps with sorted keys gives it.
+SYNTH_SPECS = {
+    "defaults": [],
+    "every-flag": ["--n-users", "40", "--n-tweets", "600", "--hashtags-per-community", "15",
+                   "--seed-fraction", "0.25", "--within", "0.8", "--cross", "0.1",
+                   "--neutral-hashtags", "6", "--days", "4", "--rng-seed", "17"],
+}
+SYNTH_DIGESTS = {
+    "defaults": {
+        "corpus.jsonl": "2a406d02573dc09db55588094de3fd0060e76e8681cd95030e97d3eed1d84d15",
+        "gold_hashtags.tsv": "ace5ab60d316c49f1604e7fac1108895c0a3d2d653c8fe63f697a80e29307752",
+        "gold_users.tsv": "596b0b8906ba896c684060d9a2d68f3819bd3b3162954cc2d1481c142d1cd596",
+        "manifest.json": "d9657c4dd7053eb29435061f34e0c3816201c36aef1eb75540f69fe4f49f7d3b",
+        "seeds_community.tsv":
+            "540c37fb95e6ca2eb1085d2dfd6cb1fba13f13294a992f696cc0bc6a08612d57",
+    },
+    "every-flag": {
+        "corpus.jsonl": "058eb1fd8b8b0ba4ca9c720a2e7a631250ee294f70fc06552304fa0cadefa949",
+        "gold_hashtags.tsv": "abafbabd8ac4678c801282fa0fba5008ad330500f92f12dc04441978f91f6390",
+        "gold_users.tsv": "1579915f726af2d00f893fb3af4e5cbafc539439e7f29d6e9e32597b65a142bb",
+        "manifest.json": "9ad1ab1c6aa5fcb4be36489b32eb6276bbcbf643a4ffb8584853c56ba396e087",
+        "seeds_community.tsv":
+            "61bb55203ee2aa4f32daf6d5becd399b1ca6c244befb3330748175715036d824",
+    },
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SYNTH_SPECS))
+def test_synth_golden_bytes(tmp_path, monkeypatch, spec):
+    # a relative out_dir, so that the manifest's config is the same in any tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("POLARLEX_CONFIG", raising=False)
+    assert main(["synth", "--out-dir", "out", *SYNTH_SPECS[spec]]) == 0
+    blobs = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()}
+    manifest = json.loads(blobs["manifest.json"])
+    del manifest["timestamp"]
+    blobs["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+    assert {name: hashlib.sha256(blob).hexdigest()
+            for name, blob in blobs.items()} == SYNTH_DIGESTS[spec]
+
+
+def test_tally_classes_the_written_scores(tmp_path):
+    # The tweet's mean, 1e-9 / 3, is written as 0.000000000, the scale's
+    # midpoint: tally.csv must class it and its user as the score files do.
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "lexicon_x.tsv").write_text(
+        "#dimension=x\tscale=-1.000000000,1.000000000\n"
+        "a\t0.000000001\tpropagated\nb\t0.000000000\tpropagated\n"
+        "c\t0.000000000\tpropagated\nd\t1.000000000\tseed\ne\t-1.000000000\tseed\n"
+    )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"tweet_id": "t1", "user_id": "u1", '
+                      '"timestamp": "2020-01-01T00:00:00Z", "text": "#a #b #c"}\n')
+    assert main(["score", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    assert read_score_csv(out / "tweet_scores.csv")["x"]["t1"].value == 0.0
+    assert read_score_csv(out / "user_scores.csv")["x"]["u1"].value == 0.0
+    with open(out / "tally.csv", encoding="utf-8", newline="") as fh:
+        counts = {row["class"]: (row["n_users"], row["n_tweets"]) for row in csv.DictReader(fh)}
+    assert counts["neutral"] == ("1", "1")
+    assert counts["pole_a"] == ("0", "0")
+
+
 def test_corrupt_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "bad.jsonl"
     tab_id = '{"tweet_id": "t\\t1", "user_id": "u", "timestamp": "2020-01-01", "text": "x"}\n'

@@ -234,7 +234,7 @@ class TestFilesAndReport:
     def test_gold_round_trip_of_synth_truth(self, tmp_path):
         spec = SynthSpec(
             n_users=20, n_tweets=300, hashtags_per_community=10,
-            p_within=0.7, p_cross=0.1, n_neutral_hashtags=4, rng_seed=2,
+            within=0.7, cross=0.1, neutral_hashtags=4, rng_seed=2,
         )
         _, truth = generate(spec)
         assert NEUTRAL in truth.hashtag_labels.values()

@@ -31,11 +31,11 @@ def test_every_imported_name_is_used(path):
 
 def test_score_layer_imports_without_numpy(src_env):
     # scoring, the communication network, evaluation and the CLI run on the
-    # standard library alone; only graph building, the random walk and synth
-    # need numpy and scipy
+    # standard library alone; only graph building, the random walk and the
+    # synth generator need numpy, and only graph building scipy
     code = (
         "import sys, polarlex.polarity, polarlex.commnet, polarlex.evalkit,"
-        " polarlex.proplabel, polarlex.cli\n"
+        " polarlex.proplabel, polarlex.synthgen, polarlex.cli\n"
         "print(*sorted({'numpy', 'scipy'} & set(sys.modules)))"
     )
     out = subprocess.run(

@@ -51,9 +51,9 @@ class TestGenerate:
             n_users=30,
             n_tweets=600,
             hashtags_per_community=8,
-            p_within=1.0,
-            p_cross=0.0,
-            n_neutral_hashtags=0,
+            within=1.0,
+            cross=0.0,
+            neutral_hashtags=0,
             rng_seed=3,
         )
         records, _ = generate(spec)
@@ -66,7 +66,7 @@ class TestGenerate:
     def test_bookkeeping_matches_corpus_scan(self):
         spec = SynthSpec(
             n_users=200, n_tweets=5000, hashtags_per_community=100,
-            p_within=0.95, p_cross=0.05, rng_seed=5,
+            within=0.95, cross=0.05, rng_seed=5,
         )
         records, _ = generate(spec)
         assert len(records) == 5000
@@ -74,7 +74,7 @@ class TestGenerate:
     def test_truth_and_corpus_mutually_consistent(self):
         spec = SynthSpec(
             n_users=40, n_tweets=400, hashtags_per_community=20,
-            n_neutral_hashtags=5, p_within=0.9, p_cross=0.05, rng_seed=9,
+            neutral_hashtags=5, within=0.9, cross=0.05, rng_seed=9,
         )
         records, truth = generate(spec)
         corpus_users = {r.user_id for r in records}
@@ -95,7 +95,7 @@ class TestGenerate:
     def test_neutral_tweets_contain_only_neutral_tags(self):
         spec = SynthSpec(
             n_users=30, n_tweets=500, hashtags_per_community=10,
-            p_within=0.8, p_cross=0.0, n_neutral_hashtags=6, rng_seed=13,
+            within=0.8, cross=0.0, neutral_hashtags=6, rng_seed=13,
         )
         records, truth = generate(spec)
         assert truth.neutral_tweet_ids
@@ -129,16 +129,16 @@ class TestGenerate:
         with pytest.raises(ConfigError):
             SynthSpec(seed_fraction=1.5).validate()
         with pytest.raises(ConfigError):
-            SynthSpec(p_within=0.9, p_cross=0.2).validate()
+            SynthSpec(within=0.9, cross=0.2).validate()
         with pytest.raises(ConfigError):
             SynthSpec(n_users=1).validate()
         with pytest.raises(ConfigError):
-            SynthSpec(p_within=0.0, p_cross=0.0, n_neutral_hashtags=0).validate()
+            SynthSpec(within=0.0, cross=0.0, neutral_hashtags=0).validate()
 
     def test_cross_zero_propagation_copies_seed_values_exactly(self):
         spec = SynthSpec(
             n_users=30, n_tweets=800, hashtags_per_community=12,
-            p_within=1.0, p_cross=0.0, rng_seed=21,
+            within=1.0, cross=0.0, rng_seed=21,
         )
         records, truth = generate(spec)
         graph = build_cooccurrence(tokenize(records), "hashtag")
