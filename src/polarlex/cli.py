@@ -199,23 +199,30 @@ def _read_graph(run: _Runner) -> CooccurrenceGraph:
     )
 
 
+def _check_one_per_dimension(kind: str, paths: list, dims: list[str]) -> None:
+    """Raise a DataError if two files name one dimension; paths[i] names dims[i]."""
+    for i, dim in enumerate(dims):
+        if dim in dims[:i]:
+            first = paths[dims.index(dim)]
+            raise DataError(f"{kind} files {first} and {paths[i]} both name dimension {dim!r}")
+
+
 def _read_seeds(run: _Runner) -> list[proplabel.SeedLexicon]:
     """The seed files in order; two files may not name the same dimension."""
     paths = run.config.seed_files or [None]  # None: read names the missing field
     seed_sets = [proplabel.read_seed_lexicon(run.read(path, "seed_files")) for path in paths]
-    dims = [seeds.dimension_name for seeds in seed_sets]
-    for i, dim in enumerate(dims):
-        if dim in dims[:i]:
-            first = paths[dims.index(dim)]
-            raise DataError(f"seed files {first} and {paths[i]} both name dimension {dim!r}")
+    _check_one_per_dimension("seed", paths, [seeds.dimension_name for seeds in seed_sets])
     return seed_sets
 
 
 def _read_lexicons(run: _Runner) -> list[proplabel.PolarityLexicon]:
+    """The lexicon_*.tsv files in name order; two may not name the same dimension."""
     paths = sorted(run.out_dir.glob("lexicon_*.tsv"))
     if not paths:
         raise ConfigError(f"no lexicon_*.tsv files in {run.out_dir}; run propagate first")
-    return [proplabel.read_lexicon(run.read(path)) for path in paths]
+    lexicons = [proplabel.read_lexicon(run.read(path)) for path in paths]
+    _check_one_per_dimension("lexicon", paths, [lex.dimension_name for lex in lexicons])
+    return lexicons
 
 
 def _lexicon_scales(run: _Runner, scored: dict) -> dict[str, tuple[float, float]]:

@@ -175,7 +175,6 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         raise ConfigError(f"knn_k={k} must be smaller than the vocabulary size {n}")
 
     unit = vectors / norms[:, None]
-    pad = min(k + 8, n - 1)
     best = np.empty((n, k), dtype=np.int64)
     best_sim = np.empty((n, k))
     block = min(n, max(2, KNN_BLOCK_BYTES // (8 * n)))
@@ -183,22 +182,47 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     starts = range(0, n - 1, block)
     log.info("k-NN: %d tokens, k=%d, %d rows per block in %d blocks",
              n, k, block, len(starts))
-    # every block is computed into this one buffer, so that the next block's
+    # each row's candidates are bounded below by the maxima of 4k contiguous
+    # chunks of the row: fewer chunks leave a looser bound and more
+    # candidates to rank, more chunks cost more to reduce than they save
+    n_chunks = min(n, 4 * k)
+    chunk_starts = np.arange(n_chunks) * (n // n_chunks)
+    # every block is computed into these buffers, so that the next block's
     # similarities are never allocated while the last one's are still held
     buf = np.empty((min(n, block + 1), n), dtype=unit.dtype)
+    hits = np.empty(buf.shape, dtype=bool)
     for start, stop in zip(starts, [*starts[1:], n]):
         sims = np.matmul(unit[start:stop], unit.T, out=buf[: stop - start])
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
-        # row by row, since argpartition returns an index for every column
-        cand = np.empty((len(sims), pad + 1), dtype=np.int64)
-        for row, out in zip(sims, cand):
-            out[:] = np.argpartition(-row, pad)[: pad + 1]
-        cand_sim = np.take_along_axis(sims, cand, axis=1)
-        rank = np.lexsort((cand, -cand_sim), axis=1)[:, :k]
-        best[start + rows] = np.take_along_axis(cand, rank, axis=1)
-        best_sim[start + rows] = np.take_along_axis(cand_sim, rank, axis=1)
-    del unit, buf, sims, cand, cand_sim, rank
+        # The chunks are disjoint, so their maxima are entries of the row in
+        # distinct columns, and at least k entries are >= the k-th largest
+        # maximum. Hence so is the row's k-th largest entry, and so is every
+        # entry ranked above it or tied with it: the candidates, the entries
+        # >= that bound, hold the row's top k under any number of ties.
+        maxima = np.maximum.reduceat(sims, chunk_starts, axis=1)
+        bound = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
+        mask = np.greater_equal(sims, bound[:, None], out=hits[: len(sims)])
+        # Ties can give a row up to n candidates. Past one row's worth or the
+        # maxima's size, whichever is larger, candidates are ranked a few rows
+        # at a time, so that no batch holds more than that budget.
+        budget = max(n, maxima.size)
+        per = len(sims)
+        if np.count_nonzero(mask) > budget:
+            per = max(1, budget // int(np.count_nonzero(mask, axis=1).max()))
+        for lo in range(0, len(sims), per):
+            hi = min(lo + per, len(sims))
+            flat = np.flatnonzero(mask[lo:hi])
+            sim = sims[lo:hi].ravel()[flat]
+            row, col = divmod(flat, n)
+            # flatnonzero lists the candidates by row, then by column, and
+            # lexsort is stable: it ranks each row's candidates by
+            # (-similarity, column) within the span of the list they held
+            order = np.lexsort((-sim, row))
+            pick = order[np.searchsorted(row, rows[: hi - lo])[:, None] + np.arange(k)]
+            best[start + lo : start + hi] = col[pick]
+            best_sim[start + lo : start + hi] = sim[pick]
+    del unit, buf, hits, sims, mask
     # math.acos, not np.arccos, whose last bits can differ; the view hands
     # math.acos one cosine at a time, so no list of them is ever built
     cos = np.clip(best_sim.ravel(), -1.0, 1.0)

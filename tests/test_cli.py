@@ -221,6 +221,25 @@ def test_tally_classes_the_written_scores(tmp_path):
     assert counts["pole_a"] == ("0", "0")
 
 
+def test_two_lexicons_naming_one_dimension_exit_two(tmp_path, capsys):
+    # score would keep only the later file's scores for "x"
+    out = tmp_path / "run"
+    out.mkdir()
+    for name, value in (("a", "1.000000000"), ("b", "-1.000000000")):
+        (out / f"lexicon_{name}.tsv").write_text(
+            "#dimension=x\tscale=-1.000000000,1.000000000\n"
+            f"h\t{value}\tseed\n"
+        )
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"tweet_id": "t1", "user_id": "u1", '
+                      '"timestamp": "2020-01-01T00:00:00Z", "text": "#h"}\n')
+    assert main(["score", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and "'x'" in err
+    assert str(out / "lexicon_a.tsv") in err and str(out / "lexicon_b.tsv") in err
+    assert not (out / "tweet_scores.csv").exists()
+
+
 def test_corrupt_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "bad.jsonl"
     tab_id = '{"tweet_id": "t\\t1", "user_id": "u", "timestamp": "2020-01-01", "text": "x"}\n'

@@ -267,11 +267,19 @@ class TestKnnGraph:
         for key, w in expected.items():
             assert edges[key] == pytest.approx(w, abs=1e-12)
 
-    def test_holds_one_similarity_block_at_a_time(self, monkeypatch):
+    @pytest.mark.parametrize("kind", ["random", "axes", "equal"])
+    def test_holds_one_similarity_block_at_a_time(self, monkeypatch, kind):
         # 400 rows of 2000 similarities per block, 6.4 MB; every other array
-        # of the build is under 0.1 MB, so two blocks held at once would show
+        # of the build is under 0.1 MB, so two blocks held at once would show.
+        # On 5 axes each row ties with about 400 others, and on equal vectors
+        # with all of them, so the candidates to rank are many times k.
         n, rows = 2000, 400
-        vectors = np.random.default_rng(5).standard_normal((n, 4))
+        rng = np.random.default_rng(5)
+        vectors = {
+            "random": lambda: rng.standard_normal((n, 4)),
+            "axes": lambda: np.eye(5)[rng.integers(5, size=n)],
+            "equal": lambda: np.ones((n, 4)),
+        }[kind]()
         table = EmbeddingTable([f"w{i:04d}" for i in range(n)], vectors)
         monkeypatch.setattr(lexgraph, "KNN_BLOCK_BYTES", 8 * n * rows)
         tracemalloc.start()
@@ -282,6 +290,23 @@ class TestKnnGraph:
             tracemalloc.stop()
         assert graph.num_nodes == n
         assert peak < 1.5 * lexgraph.KNN_BLOCK_BYTES
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_many_tied_neighbors_go_to_the_lowest_indices(self, seed):
+        # 500 rows on 5 axes: each row ties at similarity 1 with about 100
+        # others, many more than k, and its k neighbors must be the k
+        # lowest-index other rows on its axis
+        k = 3
+        axis = np.random.default_rng(seed).integers(5, size=500)
+        vocab = [f"w{i:03d}" for i in range(500)]
+        graph = build_knn_graph(EmbeddingTable(vocab, np.eye(5)[axis]), k=k)
+        expected = set()
+        for i, a in enumerate(axis.tolist()):
+            near = [j for j in np.flatnonzero(axis == a).tolist() if j != i][:k]
+            expected.update((vocab[min(i, j)], vocab[max(i, j)]) for j in near)
+        edges = edge_dict(graph)
+        assert set(edges) == expected
+        assert set(edges.values()) == {1.0}
 
     def test_degree_at_least_k(self):
         rng = np.random.default_rng(7)
