@@ -199,42 +199,33 @@ def _read_graph(run: _Runner) -> CooccurrenceGraph:
     )
 
 
-def _check_one_per_dimension(kind: str, paths: list, dims: list[str]) -> None:
-    """Raise a DataError if two files name one dimension; paths[i] names dims[i]."""
-    for i, dim in enumerate(dims):
-        if dim in dims[:i]:
-            first = paths[dims.index(dim)]
-            raise DataError(f"{kind} files {first} and {paths[i]} both name dimension {dim!r}")
-
-
 def _read_seeds(run: _Runner) -> list[proplabel.SeedLexicon]:
     """The seed files in order; two files may not name the same dimension."""
     paths = run.config.seed_files or [None]  # None: read names the missing field
     seed_sets = [proplabel.read_seed_lexicon(run.read(path, "seed_files")) for path in paths]
-    _check_one_per_dimension("seed", paths, [seeds.dimension_name for seeds in seed_sets])
+    dims = [seeds.dimension_name for seeds in seed_sets]
+    for i, dim in enumerate(dims):
+        if dim in dims[:i]:
+            first = paths[dims.index(dim)]
+            raise DataError(f"seed files {first} and {paths[i]} both name dimension {dim!r}")
     return seed_sets
 
 
-def _read_lexicons(run: _Runner) -> list[proplabel.PolarityLexicon]:
-    """The lexicon_*.tsv files in name order; two may not name the same dimension."""
-    paths = sorted(run.out_dir.glob("lexicon_*.tsv"))
-    if not paths:
-        raise ConfigError(f"no lexicon_*.tsv files in {run.out_dir}; run propagate first")
-    lexicons = [proplabel.read_lexicon(run.read(path)) for path in paths]
-    _check_one_per_dimension("lexicon", paths, [lex.dimension_name for lex in lexicons])
-    return lexicons
+def _read_lexicon(run: _Runner, dim: str) -> proplabel.PolarityLexicon:
+    """lexicon_<dim>.tsv, which propagate writes for dimension dim."""
+    path = run.out_dir / f"lexicon_{dim}.tsv"
+    if not path.is_file():
+        raise ConfigError(f"input not found: {path}; run propagate for dimension {dim!r}")
+    lexicon = proplabel.read_lexicon(run.read(path))
+    if lexicon.dimension_name != dim:
+        raise DataError(f"{path}: line 1: names dimension {lexicon.dimension_name!r}, not {dim!r}")
+    return lexicon
 
 
 def _lexicon_scales(run: _Runner, scored: dict) -> dict[str, tuple[float, float]]:
-    """The scale of each lexicon's dimension; every scored dimension needs one."""
-    scales = {lex.dimension_name: lex.scale for lex in run.get("lexicons", _read_lexicons)}
-    missing = sorted(set(scored) - set(scales))
-    if missing:
-        raise DataError(
-            f"scores name dimension {missing[0]!r}, which no lexicon_*.tsv in "
-            f"{run.out_dir} has; run propagate and score for it"
-        )
-    return scales
+    """The scale of each scored dimension, from its lexicon."""
+    lexicons = run.get("lexicons", lambda _: [_read_lexicon(run, dim) for dim in sorted(scored)])
+    return {lex.dimension_name: lex.scale for lex in lexicons}
 
 
 def _read_user_scores(run: _Runner) -> dict[str, dict[str, polarity.PolarityScore]]:
@@ -289,6 +280,9 @@ def stage_propagate(run: _Runner) -> None:
     cfg = run.config
     seed_sets = _read_seeds(run)
     graph = run.take("graph", _read_graph)
+    if graph.mode != (corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE):
+        raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a {graph.mode} graph, not "
+                          f"one for --mode {cfg.mode}; run build-graph with --mode {cfg.mode}")
     lexicons = run.kept["lexicons"] = []
     for seeds in seed_sets:
         if cfg.mode == "embedding":
@@ -311,7 +305,10 @@ def stage_score(run: _Runner) -> None:
     records = run.get("records", _read_records)
     tweets = run.take("tweets", lambda _: corpus.tokenize(records))
     item_mode = corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE
-    lexicons = run.get("lexicons", _read_lexicons)
+    # the seed files name the dimensions a run scores
+    lexicons = run.get(
+        "lexicons", lambda _: [_read_lexicon(run, s.dimension_name) for s in _read_seeds(run)]
+    )
     tweet_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     for lexicon in lexicons:

@@ -274,8 +274,10 @@ def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
                 n_items = int(raw_n)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad numeric field") from exc
-            if value is not None and math.isnan(value):
-                raise DataError(f"{path}: line {lineno}: value is NaN")
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"{path}: line {lineno}: value is not finite")
+            if n_items < 0:
+                raise DataError(f"{path}: line {lineno}: n_items is negative")
             if (value is None) != (n_items == 0):
                 raise DataError(f"{path}: line {lineno}: value and n_items disagree")
             by_key = out.get(dim)

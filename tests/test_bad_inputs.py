@@ -35,7 +35,7 @@ KINDS = {
     "tokenized": Kind("out/tokenized.tsv", ("build-graph",), "\t"),
     "graph-edges": Kind("out/graph.edges.tsv", ("propagate", *SEEDS), "\t", 1, (None, 2)),
     "graph-nodes": Kind("out/graph.nodes.tsv", ("propagate", *SEEDS), "\t", 0, (None, 1)),
-    "lexicon": Kind("out/lexicon_community.tsv", ("score",), "\t", 1, (None, 1)),
+    "lexicon": Kind("out/lexicon_community.tsv", ("score", *SEEDS), "\t", 1, (None, 1)),
     "seeds": Kind("seeds.tsv", ("propagate", *SEEDS), "\t", 1, (0, 1)),
     "tweet-scores": Kind("out/tweet_scores.csv", ("timeseries",), ",", 1, (None, 2)),
     "user-scores": Kind("out/user_scores.csv", ("eval", *GOLD), ",", 1, (None, 2)),
@@ -54,13 +54,11 @@ HEADERS = {"graph-edges", "lexicon", "seeds", "tweet-scores", "user-scores"}
 NUMBERS = {"nan", "inf"}
 # Mutations that leave a valid file: whitespace-only lines are skipped, a
 # corpus object may carry other keys, every config key is optional, an empty
-# corpus, tokenized file or membership file holds no rows, and the score CSVs
-# carry any value but NaN, as write_score_csv writes them.
+# corpus, tokenized file or membership file holds no rows.
 ACCEPTED = {
     *((kind, "blank-line") for kind in KINDS),
     ("corpus", "empty"), ("tokenized", "empty"), ("membership", "empty"),
     ("corpus", "extra-field"), ("config", "missing-field"),
-    ("tweet-scores", "inf"), ("user-scores", "inf"),
 }
 CASES = [
     (kind, mutation)
@@ -209,6 +207,8 @@ EDITS = [
     ("tweet-scores", "bad-value", 1, 2, "x", "line 2: bad numeric field"),
     ("tweet-scores", "slash-in-dimension", 1, 1, "a/b",
      "line 2: dimension name holds '/' or NUL: 'a/b'"),
+    ("tweet-scores", "negative-n-items", 1, 3, "-1", "line 2: n_items is negative"),
+    ("user-scores", "negative-n-items", 1, 3, "-1", "line 2: n_items is negative"),
 ]
 
 

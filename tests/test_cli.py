@@ -111,11 +111,22 @@ def test_score_without_lexicons_exit_one(tmp_path, synth_dir, capsys):
         [
             "score",
             "--corpus", str(synth_dir / "corpus.jsonl"),
+            "--seed-file", str(synth_dir / "seeds_community.tsv"),
             "--out-dir", str(tmp_path / "empty"),
         ]
     )
     assert code == 1
     assert "lexicon" in capsys.readouterr().err
+
+
+def test_score_without_seed_file_exit_one(tmp_path, synth_dir, capsys):
+    # the seed files name the dimensions score scores
+    out = tmp_path / "run"
+    assert run_pipeline(out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv") == 0
+    capsys.readouterr()
+    assert main(["score", "--corpus", str(synth_dir / "corpus.jsonl"),
+                 "--out-dir", str(out)]) == 1
+    assert "config error: seed_files: no file given" in capsys.readouterr().err
 
 
 def test_propagate_missing_seed_file_exit_one(tmp_path, capsys):
@@ -212,7 +223,10 @@ def test_tally_classes_the_written_scores(tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"tweet_id": "t1", "user_id": "u1", '
                       '"timestamp": "2020-01-01T00:00:00Z", "text": "#a #b #c"}\n')
-    assert main(["score", "--corpus", str(corpus), "--out-dir", str(out)]) == 0
+    seeds = tmp_path / "seeds_x.tsv"
+    seeds.write_text("#dimension=x\tvalue_a=1.000000000\tvalue_b=-1.000000000\nd\tA\ne\tB\n")
+    assert main(["score", "--corpus", str(corpus), "--seed-file", str(seeds),
+                 "--out-dir", str(out)]) == 0
     assert read_score_csv(out / "tweet_scores.csv")["x"]["t1"].value == 0.0
     assert read_score_csv(out / "user_scores.csv")["x"]["u1"].value == 0.0
     with open(out / "tally.csv", encoding="utf-8", newline="") as fh:
@@ -221,22 +235,21 @@ def test_tally_classes_the_written_scores(tmp_path):
     assert counts["pole_a"] == ("0", "0")
 
 
-def test_two_lexicons_naming_one_dimension_exit_two(tmp_path, capsys):
-    # score would keep only the later file's scores for "x"
+def test_lexicon_naming_another_dimension_exit_two(tmp_path, capsys):
+    # score reads lexicon_x.tsv for the seeds' dimension x; its header must agree
     out = tmp_path / "run"
     out.mkdir()
-    for name, value in (("a", "1.000000000"), ("b", "-1.000000000")):
-        (out / f"lexicon_{name}.tsv").write_text(
-            "#dimension=x\tscale=-1.000000000,1.000000000\n"
-            f"h\t{value}\tseed\n"
-        )
+    lexicon = out / "lexicon_x.tsv"
+    lexicon.write_text("#dimension=y\tscale=-1.000000000,1.000000000\nh\t1.000000000\tseed\n")
+    seeds = tmp_path / "seeds_x.tsv"
+    seeds.write_text("#dimension=x\tvalue_a=1.000000000\tvalue_b=-1.000000000\nh\tA\ni\tB\n")
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text('{"tweet_id": "t1", "user_id": "u1", '
                       '"timestamp": "2020-01-01T00:00:00Z", "text": "#h"}\n')
-    assert main(["score", "--corpus", str(corpus), "--out-dir", str(out)]) == 2
+    argv = ["score", "--corpus", str(corpus), "--seed-file", str(seeds), "--out-dir", str(out)]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "data error" in err and "'x'" in err
-    assert str(out / "lexicon_a.tsv") in err and str(out / "lexicon_b.tsv") in err
+    assert f"data error: {lexicon}: line 1: names dimension 'y', not 'x'" in err
     assert not (out / "tweet_scores.csv").exists()
 
 
@@ -620,6 +633,36 @@ def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsy
         assert f"{scores}: no 'community' row for tweet {tweet_id!r}" in err, argv[0]
 
 
+# Score rows that read_score_csv must reject: a stage that sums them would
+# divide by a zero item count, or add inf to -inf.
+UNSUMMABLE = {
+    "zero-items": ("t1,d,1.000000000,1\nt2,d,-1.000000000,-1\n", "line 3: n_items is negative"),
+    "inf": ("t1,d,inf,1\nt2,d,-inf,1\n", "line 2: value is not finite"),
+}
+
+
+@pytest.mark.parametrize("rows, subcommand", [("zero-items", "eval"), ("inf", "eval"),
+                                              ("inf", "timeseries")])
+def test_unsummable_tweet_scores_exit_two(tmp_path, capsys, rows, subcommand):
+    text, message = UNSUMMABLE[rows]
+    out = tmp_path / "run"
+    out.mkdir()
+    scores = out / "tweet_scores.csv"
+    scores.write_text("tweet_id,dimension,value,n_items\n" + text)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        f'{{"tweet_id": "{t}", "user_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+        f'"text": "#h"}}\n' for t in ("t1", "t2")
+    ))
+    gold = tmp_path / "gold_days.tsv"
+    gold.write_text("u1@2020-01-01\tpole_a\n")
+    argv = [subcommand, "--corpus", str(corpus), "--out-dir", str(out)]
+    if subcommand == "eval":
+        argv += ["--gold", str(gold), "--eval-unit", "user_day"]
+    assert main(argv) == 2
+    assert f"data error: {scores}: {message}" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path, synth_dir):
     config = tmp_path / "config.json"
     config.write_text(
@@ -853,9 +896,9 @@ def test_pipeline_scores_only_its_own_lexicons(tmp_path, synth_dir):
     assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
 
 
-def test_scored_dimension_without_lexicon_exit_two(tmp_path, synth_dir, capsys):
+def test_scored_dimension_without_lexicon_exit_one(tmp_path, synth_dir, capsys):
     # user_scores.csv still scores "community" after its lexicon is replaced
-    # by one for "other"; commnet and eval must report that as a data error
+    # by one for "other"; commnet and eval must name the lexicon and the stage
     corpus = synth_dir / "corpus.jsonl"
     seeds = synth_dir / "seeds_community.tsv"
     other = tmp_path / "seeds_other.tsv"
@@ -868,9 +911,54 @@ def test_scored_dimension_without_lexicon_exit_two(tmp_path, synth_dir, capsys):
     capsys.readouterr()
     for argv in (["commnet", "--corpus", str(corpus), "--kcore-k", "2"],
                  ["eval", "--gold", str(synth_dir / "gold_users.tsv")]):
-        assert main([*argv, "--out-dir", str(out)]) == 2, argv[0]
+        assert main([*argv, "--out-dir", str(out)]) == 1, argv[0]
         err = capsys.readouterr().err
-        assert "data error" in err and "'community'" in err and str(out) in err, argv[0]
+        assert "config error" in err and str(out / "lexicon_community.tsv") in err, argv[0]
+        assert "run propagate" in err, argv[0]
+
+
+def test_score_scores_only_its_seed_files_dimensions(tmp_path, synth_dir):
+    # lexicon_other.tsv, left by an earlier pipeline run, is not scored
+    corpus = synth_dir / "corpus.jsonl"
+    seeds = synth_dir / "seeds_community.tsv"
+    other = tmp_path / "seeds_other.tsv"
+    other.write_text(seeds.read_text().replace("#dimension=community", "#dimension=other", 1))
+    out = tmp_path / "run"
+    assert run_pipeline(out, corpus, other) == 0
+    for argv in (["propagate", "--gamma", "2"], ["score", "--corpus", str(corpus)]):
+        assert main([*argv, "--seed-file", str(seeds), "--out-dir", str(out)]) == 0, argv[0]
+    assert (out / "lexicon_other.tsv").is_file()
+    assert set(read_score_csv(out / "tweet_scores.csv")) == {"community"}
+    assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
+
+
+def test_score_skips_a_lexicon_no_seed_file_names(tmp_path, synth_dir):
+    out = tmp_path / "run"
+    corpus, seeds = synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv"
+    assert run_pipeline(out, corpus, seeds) == 0
+    lexicon = (out / "lexicon_community.tsv").read_text()
+    (out / "lexicon_stale.tsv").write_text(
+        lexicon.replace("#dimension=community", "#dimension=stale", 1)
+    )
+    assert main(["score", "--corpus", str(corpus), "--seed-file", str(seeds),
+                 "--out-dir", str(out)]) == 0
+    assert set(read_score_csv(out / "user_scores.csv")) == {"community"}
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert str(out / "lexicon_stale.tsv") not in manifest["inputs"]
+
+
+@pytest.mark.parametrize("mode", ["token", "embedding"])
+def test_propagate_on_a_graph_of_another_mode_exit_one(tmp_path, synth_dir, capsys, mode):
+    out = tmp_path / "run"
+    corpus, seeds = synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv"
+    for argv in (["ingest", "--corpus", str(corpus)], ["build-graph", "--mode", "hashtag"]):
+        assert main([*argv, "--out-dir", str(out)]) == 0, argv[0]
+    capsys.readouterr()
+    assert main(["propagate", "--mode", mode, "--seed-file", str(seeds),
+                 "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"config error: {out / 'graph.edges.tsv'}" in err and "build-graph" in err
+    assert not list(out.glob("lexicon_*.tsv"))
 
 
 def test_dimension_name_with_comma_is_quoted_in_homophily_csv(tmp_path, synth_dir):

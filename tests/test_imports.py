@@ -70,7 +70,10 @@ def test_light_subcommands_run_without_numpy(tmp_path, src_env):
         assert main([*argv, "--out-dir", str(out)]) == 0, argv[0]
     light = [
         ["--version"],
-        *([name, *corpus, "--out-dir", str(out)] for name in ("ingest", "score", "timeseries")),
+        ["ingest", *corpus, "--out-dir", str(out)],
+        ["score", *corpus, "--seed-file", str(synth / "seeds_community.tsv"),
+         "--out-dir", str(out)],
+        ["timeseries", *corpus, "--out-dir", str(out)],
         ["commnet", *corpus, "--kcore-k", "2", "--out-dir", str(out)],
         ["eval", "--gold", str(synth / "gold_users.tsv"), "--out-dir", str(out)],
     ]

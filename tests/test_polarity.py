@@ -249,7 +249,8 @@ def score_tables(draw):
     keys = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     scores = {}
     for dim in draw(st.lists(names, max_size=3, unique=True)):
-        values = [draw(st.none() | st.floats(allow_nan=False)) for _ in keys]
+        values = [draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+                  for _ in keys]
         scores[dim] = {
             key: PolarityScore(v, 0 if v is None else draw(st.integers(1, 9)))
             for key, v in zip(keys, values)
