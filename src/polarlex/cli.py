@@ -65,6 +65,11 @@ class RunConfig(synthgen.SynthSpec):
     drop_mentions: bool = False
     eval_unit: str = "account"
 
+    @property
+    def item_mode(self) -> str:
+        """What the run's graph joins and its scores count: hashtags or tokens."""
+        return corpus.HASHTAG_MODE if self.mode == "hashtag" else corpus.TOKEN_MODE
+
     def validate(self) -> None:
         """Checks each value against its choices or range; inputs are checked as read."""
         super().validate()
@@ -262,12 +267,11 @@ def stage_build_graph(run: _Runner) -> None:
         table = lexgraph.load_embeddings(run.read(cfg.embeddings, "embeddings"), cfg.vocab_cap)
         try:
             graph = lexgraph.build_knn_graph(table, cfg.knn_k)
-        except ConfigError as exc:  # knn_k against the vectors the file holds
-            raise ConfigError(f"{cfg.embeddings}: {exc}") from None
+        except (ConfigError, DataError) as exc:  # knn_k and the norms of the file's vectors
+            raise type(exc)(f"{cfg.embeddings}: {exc}") from None
     else:
         tweets = run.get("tweets", _read_tokenized)
-        cap = cfg.vocab_cap if cfg.mode == "token" else None
-        graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cap)
+        graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cfg.vocab_cap)
     # A kept value is what its file reads back as, or pipeline would write other
     # bytes than the single-stage subcommands; each writer returns that value.
     graph = run.kept["graph"] = lexgraph.write_graph(
@@ -280,7 +284,7 @@ def stage_propagate(run: _Runner) -> None:
     cfg = run.config
     seed_sets = _read_seeds(run)
     graph = run.take("graph", _read_graph)
-    if graph.mode != (corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE):
+    if graph.mode != cfg.item_mode:
         raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a {graph.mode} graph, not "
                           f"one for --mode {cfg.mode}; run build-graph with --mode {cfg.mode}")
     lexicons = run.kept["lexicons"] = []
@@ -304,7 +308,6 @@ def stage_score(run: _Runner) -> None:
     cfg = run.config
     records = run.get("records", _read_records)
     tweets = run.take("tweets", lambda _: corpus.tokenize(records))
-    item_mode = corpus.HASHTAG_MODE if cfg.mode == "hashtag" else corpus.TOKEN_MODE
     # the seed files name the dimensions a run scores
     lexicons = run.get(
         "lexicons", lambda _: [_read_lexicon(run, s.dimension_name) for s in _read_seeds(run)]
@@ -313,7 +316,7 @@ def stage_score(run: _Runner) -> None:
     user_scores: dict[str, dict[str, polarity.PolarityScore]] = {}
     for lexicon in lexicons:
         dim = lexicon.dimension_name
-        tweet_scores[dim] = polarity.score_tweets(tweets, lexicon, mode=item_mode)
+        tweet_scores[dim] = polarity.score_tweets(tweets, lexicon, mode=cfg.item_mode)
         user_scores[dim] = polarity.score_users(records, tweet_scores[dim], cfg.weighting)
     order = [r.tweet_id for r in records]
     run.kept["tweet_scores"] = polarity.write_score_csv(
@@ -405,26 +408,20 @@ def stage_synth(run: _Runner) -> None:
     log.info("synthesized %d tweets from %d users", len(records), run.config.n_users)
 
 
-PIPELINE_STAGES = (
-    stage_ingest,
-    stage_build_graph,
-    stage_propagate,
-    stage_score,
-    stage_timeseries,
-    stage_commnet,
+# Each stage's subcommand, its function, and whether pipeline runs it; pipeline
+# runs its stages in this order.
+_STAGES = (
+    ("ingest", stage_ingest, True),
+    ("build-graph", stage_build_graph, True),
+    ("propagate", stage_propagate, True),
+    ("score", stage_score, True),
+    ("timeseries", stage_timeseries, True),
+    ("commnet", stage_commnet, True),
+    ("eval", stage_eval, False),
+    ("synth", stage_synth, False),
 )
-
-STAGE_BY_NAME = {
-    "ingest": stage_ingest,
-    "build-graph": stage_build_graph,
-    "propagate": stage_propagate,
-    "score": stage_score,
-    "timeseries": stage_timeseries,
-    "commnet": stage_commnet,
-    "eval": stage_eval,
-    "synth": stage_synth,
-}
-
+STAGE_BY_NAME = {name: stage for name, stage, _ in _STAGES}
+PIPELINE_STAGES = tuple(stage for _, stage, piped in _STAGES if piped)
 SUBCOMMANDS = (*STAGE_BY_NAME, "pipeline")
 
 
@@ -519,10 +516,10 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("a subcommand is required: " + ", ".join(SUBCOMMANDS))
         config = build_config(args)
         config.validate()
-        if args.subcommand == "pipeline":
-            stages = PIPELINE_STAGES
-        else:
+        if args.subcommand in STAGE_BY_NAME:
             stages = (STAGE_BY_NAME[args.subcommand],)
+        else:  # pipeline
+            stages = PIPELINE_STAGES
         _Runner(config, args.subcommand).run(stages)
     except ConfigError as exc:
         print(f"polarlex: config error: {exc}", file=sys.stderr)

@@ -10,6 +10,11 @@ from typing import IO, Iterable, Iterator, Sequence
 
 from .errors import DataError
 
+# The largest magnitude of a number read from a seed lexicon, polarity
+# lexicon, graph or score file. Every sum polarlex takes of such numbers,
+# and every squared difference of two, stays finite.
+MAX_MAGNITUDE = 1e100
+
 
 def fmt9(x: float) -> str:
     """Fixed 9-decimal formatting used for every float we serialize."""

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet
 from .errors import ConfigError, DataError
-from .ioutil import fmt9, read_lines, read_rows
+from .ioutil import MAX_MAGNITUDE, fmt9, read_lines, read_rows
 
 log = logging.getLogger(__name__)
 
@@ -155,13 +155,21 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     Edge weight is the angular similarity 1 - arccos(cos)/pi in (0, 1],
     clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
     comes first in the table. Directed k-NN relations are unioned, keeping
-    the larger weight. Zero vectors are dropped with a logged count.
+    the larger weight. Zero vectors are dropped with a logged count, and a
+    vector whose norm is not finite is a DataError naming its token.
     Similarities take about KNN_BLOCK_BYTES at a time, in blocks of two rows
     or more: numpy computes a one-row product as a matrix-vector product,
     which rounds differently, so the weights do not depend on the block size.
     """
     vectors = table.vectors
-    norms = np.linalg.norm(vectors, axis=1)
+    # A norm that overflows would give its token a zero unit vector, tied at
+    # cosine 0 with every other token; it is rejected below, so numpy need
+    # not warn of it.
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(vectors, axis=1)
+    overflowed = np.flatnonzero(~np.isfinite(norms))
+    if overflowed.size:
+        raise DataError(f"token {table.vocabulary[overflowed[0]]!r}: vector norm is not finite")
     keep = norms > 0.0
     n_zero = int((~keep).sum())
     if n_zero:
@@ -203,10 +211,11 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         maxima = np.maximum.reduceat(sims, chunk_starts, axis=1)
         bound = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
         mask = np.greater_equal(sims, bound[:, None], out=hits[: len(sims)])
-        # Ties can give a row up to n candidates. Past one row's worth or the
-        # maxima's size, whichever is larger, candidates are ranked a few rows
-        # at a time, so that no batch holds more than that budget.
-        budget = max(n, maxima.size)
+        # Ties can give a row up to n candidates. Past one row's worth, the
+        # maxima's size or a 64th of the block, whichever is largest,
+        # candidates are ranked a few rows at a time, so that no batch holds
+        # more than that budget.
+        budget = max(n, maxima.size, mask.size // 64)
         per = len(sims)
         if np.count_nonzero(mask) > budget:
             per = max(1, budget // int(np.count_nonzero(mask, axis=1).max()))
@@ -316,8 +325,8 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
             raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
         if a == b:
             raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
-        if not math.isfinite(w) or w <= 0:
-            raise DataError(f"{edges_path}: line {lineno}: non-positive weight")
+        if not 0 < w <= MAX_MAGNITUDE:
+            raise DataError(f"{edges_path}: line {lineno}: weight not in (0, {MAX_MAGNITUDE:g}]")
         i, j = index.get(a), index.get(b)
         if i is None or j is None:
             missing = a if i is None else b

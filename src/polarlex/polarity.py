@@ -12,7 +12,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .corpus import HASHTAG_MODE, TOKEN_MODE, TokenizedTweet, TweetRecord
 from .errors import ConfigError, DataError
-from .ioutil import check_dimension_name, csv_field, fmt9, open_text, read_rows, write_csv
+from .ioutil import (
+    MAX_MAGNITUDE, check_dimension_name, csv_field, fmt9, open_text, read_rows, write_csv,
+)
 
 if TYPE_CHECKING:
     from .proplabel import PolarityLexicon
@@ -233,6 +235,8 @@ def write_score_csv(
 ) -> dict[str, Mapping[str, PolarityScore]]:
     """One row per dimension and key: keys in key_order, else sorted.
 
+    Values must be at most ioutil.MAX_MAGNITUDE in magnitude, as
+    read_score_csv reads no larger one; means of lexicon scores always are.
     Returns the scores as read_score_csv gives them back: each value is
     rounded in place to its written text, and a dimension with no rows is left
     out.
@@ -274,8 +278,9 @@ def read_score_csv(path: str | Path) -> dict[str, dict[str, PolarityScore]]:
                 n_items = int(raw_n)
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: bad numeric field") from exc
-            if value is not None and not math.isfinite(value):
-                raise DataError(f"{path}: line {lineno}: value is not finite")
+            if value is not None and not abs(value) <= MAX_MAGNITUDE:
+                raise DataError(f"{path}: line {lineno}: value is not finite "
+                                f"or its magnitude is over {MAX_MAGNITUDE:g}")
             if n_items < 0:
                 raise DataError(f"{path}: line {lineno}: n_items is negative")
             if (value is None) != (n_items == 0):

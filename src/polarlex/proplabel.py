@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DataError
-from .ioutil import check_dimension_name, fmt9, read_rows
+from .ioutil import MAX_MAGNITUDE, check_dimension_name, fmt9, read_rows
 
 # Only the random walk needs numpy, and it imports it itself, so that the
 # lexicon readers and greedy propagation load without numpy or scipy.
@@ -314,7 +314,7 @@ def read_lexicon(path: str | Path) -> PolarityLexicon:
     check_dimension_name(path, 1, dimension)
     try:
         lo, hi = map(float, scale.split(","))
-        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        if not (abs(lo) <= MAX_MAGNITUDE and abs(hi) <= MAX_MAGNITUDE) or lo >= hi:
             raise ValueError
     except ValueError:
         raise DataError(f"{path}: line 1: bad scale {scale!r}") from None
@@ -360,8 +360,9 @@ def read_seed_lexicon(path: str | Path) -> SeedLexicon:
         value_a, value_b = float(raw_a), float(raw_b)
     except ValueError as exc:
         raise DataError(f"{path}: line 1: bad endpoint value") from exc
-    if not (math.isfinite(value_a) and math.isfinite(value_b)):
-        raise DataError(f"{path}: line 1: non-finite endpoint value")
+    if not (abs(value_a) <= MAX_MAGNITUDE and abs(value_b) <= MAX_MAGNITUDE):
+        raise DataError(f"{path}: line 1: non-finite endpoint value, or one of "
+                        f"magnitude over {MAX_MAGNITUDE:g}")
     pole_a: set[str] = set()
     pole_b: set[str] = set()
     for lineno, (item, pole) in rows:

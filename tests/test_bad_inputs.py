@@ -23,8 +23,8 @@ class Kind:
     argv: tuple[str, ...]  # the subcommand that reads the file, and its flags
     sep: str | None  # None for JSON
     first: int = 0  # index of the first data line: after a header or comment
-    # (line, field) of a number to make nan or inf; line None: the first data
-    # line from the second on whose field is not blank
+    # (line, field) of a number to make nan, inf or 1e308; line None: the first
+    # data line from the second on whose field is not blank
     number: tuple[int | None, int] | None = None
 
 
@@ -48,17 +48,18 @@ KINDS = {
                                    "emb.txt", "--knn-k", "2"), " ", 0, (None, 1)),
     "config": Kind("config.json", ("eval", *GOLD, "--config", "config.json"), None),
 }
-MUTATIONS = ("empty", "no-header", "extra-field", "missing-field", "nan", "inf",
+MUTATIONS = ("empty", "no-header", "extra-field", "missing-field", "nan", "inf", "1e308",
              "invalid-utf8", "blank-line")
 HEADERS = {"graph-edges", "lexicon", "seeds", "tweet-scores", "user-scores"}
-NUMBERS = {"nan", "inf"}
+NUMBERS = {"nan", "inf", "1e308"}
 # Mutations that leave a valid file: whitespace-only lines are skipped, a
 # corpus object may carry other keys, every config key is optional, an empty
-# corpus, tokenized file or membership file holds no rows.
+# corpus, tokenized file or membership file holds no rows, and 1e308 is a
+# valid tol.
 ACCEPTED = {
     *((kind, "blank-line") for kind in KINDS),
     ("corpus", "empty"), ("tokenized", "empty"), ("membership", "empty"),
-    ("corpus", "extra-field"), ("config", "missing-field"),
+    ("corpus", "extra-field"), ("config", "missing-field"), ("config", "1e308"),
 }
 CASES = [
     (kind, mutation)

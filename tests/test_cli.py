@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,15 +635,20 @@ def test_eval_user_day_without_a_tweet_score_names_it(tmp_path, synth_dir, capsy
 
 
 # Score rows that read_score_csv must reject: a stage that sums them would
-# divide by a zero item count, or add inf to -inf.
+# divide by a zero item count, add inf to -inf, overflow a sum, or overflow
+# the square of a difference from the mean.
 UNSUMMABLE = {
     "zero-items": ("t1,d,1.000000000,1\nt2,d,-1.000000000,-1\n", "line 3: n_items is negative"),
     "inf": ("t1,d,inf,1\nt2,d,-inf,1\n", "line 2: value is not finite"),
+    "huge": ("t1,d,1e308,1\nt2,d,1e308,1\n", "line 2: value is not finite"),
+    "far-apart": ("t1,d,1e200,1\nt2,d,-1e200,1\n", "line 2: value is not finite"),
 }
 
 
 @pytest.mark.parametrize("rows, subcommand", [("zero-items", "eval"), ("inf", "eval"),
-                                              ("inf", "timeseries")])
+                                              ("inf", "timeseries"), ("huge", "eval"),
+                                              ("huge", "timeseries"),
+                                              ("far-apart", "timeseries")])
 def test_unsummable_tweet_scores_exit_two(tmp_path, capsys, rows, subcommand):
     text, message = UNSUMMABLE[rows]
     out = tmp_path / "run"
@@ -661,6 +667,26 @@ def test_unsummable_tweet_scores_exit_two(tmp_path, capsys, rows, subcommand):
         argv += ["--gold", str(gold), "--eval-unit", "user_day"]
     assert main(argv) == 2
     assert f"data error: {scores}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("texts", [["#a #b"], ["#a", "#b"]], ids=["one-tweet", "two-tweets"])
+def test_lexicon_scale_past_the_value_bound_exit_two(tmp_path, capsys, texts):
+    # finite scores whose sum overflows: two items in one tweet, or two
+    # one-item tweets of one user
+    out = tmp_path / "run"
+    out.mkdir()
+    lexicon = out / "lexicon_d.tsv"
+    lexicon.write_text("#dimension=d\tscale=-1e308,1e308\na\t1e308\tseed\nb\t1e308\tseed\n")
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("#dimension=d\tvalue_a=1\tvalue_b=-1\na\tA\nc\tB\n")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        f'{{"tweet_id": "t{i}", "user_id": "u1", "timestamp": "2020-01-01T00:00:00Z", '
+        f'"text": "{text}"}}\n' for i, text in enumerate(texts)
+    ))
+    assert main(["score", "--corpus", str(corpus), "--seed-file", str(seeds),
+                 "--out-dir", str(out)]) == 2
+    assert f"data error: {lexicon}: line 1: bad scale '-1e308,1e308'" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path, synth_dir):
@@ -764,6 +790,23 @@ def test_embedding_mode_stages(tmp_path, synth_dir):
     lexicon = (out / "lexicon_axis.tsv").read_text().splitlines()
     assert lexicon[0].endswith("scale=0.000000000,1.000000000")
     assert len(lexicon) == 13
+
+
+def test_embedding_whose_norm_overflows_exit_two(tmp_path, capsys):
+    # finite values whose norm is not: its unit vector would be zero, tied
+    # with every other token at cosine 0
+    vectors = np.random.default_rng(1).standard_normal((40, 4))
+    vectors[7] = 1e308
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(
+        f"t{i:02d} " + " ".join(map(str, row)) + "\n" for i, row in enumerate(vectors.tolist())
+    ))
+    out = tmp_path / "run"
+    assert main(["build-graph", "--mode", "embedding", "--embeddings", str(emb),
+                 "--knn-k", "2", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {emb}: token 't07': vector norm is not finite" in err
+    assert not out.exists()
 
 
 def test_token_mode_pipeline(tmp_path, synth_dir):
@@ -882,6 +925,66 @@ def test_pipeline_reads_no_file_it_wrote(tmp_path, synth_dir):
     assert sorted(manifest["inputs"]) == sorted(
         [str(synth_dir / "corpus.jsonl"), str(synth_dir / "seeds_community.tsv")]
     )
+
+
+# What each single stage reads and writes, as its manifest lists them: an
+# input by the config field that names it, or by its name in the run
+# directory. In embedding mode build-graph reads the embeddings instead.
+STAGE_FILES = {
+    "ingest": (["corpus"], ["tokenized.tsv"]),
+    "build-graph": (["tokenized.tsv"], ["graph.edges.tsv", "graph.nodes.tsv"]),
+    "propagate": (["graph.edges.tsv", "graph.nodes.tsv", "seed_files"],
+                  ["lexicon_community.tsv"]),
+    "score": (["corpus", "lexicon_community.tsv", "seed_files"],
+              ["tally.csv", "tweet_scores.csv", "user_scores.csv"]),
+    "timeseries": (["corpus", "membership", "tweet_scores.csv"],
+                   ["daily_series_community.csv"]),
+    "commnet": (["corpus", "lexicon_community.tsv", "user_scores.csv"],
+                ["commnet.graphml", "commnet_edges.csv", "homophily.csv"]),
+    "eval": (["annotations", "gold", "lexicon_community.tsv", "user_scores.csv"],
+             ["eval_overall.csv", "eval_poles.csv"]),
+    "eval user_day": (["annotations", "corpus", "gold", "lexicon_community.tsv",
+                       "tweet_scores.csv"], ["eval_overall.csv", "eval_poles.csv"]),
+}
+
+
+def manifest_files(out_dir):
+    """The inputs and outputs of out_dir's manifest, inputs named as in STAGE_FILES."""
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    config = manifest["config"]
+    given = {value: name for name, value in config.items() if isinstance(value, str)}
+    given.update(dict.fromkeys(config["seed_files"], "seed_files"))
+    inputs = [given.get(path) or str(Path(path).relative_to(out_dir))
+              for path in manifest["inputs"]]
+    return sorted(inputs), manifest["outputs"]
+
+
+@pytest.mark.parametrize("mode", ["hashtag", "token", "embedding"])
+def test_each_stage_reads_and_writes_its_files(tmp_path, synth_dir, mode):
+    from polarlex.corpus import group_by_user_day, load_corpus
+
+    gold = synth_dir / "gold_users.tsv"
+    labels = dict(line.split("\t") for line in gold.read_text().splitlines())
+    # a copy, so that the manifest tells the membership file from the gold file
+    membership = tmp_path / "membership.tsv"
+    shutil.copy(gold, membership)
+    annotations = tmp_path / "annotations.tsv"
+    annotations.write_text("".join(f"{user}\t{g}\t{g}\n" for user, g in labels.items()))
+    days = group_by_user_day(load_corpus(synth_dir / "corpus.jsonl"))
+    day_gold = tmp_path / "gold_days.tsv"
+    day_gold.write_text("".join(f"{key}\t{labels[key.partition('@')[0]]}\n" for key in days))
+    out = tmp_path / "run"
+    args = [*mode_args(tmp_path, synth_dir, mode), "--out-dir", str(out),
+            "--membership", str(membership), "--annotations", str(annotations)]
+    for stage, (reads, writes) in STAGE_FILES.items():
+        subcommand, _, unit = stage.partition(" ")
+        argv = [subcommand, *args]
+        if subcommand == "eval":
+            argv += ["--gold", str(day_gold if unit else gold), "--eval-unit", unit or "account"]
+        if mode == "embedding" and stage == "build-graph":
+            reads = ["embeddings"]
+        assert main(argv) == 0, stage
+        assert manifest_files(out) == (reads, writes), stage
 
 
 def test_pipeline_scores_only_its_own_lexicons(tmp_path, synth_dir):

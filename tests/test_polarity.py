@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
 from polarlex.errors import DataError
+from polarlex.ioutil import MAX_MAGNITUDE
 from polarlex.polarity import (
     BY_ITEM,
     BY_TWEET,
@@ -249,8 +250,8 @@ def score_tables(draw):
     keys = draw(st.lists(names, min_size=1, max_size=4, unique=True))
     scores = {}
     for dim in draw(st.lists(names, max_size=3, unique=True)):
-        values = [draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
-                  for _ in keys]
+        # read_score_csv reads no value of a larger magnitude
+        values = [draw(st.none() | st.floats(-MAX_MAGNITUDE, MAX_MAGNITUDE)) for _ in keys]
         scores[dim] = {
             key: PolarityScore(v, 0 if v is None else draw(st.integers(1, 9)))
             for key, v in zip(keys, values)
