@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable
@@ -26,7 +26,11 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 @dataclass(slots=True)
 class TweetRecord:
-    """One message. Interaction fields feed the communication network only."""
+    """One message. Interaction fields feed the communication network only.
+
+    load_corpus gives equal ids one str object, and every record without
+    mentions the empty tuple.
+    """
 
     tweet_id: str
     user_id: str
@@ -34,7 +38,7 @@ class TweetRecord:
     text: str
     is_retweet: bool = False
     retweet_of_user: str | None = None
-    mentions: list[str] = field(default_factory=list)
+    mentions: tuple[str, ...] = ()
     reply_to_user: str | None = None
 
     def day(self) -> date:
@@ -43,11 +47,15 @@ class TweetRecord:
 
 @dataclass(slots=True)
 class TokenizedTweet:
-    """Normalized hashtags (deduplicated) and tokens (occurrences kept) of one tweet."""
+    """Normalized hashtags (deduplicated) and tokens (occurrences kept) of one tweet.
+
+    tokenize and read_tokenized give a tweet whose hashtags equal its tokens
+    one tuple for both fields.
+    """
 
     tweet_id: str
-    hashtags: list[str]
-    tokens: list[str]
+    hashtags: tuple[str, ...]
+    tokens: tuple[str, ...]
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -61,7 +69,13 @@ def parse_timestamp(raw: str) -> datetime:
     return dt.astimezone(timezone.utc)
 
 
-def record_from_json(obj: dict) -> TweetRecord:
+def record_from_json(obj: dict, strings: dict[str, str] | None = None) -> TweetRecord:
+    """The record of one decoded corpus line.
+
+    User ids and mentions equal to a key of strings are given its value, and
+    the others are added to it, so that the records of one load share them.
+    """
+    one = {}.setdefault if strings is None else strings.setdefault
     if not isinstance(obj, dict):
         raise DataError(f"expected a JSON object, got {type(obj).__name__}")
     required = []
@@ -84,7 +98,7 @@ def record_from_json(obj: dict) -> TweetRecord:
         raise DataError(f"tweet_id {tweet_id!r} contains a tab or line break")
     mentions = obj.get("mentions")
     if mentions is None:
-        mentions = []
+        mentions = ()
     elif not isinstance(mentions, list):
         raise DataError("mentions must be an array")
     if not all(isinstance(m, str) for m in mentions):
@@ -108,13 +122,13 @@ def record_from_json(obj: dict) -> TweetRecord:
             raise DataError(f"{key} holds a lone surrogate, which is not Unicode text")
     return TweetRecord(
         tweet_id=tweet_id,
-        user_id=user_id,
+        user_id=one(user_id, user_id),
         timestamp=parse_timestamp(timestamp),
         text=text,
         is_retweet=bool(is_retweet),
-        retweet_of_user=retweet_of_user,
-        mentions=mentions,
-        reply_to_user=reply_to_user,
+        retweet_of_user=one(retweet_of_user, retweet_of_user),
+        mentions=tuple(map(one, mentions, mentions)),
+        reply_to_user=one(reply_to_user, reply_to_user),
     )
 
 
@@ -132,21 +146,22 @@ _WRITTEN_LINE = re.compile(
 )
 
 
-def _record_from_match(match: re.Match) -> TweetRecord:
+def _record_from_match(match: re.Match, strings: dict[str, str]) -> TweetRecord:
     """The record of a _WRITTEN_LINE match, as record_from_json gives it."""
     is_retweet, mentions, reply_to, retweet_of, text, timestamp, tweet_id, user_id = (
         match.groups()
     )
-    # str.split's list keeps room for twelve items; the copy is sized to fit
+    one = strings.setdefault
+    mentions = mentions[1:-1].split('", "') if mentions else ()
     return TweetRecord(
         tweet_id,
-        user_id,
+        one(user_id, user_id),
         parse_timestamp(timestamp),
         text,
         is_retweet == "true",
-        retweet_of,
-        list(mentions[1:-1].split('", "')) if mentions else [],
-        reply_to,
+        one(retweet_of, retweet_of),
+        tuple(map(one, mentions, mentions)),
+        one(reply_to, reply_to),
     )
 
 
@@ -156,16 +171,19 @@ def load_corpus(path: str | Path, include_retweets: bool = True) -> list[TweetRe
     Lines in write_corpus's layout are parsed by one pattern; any other line
     by json.loads and record_from_json, with the same result. Rejects
     duplicate tweet_ids, malformed lines and invalid UTF-8, naming the
-    offending line.
+    offending line. Equal user ids, in any of the four fields that hold one,
+    are one str object.
     """
     records: list[TweetRecord] = []
     seen: set[str] = set()
+    strings: dict[str, str] = {}
     match_line = _WRITTEN_LINE.fullmatch
     for lineno, line in read_lines(path):
         match = match_line(line)
         try:
-            record = (_record_from_match(match) if match
-                      else record_from_json(json.loads(line, object_pairs_hook=unique_keys)))
+            record = (_record_from_match(match, strings) if match
+                      else record_from_json(json.loads(line, object_pairs_hook=unique_keys),
+                                            strings))
         except (ValueError, OverflowError, DataError) as exc:
             raise DataError(f"{path}: line {lineno}: {exc}") from exc
         if record.tweet_id in seen:
@@ -208,16 +226,15 @@ def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
     """
     one = {}.setdefault
 
-    def items(field: str) -> list[str]:
-        if not field:
-            return []
-        parts = field.split(" ")
-        return [*map(one, parts, parts)]
+    def items(field: str) -> tuple[str, ...]:
+        parts = field.split(" ") if field else ()
+        return tuple(map(one, parts, parts))
 
-    return [
-        TokenizedTweet(tweet_id=tweet_id, hashtags=items(tags), tokens=items(tokens))
-        for _, (tweet_id, tags, tokens) in read_rows(path, "\t", 3)
-    ]
+    def tweet(tweet_id: str, tags: str, tokens: str) -> TokenizedTweet:
+        hashtags = items(tags)
+        return TokenizedTweet(tweet_id, hashtags, hashtags if tokens == tags else items(tokens))
+
+    return [tweet(*row) for _, row in read_rows(path, "\t", 3)]
 
 
 def _is_punct(ch: str) -> bool:
@@ -282,7 +299,9 @@ def tokenize(records: Iterable[TweetRecord]) -> list[TokenizedTweet]:
                 tokens.append(name)
                 if is_tag:
                     tags.append(name)
-        hashtags = list(dict.fromkeys(tags))
+        hashtags, tokens = tuple(dict.fromkeys(tags)), tuple(tokens)
+        if hashtags == tokens:
+            hashtags = tokens
         out.append(TokenizedTweet(tweet_id=record.tweet_id, hashtags=hashtags, tokens=tokens))
     return out
 

@@ -5,9 +5,10 @@ from __future__ import annotations
 import array
 import logging
 import math
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, count, pairwise
+from itertools import chain, count, pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -79,30 +80,41 @@ def build_cooccurrence(
     # a missing item is given the next column: every item's first occurrence
     # takes the columns 0, 1, 2, ... in turn
     index: defaultdict[str, int] = defaultdict(count().__next__)
-    indptr = [0, *accumulate(map(len, map(items, tweets)))]
+    indptr = np.zeros(len(tweets) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, map(items, tweets)), np.intp, len(tweets)), out=indptr[1:])
     cols = np.fromiter(map(index.__getitem__, chain.from_iterable(map(items, tweets))),
                        dtype=np.intp, count=indptr[-1])
+    names = list(index)
+    del index
+    # then each column is renumbered to its item's rank in name order
+    order = sorted(range(len(names)), key=names.__getitem__)
+    nodes = [names[i] for i in order]
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    cols = rank[cols]
     incidence = sp.csr_matrix(
-        (np.ones(len(cols)), cols, indptr), shape=(len(indptr) - 1, len(index))
+        (np.ones(len(cols)), cols, indptr), shape=(len(tweets), len(nodes))
     )
+    del cols, indptr
     # an item repeated within a tweet counts once
     incidence.sum_duplicates()
     incidence.data[:] = 1
-    names = list(index)
-    kept: Sequence[int] = range(len(names))
-    if mode == TOKEN_MODE and vocab_cap is not None and len(names) > vocab_cap:
-        freq = np.asarray(incidence.sum(axis=0)).ravel()
-        kept = sorted(kept, key=lambda i: (-freq[i], names[i]))[:vocab_cap]
-    order = sorted(kept, key=names.__getitem__)
-    incidence = incidence[:, order]
-    counts = (incidence.T @ incidence).tocsr()
+    if mode == TOKEN_MODE and vocab_cap is not None and len(nodes) > vocab_cap:
+        freq = np.bincount(incidence.indices, minlength=len(nodes))
+        # a stable sort leaves tied items in name order
+        kept = np.sort(np.argsort(-freq, kind="stable")[:vocab_cap])
+        incidence = incidence[:, kept]
+        nodes = [nodes[i] for i in kept.tolist()]
+    product = incidence.T @ incidence
+    del incidence
+    # X^T X is symmetric, so the CSC buffers of the product are its CSR buffers
+    counts = sp.csr_matrix((product.data, product.indices, product.indptr), shape=product.shape)
+    del product
     frequency = counts.diagonal().astype(np.int64).tolist()
     counts.setdiag(0)
     counts.eliminate_zeros()
     counts.sort_indices()
-    return CooccurrenceGraph(
-        mode=mode, nodes=[names[i] for i in order], frequency=frequency, weights=counts
-    )
+    return CooccurrenceGraph(mode=mode, nodes=nodes, frequency=frequency, weights=counts)
 
 
 def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> EmbeddingTable:
@@ -156,7 +168,8 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
     comes first in the table. Directed k-NN relations are unioned, keeping
     the larger weight. Zero vectors are dropped with a logged count, and a
-    vector whose norm is not finite is a DataError naming its token.
+    vector whose norm is not finite, or underflows to zero, is a DataError
+    naming its token.
     Similarities take about KNN_BLOCK_BYTES at a time, in blocks of two rows
     or more: numpy computes a one-row product as a matrix-vector product,
     which rounds differently, so the weights do not depend on the block size.
@@ -173,6 +186,12 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     keep = norms > 0.0
     n_zero = int((~keep).sum())
     if n_zero:
+        # a vector whose squares all underflow has norm 0 but is no zero vector
+        underflowed = np.flatnonzero(~keep & vectors.any(axis=1))
+        if underflowed.size:
+            raise DataError(
+                f"token {table.vocabulary[underflowed[0]]!r}: vector norm underflows to zero"
+            )
         log.warning("dropped %d zero vectors before k-NN construction", n_zero)
         vectors, norms = vectors[keep], norms[keep]
     vocab = [t for t, ok in zip(table.vocabulary, keep) if ok]
@@ -256,26 +275,30 @@ def write_graph(
     the written 9-decimal strings parsed back.
     """
     nodes = graph.nodes
-    # row by row with sorted columns, so the a < b pairs come out in name order
-    upper = sp.triu(graph.weights, k=1, format="csr")
     # Views over the CSR's buffers: a row's slice copies nothing, and only that
     # row's names and lines are held at once. A line is its row's head, its
-    # column's name and its weight's tail.
-    columns, weights = memoryview(upper.indices), memoryview(upper.data)
+    # column's name and its weight's tail. Rows list their columns in name
+    # order and the diagonal is empty, so a row's a < b pairs are the columns
+    # past the row's own index, and come out in name order.
+    matrix = graph.weights
+    columns, weights = memoryview(matrix.indices), memoryview(matrix.data)
     # Co-occurrence counts are whole numbers, which read back as themselves
     # from their 9 decimals, so each distinct count's tail is formatted once.
-    whole = bool(((upper.data % 1 == 0) & (upper.data > 0)).all())
-    read_back = array.array("d")
-    if whole:
-        tails = {w: f"\t{fmt9(w)}\n" for w in np.unique(upper.data).tolist()}
+    # Other weights are parsed back into the one-way graph of the a < b entries.
+    whole = _whole_and_positive(matrix.data)
+    tails = _Tails()
+    read_back, upper_columns, upper_indptr = array.array("d"), array.array(columns.format), [0]
     with open(edges_path, "w", encoding="utf-8") as fh:
         fh.write(f"#mode={graph.mode}\n")
-        for row, (lo, hi) in enumerate(pairwise(upper.indptr.tolist())):
+        for row, (lo, hi) in enumerate(pairwise(matrix.indptr.tolist())):
+            lo = bisect_right(columns, row, lo, hi)
             if whole:
                 ends = map(tails.__getitem__, weights[lo:hi])
             else:
                 texts = list(map(fmt9, weights[lo:hi]))
                 read_back.extend(map(float, texts))
+                upper_columns.frombytes(columns[lo:hi].cast("B"))
+                upper_indptr.append(len(read_back))
                 ends = [f"\t{t}\n" for t in texts]
             head = nodes[row] + "\t"
             names = map(nodes.__getitem__, columns[lo:hi])
@@ -285,11 +308,27 @@ def write_graph(
             fh.write(f"{node}\t{freq}\n")
     if whole:
         return graph
-    one_way = sp.csr_matrix((np.frombuffer(read_back), upper.indices, upper.indptr),
-                            shape=graph.weights.shape)
+    one_way = sp.csr_matrix((np.frombuffer(read_back), np.frombuffer(upper_columns, columns.format),
+                             upper_indptr), shape=matrix.shape)
     return CooccurrenceGraph(
         mode=graph.mode, nodes=nodes, frequency=graph.frequency, weights=_symmetric(one_way)
     )
+
+
+class _Tails(dict):
+    """Each whole weight's edge-line tail, formatted at its first lookup."""
+
+    def __missing__(self, weight: float) -> str:
+        tail = self[weight] = f"\t{fmt9(weight)}\n"
+        return tail
+
+
+def _whole_and_positive(values: np.ndarray) -> bool:
+    """Whether every value is a positive whole number. The check takes 64k
+    values at a time, so that no temporary is the size of the matrix."""
+    step = 1 << 16
+    return all(bool(((part % 1 == 0) & (part > 0)).all())
+               for part in (values[i : i + step] for i in range(0, len(values), step)))
 
 
 def _symmetric(one_way: sp.csr_matrix) -> sp.csr_matrix:

@@ -131,7 +131,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
 
         is_retweet = False
         retweet_of = None
-        mentions: list[str] = []
+        mentions: tuple[str, ...] = ()
         reply_to = None
         if float(rng.random()) < P_INTERACTION:
             same = float(rng.random()) < INTERACTION_HOMOPHILY
@@ -147,7 +147,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
                     is_retweet = True
                     retweet_of = target
                 elif kind == 1:
-                    mentions = [target]
+                    mentions = (target,)
                 else:
                     reply_to = target
                 participants.add(target)

@@ -203,6 +203,8 @@ EDITS = [
     ("graph-edges", "unknown-mode", 0, 0, "#mode=foo", "line 1: mode must be hashtag or token"),
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
+    # every square underflows, so the norm is 0 though the vector is not zero
+    ("embeddings", "norm-underflow", 2, 1, "1e-170", "token 'w02': vector norm underflows to zero"),
     ("gold", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),
     ("annotations", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),
     ("tweet-scores", "bad-value", 1, 2, "x", "line 2: bad numeric field"),

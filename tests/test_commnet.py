@@ -35,7 +35,7 @@ def record(tweet_id, user, retweet_of=None, mentions=(), reply_to=None):
         text="",
         is_retweet=retweet_of is not None,
         retweet_of_user=retweet_of,
-        mentions=list(mentions),
+        mentions=tuple(mentions),
         reply_to_user=reply_to,
     )
 

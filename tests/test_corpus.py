@@ -121,7 +121,7 @@ class TestLoadCorpus:
         ])
         records = load_corpus(path, include_retweets=False)
         assert [r.tweet_id for r in records] == ["t1", "t2"]
-        assert [r.mentions for r in records] == [["u2", "7"], []]
+        assert [r.mentions for r in records] == [("u2", "7"), ()]
 
     def test_retweet_filter(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -164,7 +164,7 @@ class TestLoadCorpus:
                 text="#a b",
                 is_retweet=True,
                 retweet_of_user="u2",
-                mentions=["u3", "u4"],
+                mentions=("u3", "u4"),
                 reply_to_user="u5",
             )
         ]
@@ -306,39 +306,39 @@ class TestReadTokenized:
 class TestTokenize:
     def test_camelcase_hashtags_folded(self):
         tags, tokens = tokenize_text("We r waiting #StormWatch #CityAlerts")
-        assert tags == ["stormwatch", "cityalerts"]
-        assert tokens == ["we", "r", "waiting", "stormwatch", "cityalerts"]
+        assert tags == ("stormwatch", "cityalerts")
+        assert tokens == ("we", "r", "waiting", "stormwatch", "cityalerts")
 
     def test_empty_text(self):
-        assert tokenize_text("") == ([], [])
+        assert tokenize_text("") == ((), ())
 
     def test_duplicate_hashtags_dedup_in_tags_kept_in_tokens(self):
         tags, tokens = tokenize_text("#Peace #peace war")
-        assert tags == ["peace"]
-        assert tokens == ["peace", "peace", "war"]
+        assert tags == ("peace",)
+        assert tokens == ("peace", "peace", "war")
 
     def test_mentions_and_urls_dropped(self):
         tags, tokens = tokenize_text("@someone look https://t.co/x HTTP://Y.co ok")
-        assert tags == []
-        assert tokens == ["look", "ok"]
+        assert tags == ()
+        assert tokens == ("look", "ok")
 
     def test_punctuation_stripped_keeps_inner(self):
         _, tokens = tokenize_text("(don't) stop!! #go,")
-        assert tokens == ["don't", "stop", "go"]
+        assert tokens == ("don't", "stop", "go")
 
     def test_wrapped_mention_excluded(self):
-        assert tokenize_text('"@user" hi')[1] == ["hi"]
+        assert tokenize_text('"@user" hi')[1] == ("hi",)
 
     def test_multilingual_text(self):
         tags, tokens = tokenize_text("امن #امن शांति")
-        assert tags == ["امن"]
-        assert tokens == ["امن", "امن", "शांति"]
+        assert tags == ("امن",)
+        assert tokens == ("امن", "امن", "शांति")
 
     def test_record_wrapper(self):
         record = make_record(text="#One two")
         (tt,) = tokenize([record])
         assert tt.tweet_id == "t1"
-        assert tt.hashtags == ["one"]
+        assert tt.hashtags == ("one",)
 
     @given(st.text(max_size=200))
     def test_hashtags_subset_of_tokens(self, text):
@@ -388,9 +388,65 @@ class TestTokenizeMatchesOracle:
     def test_corpus_matches_verbatim_tokenizer(self, texts):
         records = [make_record(f"t{i}", text=text) for i, text in enumerate(texts)]
         got = [(tw.tweet_id, tw.hashtags, tw.tokens) for tw in tokenize(records)]
-        assert got == [(r.tweet_id, *oracles.tokenize_text(r.text)) for r in records]
+        assert got == [(r.tweet_id, *map(tuple, oracles.tokenize_text(r.text)))
+                       for r in records]
         for text in texts:
-            assert tokenize_text(text) == oracles.tokenize_text(text)
+            assert tokenize_text(text) == tuple(map(tuple, oracles.tokenize_text(text)))
+
+
+def user_strings(records):
+    """Every user id the records hold, in any field."""
+    return [user for r in records
+            for user in (r.user_id, r.retweet_of_user, r.reply_to_user, *r.mentions)
+            if user is not None]
+
+
+class TestSharedValues:
+    @pytest.fixture
+    def written(self, tmp_path):
+        """A synth corpus as write_corpus wrote it, and as other JSON."""
+        assert main(["synth", "--out-dir", str(tmp_path), "--n-users", "30", "--n-tweets",
+                     "400", "--rng-seed", "3"]) == 0
+        path = tmp_path / "corpus.jsonl"
+        other = tmp_path / "other.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        other.write_text("".join(json.dumps(json.loads(line), separators=(",", ":")) + "\n"
+                                 for line in lines), encoding="utf-8")
+        assert all(corpus._WRITTEN_LINE.fullmatch(line) for line in lines)
+        assert not any(map(corpus._WRITTEN_LINE.fullmatch,
+                           other.read_text(encoding="utf-8").splitlines()))
+        return path, other
+
+    def test_both_parse_paths_share_user_ids_and_empty_mentions(self, written):
+        path, other = written
+        by_pattern, by_json = load_corpus(path), load_corpus(other)
+        assert by_pattern == by_json
+        for records in (by_pattern, by_json):
+            users = user_strings(records)
+            assert len(users) > len(set(users))
+            assert len({id(user) for user in users}) == len(set(users))
+            assert all(type(r.mentions) is tuple for r in records)
+            empty = [r.mentions for r in records if not r.mentions]
+            assert len(empty) > 1 and len({id(m) for m in empty}) == 1
+
+    def test_no_sharing_across_loads(self, written):
+        path, _ = written
+        first, second = load_corpus(path), load_corpus(path)
+        assert first[0].user_id == second[0].user_id
+        assert first[0].user_id is not second[0].user_id
+
+    @settings(max_examples=100)
+    @given(corpora())
+    @example(["#a #b", "#a x", "#a #A", "", "@u"])
+    def test_hashtags_equal_to_tokens_are_one_tuple(self, tmp_path_factory, texts):
+        tweets = tokenize([make_record(f"t{i}", text=text) for i, text in enumerate(texts)])
+        path = tmp_path_factory.mktemp("tokenized") / "tokenized.tsv"
+        write_tokenized(tweets, path)
+        back = read_tokenized(path)
+        assert back == tweets
+        for tw in (*tweets, *back):
+            assert type(tw.hashtags) is tuple and type(tw.tokens) is tuple
+            assert (tw.hashtags is tw.tokens) == (tw.hashtags == tw.tokens)
 
 
 class TestGroupByUserDay:

@@ -3,13 +3,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarlex import lexgraph
 from polarlex.corpus import TokenizedTweet
 from polarlex.errors import ConfigError, DataError
 from polarlex.lexgraph import (
+    CooccurrenceGraph,
     EmbeddingTable,
     build_cooccurrence,
     build_knn_graph,
@@ -28,7 +29,7 @@ from oracles import (
 
 
 def tt(tweet_id, tags, tokens=None):
-    return TokenizedTweet(tweet_id, list(tags), list(tokens if tokens is not None else tags))
+    return TokenizedTweet(tweet_id, tuple(tags), tuple(tokens if tokens is not None else tags))
 
 
 class TestBuildCooccurrence:
@@ -107,6 +108,55 @@ class TestBuildCooccurrence:
         assert graph.nodes == sorted(tweets_with)
         assert graph.frequency == [tweets_with[node] for node in graph.nodes]
         assert graph.weights.has_sorted_indices
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from("gfedcba"), max_size=8),
+            min_size=1,
+            max_size=20,
+        ),
+        st.sampled_from(["hashtag", "token"]),
+        st.integers(1, 8),
+    )
+    # b, c and d tie at one tweet each, and the cap keeps one of them
+    @example([["d", "a"], ["c"], ["b", "a"]], "token", 2)
+    @example([["d", "a"], ["c"], ["b", "a"]], "hashtag", 2)
+    def test_vocab_cap_matches_oracle(self, item_lists, mode, cap):
+        # the cap keeps the most frequent tokens, ties in name order; hashtag
+        # mode keeps every item
+        graph = build_cooccurrence([tt(f"t{i}", items) for i, items in enumerate(item_lists)],
+                                   mode, vocab_cap=cap)
+        tweets_with = Counter(item for items in item_lists for item in set(items))
+        kept = sorted(tweets_with, key=lambda item: (-tweets_with[item], item))
+        if mode == "token":
+            kept = kept[:cap]
+        assert graph.nodes == sorted(kept)
+        assert graph.frequency == [tweets_with[node] for node in graph.nodes]
+        expected = brute_force_pairs([[i for i in items if i in kept] for items in item_lists])
+        assert edge_dict(graph) == {pair: float(n) for pair, n in expected.items()}
+        assert graph.weights.has_sorted_indices
+
+    @pytest.mark.parametrize("mode, cap", [("hashtag", None), ("token", 450)])
+    def test_peak_memory_is_the_product_and_its_operands(self, mode, cap):
+        # 6000 tweets of 12 items out of 600: the incidence holds 72k entries
+        # (0.9 MB in CSR, the same again in the CSC the product needs), and
+        # the result 2-4 MB. A copy of the result on top of that would show.
+        tweets = random_tweets(6000, 600, 12)
+        tracemalloc.start()
+        try:
+            graph = build_cooccurrence(tweets, mode, vocab_cap=cap)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = graph.weights
+        assert graph.num_nodes == (cap or 600)
+        assert peak < 2 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
+
+
+def random_tweets(n_tweets, vocab, per_tweet):
+    """n_tweets tweets of per_tweet items each, drawn from vocab items, seeded."""
+    draws = np.random.default_rng(7).integers(vocab, size=(n_tweets, per_tweet)).tolist()
+    return [tt(f"t{i}", [f"w{j:04d}" for j in row]) for i, row in enumerate(draws)]
 
 
 class TestLoadEmbeddings:
@@ -216,6 +266,15 @@ class TestKnnGraph:
         )
         graph = build_knn_graph(table, k=1)
         assert "z" not in graph.nodes
+
+    def test_vector_whose_norm_underflows_rejected(self):
+        # every square of 1e-170 underflows, so the norm is 0 though the
+        # vector is not: it is no zero vector to drop
+        vectors = np.random.default_rng(4).standard_normal((10, 4))
+        vectors[3] = 1e-170
+        table = EmbeddingTable([f"w{i}" for i in range(10)], vectors)
+        with pytest.raises(DataError, match="^token 'w3': vector norm underflows to zero$"):
+            build_knn_graph(table, k=2)
 
     def test_random_vectors_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -430,6 +489,32 @@ class TestGraphFiles:
         got = write_graph(knn, edges, nodes)
         assert got is not knn
         assert not np.array_equal(got.weights.data, knn.weights.data)
+
+    def test_fraction_past_the_first_checked_values(self, tmp_path):
+        # 360k stored weights, all whole but the last row's last edge, which
+        # read_graph gives back as written
+        graph = build_cooccurrence(random_tweets(6000, 600, 12), "hashtag")
+        weights = graph.weights.copy()
+        last, column = weights.shape[0] - 1, weights.indices[-1]
+        weights[last, column] = weights[column, last] = 2.5000000004
+        graph = CooccurrenceGraph(graph.mode, graph.nodes, graph.frequency, weights)
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        got = write_graph(graph, edges, nodes)
+        assert edges.read_text() == per_line_graph_files(graph)[0]
+        assert got is not graph
+        assert edge_dict(got) == edge_dict(read_graph(edges, nodes))
+        assert edge_dict(got)[graph.nodes[column], graph.nodes[last]] == 2.5
+
+    def test_writes_without_a_copy_of_the_matrix(self, tmp_path):
+        graph = build_cooccurrence(random_tweets(6000, 600, 12), "hashtag")
+        tracemalloc.start()
+        try:
+            write_graph(graph, tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = graph.weights
+        assert peak < 0.5 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
 
     def test_self_loop_rejected(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"

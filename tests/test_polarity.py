@@ -39,7 +39,7 @@ def lexicon_fixture():
 
 
 def tt(tweet_id, tags, tokens=None):
-    return TokenizedTweet(tweet_id, list(tags), list(tokens or tags))
+    return TokenizedTweet(tweet_id, tuple(tags), tuple(tokens or tags))
 
 
 def record(tweet_id, user, ts="2020-01-01T10:00:00Z"):
