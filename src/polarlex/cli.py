@@ -265,10 +265,7 @@ def stage_build_graph(run: _Runner) -> None:
     cfg = run.config
     if cfg.mode == "embedding":
         table = lexgraph.load_embeddings(run.read(cfg.embeddings, "embeddings"), cfg.vocab_cap)
-        try:
-            graph = lexgraph.build_knn_graph(table, cfg.knn_k)
-        except (ConfigError, DataError) as exc:  # knn_k and the norms of the file's vectors
-            raise type(exc)(f"{cfg.embeddings}: {exc}") from None
+        graph = lexgraph.build_knn_graph(table, cfg.knn_k)
     else:
         tweets = run.get("tweets", _read_tokenized)
         graph = lexgraph.build_cooccurrence(tweets, mode=cfg.mode, vocab_cap=cfg.vocab_cap)
@@ -284,8 +281,10 @@ def stage_propagate(run: _Runner) -> None:
     cfg = run.config
     seed_sets = _read_seeds(run)
     graph = run.take("graph", _read_graph)
-    if graph.mode != cfg.item_mode:
-        raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a {graph.mode} graph, not "
+    # every co-occurrence node is in a tweet, and no k-NN node counts tweets
+    kind = "embedding" if graph.nodes and max(graph.frequency) <= 0 else graph.mode
+    if kind != cfg.mode:
+        raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a {kind} graph, not "
                           f"one for --mode {cfg.mode}; run build-graph with --mode {cfg.mode}")
     lexicons = run.kept["lexicons"] = []
     for seeds in seed_sets:

@@ -55,10 +55,29 @@ class CooccurrenceGraph:
 
 @dataclass
 class EmbeddingTable:
-    """Token vocabulary with one fixed-dimension vector per token."""
+    """Token vocabulary with one fixed-dimension unit vector per token.
+
+    Construction divides each row by its norm. A table with no rows is a
+    DataError, as is the first row whose norm is not finite or underflows to
+    zero, or that is a zero vector: the error names its token.
+    """
 
     vocabulary: list[str]
     vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        # an overflowing norm is rejected below, so numpy need not warn of it
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(self.vectors, axis=1)
+        if not len(norms):
+            raise DataError("no nonzero vectors")
+        bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+        if bad.size:
+            i = bad[0]
+            reason = ("norm is not finite" if not np.isfinite(norms[i]) else
+                      "norm underflows to zero" if self.vectors[i].any() else "is zero")
+            raise DataError(f"token {self.vocabulary[i]!r}: vector {reason}")
+        self.vectors = self.vectors / norms[:, None]
 
 
 def build_cooccurrence(
@@ -121,7 +140,8 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     """Read a token-per-line embedding file, keeping the first vocab_cap entries.
 
     The dimension is fixed by the first line; zero vectors are dropped with a
-    logged count. Values are parsed straight into one float64 buffer.
+    logged count. Values are parsed straight into one float64 buffer. A vector
+    the table rejects is a DataError naming the file and the token.
     """
     vocab: list[str] = []
     flat = array.array("d")
@@ -158,7 +178,10 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
         log.warning("dropped %d zero vectors from %s", n_zero, path)
     vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(vocab), dim or 0)
     log.info("embeddings: kept %d tokens of dimension %d", len(vocab), dim or 0)
-    return EmbeddingTable(vocabulary=vocab, vectors=vectors)
+    try:
+        return EmbeddingTable(vocabulary=vocab, vectors=vectors)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
@@ -167,41 +190,18 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     Edge weight is the angular similarity 1 - arccos(cos)/pi in (0, 1],
     clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
     comes first in the table. Directed k-NN relations are unioned, keeping
-    the larger weight. Zero vectors are dropped with a logged count, and a
-    vector whose norm is not finite, or underflows to zero, is a DataError
-    naming its token.
+    the larger weight.
     Similarities take about KNN_BLOCK_BYTES at a time, in blocks of two rows
     or more: numpy computes a one-row product as a matrix-vector product,
     which rounds differently, so the weights do not depend on the block size.
     """
-    vectors = table.vectors
-    # A norm that overflows would give its token a zero unit vector, tied at
-    # cosine 0 with every other token; it is rejected below, so numpy need
-    # not warn of it.
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(vectors, axis=1)
-    overflowed = np.flatnonzero(~np.isfinite(norms))
-    if overflowed.size:
-        raise DataError(f"token {table.vocabulary[overflowed[0]]!r}: vector norm is not finite")
-    keep = norms > 0.0
-    n_zero = int((~keep).sum())
-    if n_zero:
-        # a vector whose squares all underflow has norm 0 but is no zero vector
-        underflowed = np.flatnonzero(~keep & vectors.any(axis=1))
-        if underflowed.size:
-            raise DataError(
-                f"token {table.vocabulary[underflowed[0]]!r}: vector norm underflows to zero"
-            )
-        log.warning("dropped %d zero vectors before k-NN construction", n_zero)
-        vectors, norms = vectors[keep], norms[keep]
-    vocab = [t for t, ok in zip(table.vocabulary, keep) if ok]
+    vocab, unit = table.vocabulary, table.vectors
     n = len(vocab)
     if k < 1:
         raise ConfigError("knn_k must be >= 1")
     if k >= n:
         raise ConfigError(f"knn_k={k} must be smaller than the vocabulary size {n}")
 
-    unit = vectors / norms[:, None]
     best = np.empty((n, k), dtype=np.int64)
     best_sim = np.empty((n, k))
     block = min(n, max(2, KNN_BLOCK_BYTES // (8 * n)))
@@ -250,7 +250,7 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
             pick = order[np.searchsorted(row, rows[: hi - lo])[:, None] + np.arange(k)]
             best[start + lo : start + hi] = col[pick]
             best_sim[start + lo : start + hi] = sim[pick]
-    del unit, buf, hits, sims, mask
+    del buf, hits, sims, mask
     # math.acos, not np.arccos, whose last bits can differ; the view hands
     # math.acos one cosine at a time, so no list of them is ever built
     cos = np.clip(best_sim.ravel(), -1.0, 1.0)

@@ -192,12 +192,12 @@ def daily_series(
     values: dict[tuple[str, date], list[float]] = {}
     unclassified: dict[tuple[str, date], int] = {}
     active_users: set[str] = set()
-    for record in corpus:
+    for record, day in zip(corpus, days_seen):
         active_users.add(record.user_id)
         group = membership.get(record.user_id)
         if group is None:
             continue
-        key = (group, record.day())
+        key = (group, day)
         score = tweet_scores.get(record.tweet_id)
         if score is not None and score.value is not None:
             values.setdefault(key, []).append(score.value)

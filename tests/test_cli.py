@@ -1050,14 +1050,37 @@ def test_score_skips_a_lexicon_no_seed_file_names(tmp_path, synth_dir):
     assert str(out / "lexicon_stale.tsv") not in manifest["inputs"]
 
 
-@pytest.mark.parametrize("mode", ["token", "embedding"])
-def test_propagate_on_a_graph_of_another_mode_exit_one(tmp_path, synth_dir, capsys, mode):
+@pytest.mark.parametrize(
+    ("built", "mode"),
+    [
+        pytest.param("hashtag", "token", id="token"),
+        pytest.param("hashtag", "embedding", id="embedding"),
+        # token and k-NN graph files both say #mode=token; only the node
+        # frequencies, 0 for every k-NN node, tell them apart
+        pytest.param("token", "embedding", id="token-graph-embedding"),
+        pytest.param("embedding", "token", id="knn-graph-token"),
+    ],
+)
+def test_propagate_on_a_graph_of_another_mode_exit_one(tmp_path, synth_dir, capsys, built, mode):
     out = tmp_path / "run"
     corpus, seeds = synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv"
-    for argv in (["ingest", "--corpus", str(corpus)], ["build-graph", "--mode", "hashtag"]):
+    if mode == "embedding":  # seeds on the walk's scale, so only the graph is refused
+        text = seeds.read_text().replace("value_b=-1.", "value_b=0.", 1)
+        seeds = tmp_path / "seeds_01.tsv"
+        seeds.write_text(text)
+    if built == "embedding":
+        # the synth hashtags, each community near its own axis
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"h{c}{i:04d} {1 - x + 0.01 * i} {x + 0.02 * i}\n"
+                               for c, x in (("a", 0), ("b", 1)) for i in range(12)))
+        stages = [["build-graph", "--mode", "embedding", "--embeddings", str(emb),
+                   "--knn-k", "2"]]
+    else:
+        stages = [["ingest", "--corpus", str(corpus)], ["build-graph", "--mode", built]]
+    for argv in stages:
         assert main([*argv, "--out-dir", str(out)]) == 0, argv[0]
     capsys.readouterr()
-    assert main(["propagate", "--mode", mode, "--seed-file", str(seeds),
+    assert main(["propagate", "--mode", mode, "--gamma", "2", "--seed-file", str(seeds),
                  "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert f"config error: {out / 'graph.edges.tsv'}" in err and "build-graph" in err

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -30,6 +32,25 @@ from oracles import (
 
 def tt(tweet_id, tags, tokens=None):
     return TokenizedTweet(tweet_id, tuple(tags), tuple(tokens if tokens is not None else tags))
+
+
+def table_error(vocab, raw):
+    """The DataError text an EmbeddingTable of raw rows raises, or None: the
+    first row with no unit vector, judged by its sum of squares in Python."""
+    if not len(raw):
+        return "no nonzero vectors"
+    for token, row in zip(vocab, raw.tolist()):
+        squares = sum(v * v for v in row)
+        if not math.isfinite(squares):
+            return f"token {token!r}: vector norm is not finite"
+        if squares == 0:
+            reason = "norm underflows to zero" if any(row) else "is zero"
+            return f"token {token!r}: vector {reason}"
+    return None
+
+
+def unit_rows(raw):
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
 class TestBuildCooccurrence:
@@ -197,18 +218,19 @@ class TestLoadEmbeddings:
         with pytest.raises(DataError, match="line 2"):
             load_embeddings(path)
 
-    def test_finite_values_whose_sum_overflows_load(self, tmp_path):
+    def test_finite_values_whose_norm_overflows_rejected(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("tok 1e308 1e308\nneg -1e308 -1e308\n")
-        table = load_embeddings(path)
-        assert table.vocabulary == ["tok", "neg"]
-        assert table.vectors.tolist() == [[1e308, 1e308], [-1e308, -1e308]]
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: token 'tok': vector "
+                                            "norm is not finite$"):
+            load_embeddings(path)
 
     @pytest.mark.parametrize(
         ("text", "vocab_cap"),
         [
             ("a 1 2\n\n  \nb 3 4\n\n", None),  # blank and whitespace-only lines
             ("a 1 2\nb 3 4\na 5 6\nc -0.0 1e-320\n", None),  # duplicate token
+            ("a 1 2\nb 3 4\na 5 6\nc -0.0 1e-150\n", None),  # duplicate token, rows kept
             ("z 0 0\na 1_5 +2\ny -0.0 0.0\nb 0.1 1e300\n", None),  # zero vectors
             ("".join(f"w{i} {i} {i / 7}\n" for i in range(9)), 4),  # cap cuts the file
             ("a 1 2\r\nb 0.25 -3\r\n\r\nc 5 6\r\n", None),  # CRLF line ends
@@ -216,18 +238,25 @@ class TestLoadEmbeddings:
             ("z 0 0 0\ny 0.0 -0 0e5\n", None),  # every vector zero
             ("", None),  # no lines at all
         ],
-        ids=["blank-lines", "duplicate-token", "zero-vectors", "cap-cut", "crlf",
-             "cap-equals-size", "all-zero", "empty"],
+        ids=["blank-lines", "duplicate-token", "duplicate-token-kept", "zero-vectors", "cap-cut",
+             "crlf", "cap-equals-size", "all-zero", "empty"],
     )
     def test_matches_list_loader(self, tmp_path, text, vocab_cap):
+        # the list loader's rows over their norms, or the table's error
         path = tmp_path / "emb.txt"
         path.write_bytes(text.encode())
-        table = load_embeddings(path, vocab_cap)
         vocab, vectors = list_load_embeddings(path, vocab_cap)
+        error = table_error(vocab, vectors)
+        if error is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+                load_embeddings(path, vocab_cap)
+            return
+        table = load_embeddings(path, vocab_cap)
+        unit = unit_rows(vectors)
         assert table.vocabulary == vocab
-        assert table.vectors.dtype == vectors.dtype == np.float64
-        assert table.vectors.shape == vectors.shape
-        assert table.vectors.tobytes() == vectors.tobytes()
+        assert table.vectors.dtype == unit.dtype == np.float64
+        assert table.vectors.shape == unit.shape
+        assert table.vectors.tobytes() == unit.tobytes()
 
     def test_logs_tokens_kept_and_dimension(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
@@ -235,6 +264,52 @@ class TestLoadEmbeddings:
         with caplog.at_level("INFO", logger="polarlex.lexgraph"):
             load_embeddings(path)
         assert "kept 2 tokens of dimension 3" in caplog.text
+
+
+# rows of values of one kind: ordinary ones, zeros, values whose squares
+# underflow, and values whose squares overflow
+ROW_VALUES = [
+    st.floats(-10, 10),
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1e-170, -1e-170]),
+    st.sampled_from([1e308, -1e308]),
+]
+
+
+@st.composite
+def raw_tables(draw):
+    dim = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(ROW_VALUES), max_size=6))
+    rows = [draw(st.lists(values, min_size=dim, max_size=dim)) for values in kinds]
+    return np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+
+
+class TestEmbeddingTable:
+    @given(raw_tables())
+    @example(np.array([[1.0, 0], [0, 1.0], [0.0, 0.0]]))  # a zero vector
+    @example(np.array([[3.0, 4.0], [1e-170, 1e-170], [1e308, 0.0]]))  # first bad row named
+    @example(np.array([[1e308, 1.0], [1e-170, 0.0]]))  # an overflow before an underflow
+    def test_holds_unit_rows_or_names_the_first_bad_row(self, raw):
+        vocab = [f"w{i}" for i in range(len(raw))]
+        before = raw.copy()
+        error = table_error(vocab, raw)
+        if error is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(error)}$"):
+                EmbeddingTable(vocab, raw)
+        else:
+            table = EmbeddingTable(vocab, raw)
+            assert table.vocabulary == vocab
+            assert table.vectors.shape == raw.shape
+            assert table.vectors.tobytes() == unit_rows(raw).tobytes()
+        assert raw.tobytes() == before.tobytes()
+
+    def test_vector_whose_norm_underflows_rejected(self):
+        # every square of 1e-170 underflows, so the norm is 0 though the
+        # vector is not a zero vector
+        vectors = np.random.default_rng(4).standard_normal((10, 4))
+        vectors[3] = 1e-170
+        with pytest.raises(DataError, match="^token 'w3': vector norm underflows to zero$"):
+            EmbeddingTable([f"w{i}" for i in range(10)], vectors)
 
 
 class TestKnnGraph:
@@ -258,22 +333,6 @@ class TestKnnGraph:
     def test_k_must_be_small(self):
         table = EmbeddingTable(["a", "b"], np.eye(2))
         with pytest.raises(ConfigError):
-            build_knn_graph(table, k=2)
-
-    def test_zero_vector_dropped(self):
-        table = EmbeddingTable(
-            ["a", "b", "z"], np.array([[1.0, 0], [0, 1.0], [0.0, 0.0]])
-        )
-        graph = build_knn_graph(table, k=1)
-        assert "z" not in graph.nodes
-
-    def test_vector_whose_norm_underflows_rejected(self):
-        # every square of 1e-170 underflows, so the norm is 0 though the
-        # vector is not: it is no zero vector to drop
-        vectors = np.random.default_rng(4).standard_normal((10, 4))
-        vectors[3] = 1e-170
-        table = EmbeddingTable([f"w{i}" for i in range(10)], vectors)
-        with pytest.raises(DataError, match="^token 'w3': vector norm underflows to zero$"):
             build_knn_graph(table, k=2)
 
     def test_random_vectors_match_brute_force(self):

@@ -171,19 +171,39 @@ def test_benchmark_tracer_wraps_and_restores_cli(tmp_path, monkeypatch):
                for module, function in spans.LIBRARY_CALLS]
     patched += [(cli, "sha256_file"), (cli, "STAGE_BY_NAME"), (cli, "PIPELINE_STAGES")]
     originals = [getattr(owner, attr) for owner, attr in patched]
-    tracer = spans.Tracer("test")
-    undo = tracer.install(cli)
-    try:
-        code = cli.main(["pipeline", "--corpus", str(synth / "corpus.jsonl"),
-                         "--seed-file", str(synth / "seeds_community.tsv"),
-                         "--out-dir", str(tmp_path / "run"), "--kcore-k", "2"])
-    finally:
-        tracer.restore(undo)
-    assert code == 0
+
+    def traced_pipeline(out, *flags):
+        tracer = spans.Tracer(out)
+        undo = tracer.install(cli)
+        try:
+            code = cli.main(["pipeline", "--corpus", str(synth / "corpus.jsonl"),
+                             "--out-dir", str(tmp_path / out), "--kcore-k", "2", *flags])
+        finally:
+            tracer.restore(undo)
+        assert code == 0
+        for (owner, attr), original in zip(patched, originals):
+            assert getattr(owner, attr) is original, attr
+        return tracer
+
+    tracer = traced_pipeline("run", "--seed-file", str(synth / "seeds_community.tsv"))
     names = {span[0] for span in tracer.spans}
     assert {"cli.stage.ingest", "corpus.load_corpus"} <= names
-    for (owner, attr), original in zip(patched, originals):
-        assert getattr(owner, attr) is original, attr
+    # the k-NN build and the walk, whose results the tracer counts by name;
+    # the synth hashtags, each community near its own axis, seeded on [0, 1]
+    emb = tmp_path / "emb.txt"
+    emb.write_text("".join(f"h{c}{i:04d} {1 - x + 0.01 * i} {x + 0.02 * i}\n"
+                           for c, x in (("a", 0), ("b", 1)) for i in range(8)))
+    seeds = tmp_path / "seeds_01.tsv"
+    seeds.write_text((synth / "seeds_community.tsv").read_text()
+                     .replace("value_b=-1.", "value_b=0.", 1))
+    tracer = traced_pipeline("emb_run", "--seed-file", str(seeds), "--mode", "embedding",
+                             "--embeddings", str(emb), "--knn-k", "2")
+    metrics = tracer.metrics()
+    assert metrics["lexgraph.load_embeddings.calls"] == 1
+    assert metrics["lexgraph.build_knn_graph.calls"] == 1
+    assert metrics["proplabel.propagate_random_walk.calls"] == 1
+    for name in ("lexgraph.nodes", "lexgraph.edges", "proplabel.labeled"):
+        assert metrics[name] > 0, name
 
 
 STUB_RUN = """
