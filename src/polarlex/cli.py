@@ -284,8 +284,8 @@ def stage_propagate(run: _Runner) -> None:
     # every co-occurrence node is in a tweet, and no k-NN node counts tweets
     kind = "embedding" if graph.nodes and max(graph.frequency) <= 0 else graph.mode
     if kind != cfg.mode:
-        raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a {kind} graph, not "
-                          f"one for --mode {cfg.mode}; run build-graph with --mode {cfg.mode}")
+        raise ConfigError(f"{run.out_dir / 'graph.edges.tsv'} holds a graph built with --mode "
+                          f"{kind}, not {cfg.mode}; run build-graph with --mode {cfg.mode}")
     lexicons = run.kept["lexicons"] = []
     for seeds in seed_sets:
         if cfg.mode == "embedding":

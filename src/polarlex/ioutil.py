@@ -153,8 +153,5 @@ def check_dimension_name(path: str | Path, lineno: int, name: str) -> str:
 
 
 def sha256_file(path: str | Path) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()

@@ -342,14 +342,17 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
     """Read write_graph's files.
 
     Line 1 of the edge file is the '#mode=' header. Rejects duplicate node
-    rows, duplicate edges and edges between nodes the node file lacks.
+    rows, negative frequencies, duplicate edges and edges between nodes the
+    node file lacks.
     """
     frequency: dict[str, int] = {}
     for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2, key="node"):
         try:
-            frequency[node] = int(raw_freq)
+            freq = frequency[node] = int(raw_freq)
         except ValueError as exc:
             raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
+        if freq < 0:
+            raise DataError(f"{nodes_path}: line {lineno}: frequency is negative")
     nodes = sorted(frequency)
     index = {node: i for i, node in enumerate(nodes)}
     edge_rows = read_rows(edges_path, "\t", 3, header=("mode",))

@@ -128,9 +128,10 @@ def propagate_greedy(
     neighbors. Labels set earlier in the same sweep are visible: a node they
     make eligible joins the sweep if its name sorts after the node just
     labeled and waits for the next sweep otherwise. Labels are never revised,
-    and each labeled node's adjacency row is scanned once. Stops after a
-    sweep that labels nothing once the slack can no longer grow useful
-    (slack >= max degree), or after max_outer sweeps.
+    and each labeled node's adjacency row is scanned once. Stops when no
+    unlabeled node has a labeled neighbor, or after max_outer passes. Passes
+    in which no node is eligible are skipped, up to the first pass whose slack
+    makes one eligible, and the skip counts as one sweep.
     """
     if gamma < 1:
         raise ConfigError("gamma must be >= 1")
@@ -155,7 +156,6 @@ def propagate_greedy(
         labels[n] = seeds.value_b
 
     deg = [stop - start for start, stop in zip(indptr, indptr[1:])]
-    max_deg = max(deg, default=0)
     # deficit[n] counts n's unlabeled neighbors; a candidate is an unlabeled
     # node with at least one labeled neighbor
     deficit = list(deg)
@@ -168,15 +168,20 @@ def propagate_greedy(
     ready: list[int] = []
     ready_slack = -1
     while i < max_outer and candidates:
+        sweeps += 1
         slack = i // gamma
         if slack != ready_slack:
             ready = [n for n in candidates if deficit[n] <= slack]
             ready_slack = slack
+        if not ready:
+            # no candidate is eligible until the slack reaches the smallest
+            # deficit, so the passes before that one would label nothing
+            i = min(min(map(deficit.__getitem__, candidates)) * gamma, max_outer)
+            continue
         # every node popped is eligible; one made eligible by n's label joins
         # this sweep if it sorts after n and waits in ready otherwise
         heap, ready = ready, []
         heapq.heapify(heap)
-        changed = bool(heap)
         while heap:
             n = heapq.heappop(heap)
             start, stop = indptr[n], indptr[n + 1]
@@ -203,14 +208,6 @@ def propagate_greedy(
             labels[n] = min(hi, max(lo, math.fsum(num) / math.fsum(den)))
             candidates.discard(n)
         i += 1
-        sweeps += 1
-        if not changed:
-            if slack >= max_deg:
-                break
-            # every remaining pass at this slack is a no-op; jump to the
-            # first pass index whose slack makes some candidate eligible
-            target = min(map(deficit.__getitem__, candidates))
-            i = max(i, min(target * gamma, max_outer))
 
     lexicon = _lexicon(seeds, nodes, labels, poles)
     log.info(

@@ -129,28 +129,21 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
                 tags.append(tag)
                 used_tags[pool_label].add(tag)
 
-        is_retweet = False
-        retweet_of = None
-        mentions: tuple[str, ...] = ()
-        reply_to = None
+        interaction: dict[str, object] = {}
         if float(rng.random()) < P_INTERACTION:
             same = float(rng.random()) < INTERACTION_HOMOPHILY
+            # n_users >= 2, so when the drawn community holds no other user
+            # the fallback pool does
             target_pool = [
                 u for u in users_by_community[own if same else other] if u != author
-            ]
-            if not target_pool:
-                target_pool = [u for u in users if u != author]
-            if target_pool:
-                target = target_pool[int(rng.integers(len(target_pool)))]
-                kind = int(rng.integers(3))
-                if kind == 0:
-                    is_retweet = True
-                    retweet_of = target
-                elif kind == 1:
-                    mentions = (target,)
-                else:
-                    reply_to = target
-                participants.add(target)
+            ] or [u for u in users if u != author]
+            target = target_pool[int(rng.integers(len(target_pool)))]
+            interaction = (
+                {"is_retweet": True, "retweet_of_user": target},
+                {"mentions": (target,)},
+                {"reply_to_user": target},
+            )[int(rng.integers(3))]
+            participants.add(target)
 
         timestamp = BASE_TIME + timedelta(seconds=int(rng.integers(window_seconds)))
         participants.add(author)
@@ -160,10 +153,7 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
                 user_id=author,
                 timestamp=timestamp,
                 text=" ".join(f"#{t}" for t in tags),
-                is_retweet=is_retweet,
-                retweet_of_user=retweet_of,
-                mentions=mentions,
-                reply_to_user=reply_to,
+                **interaction,
             )
         )
 
@@ -175,8 +165,9 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
                 f"community {pole} has no hashtags in the generated corpus; "
                 "increase n_tweets or within"
             )
+        # 0 < seed_fraction <= 1, so 1 <= k <= len(used)
         k = max(1, round(spec.seed_fraction * len(used)))
-        picked = rng.choice(len(used), size=min(k, len(used)), replace=False)
+        picked = rng.choice(len(used), size=k, replace=False)
         seed_sets[pole] = {used[int(i)] for i in picked}
 
     seeds = SeedLexicon(
@@ -186,16 +177,11 @@ def generate(spec: SynthSpec) -> tuple[list[TweetRecord], SynthTruth]:
         value_a=1.0,
         value_b=-1.0,
     )
-    hashtag_labels: dict[str, str] = {}
-    for pole in (POLE_A, POLE_B):
-        for tag in sorted(used_tags[pole]):
-            hashtag_labels[tag] = pole
-    for tag in sorted(used_tags[NEUTRAL_LABEL]):
-        hashtag_labels[tag] = NEUTRAL_LABEL
-
     truth = SynthTruth(
         user_labels={u: community[u] for u in sorted(participants)},
-        hashtag_labels=hashtag_labels,
+        hashtag_labels={
+            tag: label for label, tags in used_tags.items() for tag in sorted(tags)
+        },
         seeds=seeds,
         neutral_tweet_ids=neutral_tweet_ids,
     )

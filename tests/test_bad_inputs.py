@@ -202,6 +202,7 @@ EDITS = [
      "line 1: dimension name holds '/' or NUL: 'a\\x00b'"),
     ("graph-edges", "unknown-mode", 0, 0, "#mode=foo", "line 1: mode must be hashtag or token"),
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
+    ("graph-nodes", "negative-frequency", 1, 1, "-1", "line 2: frequency is negative"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
     # every square underflows, so the norm is 0 though the vector is not zero
     ("embeddings", "norm-underflow", 2, 1, "1e-170", "token 'w02': vector norm underflows to zero"),

@@ -160,6 +160,12 @@ def test_bad_flag_value_exit_one(tmp_path, capsys):
     assert "seed_fraction" in capsys.readouterr().err
 
 
+def test_unknown_flag_exit_one(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path / "o"), "--no-such-flag", "1"]) == 1
+    assert "config error: unrecognized arguments: --no-such-flag 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_synth_value_out_of_range_fails_every_subcommand(tmp_path, synth_dir, capsys):
     out = tmp_path / "out"
     code = main(["ingest", "--corpus", str(synth_dir / "corpus.jsonl"), "--within", "2",
@@ -295,6 +301,22 @@ def test_corrupt_corpus_exit_two(tmp_path, capsys):
         assert f"line 2: {message}" in capsys.readouterr().err
 
 
+def test_integer_ids_are_read_as_decimal_strings(tmp_path):
+    # a line not in write_corpus's layout is read by json.loads
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"tweet_id": 12345, "user_id": 7, "timestamp": "2020-01-01", "text": "#a #b"}\n'
+        '{"text": "#b #c", "timestamp": "2020-01-02", "tweet_id": "t2", "user_id": "u"}\n'
+    )
+    seeds = tmp_path / "seeds.tsv"
+    seeds.write_text("#dimension=d\tvalue_a=1\tvalue_b=-1\na\tA\nc\tB\n")
+    out = tmp_path / "run"
+    assert run_pipeline(out, corpus, seeds) == 0
+    assert (out / "tokenized.tsv").read_text().splitlines()[0] == "12345\ta b\ta b"
+    users = [line.split(",")[0] for line in (out / "user_scores.csv").read_text().splitlines()]
+    assert users == ["user_id", "7", "u"]
+
+
 def test_invalid_utf8_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "bad.jsonl"
     line = '{"tweet_id": "t1", "user_id": "u", "timestamp": "2020-01-01", "text": "#a"}\n'
@@ -390,6 +412,24 @@ BAD_VALUES = [
     ("restart_prob", 1.0),
     ("tol", 0.0),
 ]
+
+
+# Each synth flag at the first value SynthSpec.validate rejects, and its message.
+BAD_SYNTH_FLAGS = [
+    ("--n-tweets", "0", "n_tweets must be >= 1"),
+    ("--hashtags-per-community", "0", "hashtags_per_community must be >= 1"),
+    ("--neutral-hashtags", "-1", "neutral_hashtags must be >= 0"),
+    ("--days", "0", "days must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_SYNTH_FLAGS,
+                         ids=[flag[2:] for flag, _, _ in BAD_SYNTH_FLAGS])
+def test_invalid_synth_flag_is_named(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "o"
+    assert main(["synth", "--out-dir", str(out), flag, value]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, value", BAD_VALUES)
@@ -555,6 +595,17 @@ def test_eval_against_synth_gold(tmp_path, synth_dir):
         assert recall > 0.5
 
 
+def test_eval_warns_of_gold_units_absent_from_the_corpus(tmp_path, synth_dir, caplog):
+    out = tmp_path / "run"
+    assert run_pipeline(out, synth_dir / "corpus.jsonl", synth_dir / "seeds_community.tsv") == 0
+    gold = tmp_path / "gold.tsv"
+    gold.write_text((synth_dir / "gold_users.tsv").read_text() + "nobody\tpole_a\n")
+    caplog.clear()
+    assert main(["eval", "--out-dir", str(out), "--gold", str(gold)]) == 0
+    assert "community: 1 gold units absent from the corpus, skipped" in caplog.messages
+    assert len((out / "eval_poles.csv").read_text().splitlines()) == 3
+
+
 def test_eval_user_day_unit(tmp_path, synth_dir):
     from polarlex.corpus import group_by_user_day, load_corpus
 
@@ -709,6 +760,17 @@ def test_config_file_with_flag_override(tmp_path, synth_dir):
     assert (override / "tweet_scores.csv").is_file()
 
 
+def test_config_file_missing_or_not_an_object_exit_one(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    argv = ["synth", "--config", str(config), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert f"config error: config: file not found: {config}" in capsys.readouterr().err
+    config.write_text('[{"gamma": 2}]')
+    assert main(argv) == 1
+    assert f"config: {config}: expected a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text('{"no_such_knob": 1}')
@@ -769,7 +831,7 @@ def test_console_entry_point(src_env):
     assert "polarlex" in result.stdout
 
 
-def test_embedding_mode_stages(tmp_path, synth_dir):
+def test_embedding_mode_stages(tmp_path, synth_dir, capsys):
     # embedding-similarity graph + random-walk propagation on the [0,1] scale
     emb = tmp_path / "emb.txt"
     rows = []
@@ -786,6 +848,10 @@ def test_embedding_mode_stages(tmp_path, synth_dir):
     common = ["--out-dir", str(out), "--mode", "embedding", "--embeddings", str(emb)]
     assert main(["build-graph", *common, "--knn-k", "3"]) == 0
     assert (out / "graph.edges.tsv").is_file()
+    # a graph's kind is told from its node frequencies, which no k-NN node counts
+    assert main(["propagate", "--out-dir", str(out), "--seed-file", str(seeds)]) == 1
+    assert (f"{out / 'graph.edges.tsv'} holds a graph built with --mode embedding, not hashtag"
+            in capsys.readouterr().err)
     assert main(["propagate", *common, "--seed-file", str(seeds)]) == 0
     lexicon = (out / "lexicon_axis.tsv").read_text().splitlines()
     assert lexicon[0].endswith("scale=0.000000000,1.000000000")
