@@ -114,10 +114,10 @@ def record_from_json(obj: dict, strings: dict[str, str] | None = None) -> TweetR
     for key, value in (("retweet_of_user", retweet_of_user), ("reply_to_user", reply_to_user)):
         if value is not None and not isinstance(value, str):
             raise DataError(f"{key} must be a string or null")
-    strings = {"tweet_id": tweet_id, "user_id": user_id, "timestamp": timestamp, "text": text,
-               "retweet_of_user": retweet_of_user, "reply_to_user": reply_to_user,
-               "mentions": "".join(mentions)}
-    for key, value in strings.items():
+    fields = {"tweet_id": tweet_id, "user_id": user_id, "timestamp": timestamp, "text": text,
+              "retweet_of_user": retweet_of_user, "reply_to_user": reply_to_user,
+              "mentions": "".join(mentions)}
+    for key, value in fields.items():
         if isinstance(value, str) and _SURROGATE.search(value):
             raise DataError(f"{key} holds a lone surrogate, which is not Unicode text")
     return TweetRecord(

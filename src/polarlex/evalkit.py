@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -66,15 +67,32 @@ class AgreementStats:
 @dataclass
 class EvalReport:
     dimension: str
-    pole_a: PoleMetrics | None = None
-    pole_b: PoleMetrics | None = None
+    # one entry per pole the gold set holds, pole A first
+    poles: dict[str, PoleMetrics] = field(default_factory=dict)
     accuracy: float | None = None
     soft_accuracy: float | None = None
     agreement: AgreementStats | None = None
 
 
-def _opposite(pole: str) -> str:
-    return POLE_B if pole == POLE_A else POLE_A
+def _confusion(predictions: Mapping[str, str], gold: GoldLabelSet) -> Counter[tuple[str, str]]:
+    """The number of gold units for each (gold label, predicted label) pair."""
+    missing = [k for k in gold.labels if k not in predictions]
+    if missing:
+        raise DataError(f"predictions missing for gold units: {sorted(missing)[:5]}")
+    return Counter((truth, predictions[key]) for key, truth in gold.labels.items())
+
+
+def _exact_and_soft(pairs: Counter[tuple[str, str]]) -> tuple[float, float]:
+    """(share of pairs that agree, share of pairs that are not polar opposites).
+
+    A pair agrees when its labels are equal, or when the first is neutral and
+    the second unclassified.
+    """
+    n = sum(pairs.values())
+    n_exact = sum(c for (x, y), c in pairs.items() if x == y or (x, y) == (NEUTRAL, UNCLASSIFIED))
+    n_opposite = pairs[POLE_A, POLE_B] + pairs[POLE_B, POLE_A]
+    # single division keeps soft >= exact in floating point
+    return n_exact / n, (n - n_opposite) / n
 
 
 def pole_metrics(
@@ -86,24 +104,20 @@ def pole_metrics(
     every gold-covered unit predicted as this pole. Neutral or unclassified
     predictions count as unknown, never as incorrect.
     """
-    if pole not in (POLE_A, POLE_B):
+    opposite = {POLE_A: POLE_B, POLE_B: POLE_A}.get(pole)
+    if opposite is None:
         raise DataError(f"pole must be {POLE_A} or {POLE_B}, got {pole!r}")
-    missing = [k for k in gold.labels if k not in predictions]
-    if missing:
-        raise DataError(f"predictions missing for gold units: {sorted(missing)[:5]}")
-    opposite = _opposite(pole)
-    in_pole = [k for k, v in gold.labels.items() if v == pole]
-    if not in_pole:
+    table = _confusion(predictions, gold)
+    n_in_pole = sum(c for (truth, _), c in table.items() if truth == pole)
+    if not n_in_pole:
         raise DataError(f"gold set has no units labeled {pole}")
-    n_hit = sum(1 for k in in_pole if predictions[k] == pole)
-    n_unknown = sum(1 for k in in_pole if predictions[k] in (NEUTRAL, UNCLASSIFIED))
-    n_incorrect = sum(1 for k in in_pole if predictions[k] == opposite)
-    n_predicted = sum(1 for k in gold.labels if predictions[k] == pole)
+    n_hit = table[pole, pole]
+    n_predicted = sum(c for (_, pred), c in table.items() if pred == pole)
     return PoleMetrics(
         precision=n_hit / n_predicted if n_predicted else None,
-        recall=n_hit / len(in_pole),
-        pct_unknown=n_unknown / len(in_pole),
-        pct_incorrect=n_incorrect / len(in_pole),
+        recall=n_hit / n_in_pole,
+        pct_unknown=(table[pole, NEUTRAL] + table[pole, UNCLASSIFIED]) / n_in_pole,
+        pct_incorrect=table[pole, opposite] / n_in_pole,
     )
 
 
@@ -114,58 +128,41 @@ def accuracy_soft(
 
     An unclassified prediction matches gold neutral exactly.
     """
-    if not gold.labels:
+    table = _confusion(predictions, gold)
+    if not table:
         raise DataError("gold set is empty")
-    missing = [k for k in gold.labels if k not in predictions]
-    if missing:
-        raise DataError(f"predictions missing for gold units: {sorted(missing)[:5]}")
-    n = len(gold.labels)
-    n_exact = 0
-    n_opposite = 0
-    for key, truth in gold.labels.items():
-        pred = predictions[key]
-        if pred == truth or (pred == UNCLASSIFIED and truth == NEUTRAL):
-            n_exact += 1
-        if {pred, truth} == {POLE_A, POLE_B}:
-            n_opposite += 1
-    # single division keeps soft >= accuracy exact in floating point
-    return n_exact / n, (n - n_opposite) / n
+    return _exact_and_soft(table)
 
 
 def krippendorff_alpha(annotator_a: Sequence[str], annotator_b: Sequence[str]) -> float:
-    """Nominal-data alpha from the coincidence matrix over the 3 categories."""
+    """Nominal-data alpha from the pair counts and the label totals.
+
+    With n = 2 * items values, D the pairs whose two labels differ and n_c
+    the values labelled c, the observed disagreement is 2D / n and the
+    expected one is (n^2 - sum n_c^2) / (n (n - 1)). Every count is an
+    integer, so both are one correctly rounded division.
+    """
     if len(annotator_a) != len(annotator_b):
         raise DataError("annotator sequences differ in length")
     if len(annotator_a) < 2:
         raise DataError("alpha needs at least 2 items")
-    cats = sorted(set(annotator_a) | set(annotator_b))
-    coincidence = {c: {k: 0.0 for k in cats} for c in cats}
-    for va, vb in zip(annotator_a, annotator_b):
-        coincidence[va][vb] += 1.0
-        coincidence[vb][va] += 1.0
-    n_c = {c: sum(coincidence[c].values()) for c in cats}
-    n = sum(n_c.values())
-    observed = sum(coincidence[c][k] for c in cats for k in cats if c != k) / n
-    expected = sum(n_c[c] * n_c[k] for c in cats for k in cats if c != k) / (n * (n - 1))
-    if expected == 0.0:
+    n_differ = sum(x != y for x, y in zip(annotator_a, annotator_b))
+    totals = Counter(annotator_a) + Counter(annotator_b)
+    n = 2 * len(annotator_a)
+    n_expected = n * n - sum(t * t for t in totals.values())
+    if n_expected == 0:
         log.warning("all annotations identical; alpha reported as 1 by convention")
         return 1.0
-    return 1.0 - observed / expected
+    return 1.0 - (2 * n_differ / n) / (n_expected / (n * (n - 1)))
 
 
 def agreement(annotations: AnnotationTable) -> AgreementStats:
     """Exact agreement, polar-opposite-only agreement, and Krippendorff alpha."""
-    n = len(annotations.items)
-    if n < 2:
-        raise DataError("agreement needs at least 2 items")
-    pairs = list(zip(annotations.annotator_a, annotations.annotator_b))
-    n_exact = sum(1 for a, b in pairs if a == b)
-    n_opposite = sum(1 for a, b in pairs if {a, b} == {POLE_A, POLE_B})
+    # alpha's own check rejects fewer than 2 items
     alpha = krippendorff_alpha(annotations.annotator_a, annotations.annotator_b)
+    exact, soft = _exact_and_soft(Counter(zip(annotations.annotator_a, annotations.annotator_b)))
     return AgreementStats(
-        percent_agreement=n_exact / n,
-        polar_opposite_agreement=(n - n_opposite) / n,
-        krippendorff_alpha=alpha,
+        percent_agreement=exact, polar_opposite_agreement=soft, krippendorff_alpha=alpha
     )
 
 
@@ -176,14 +173,10 @@ def evaluate_predictions(
     annotations: AnnotationTable | None = None,
 ) -> EvalReport:
     """Bundle per-pole metrics, accuracies, and optional agreement stats."""
-    report = EvalReport(dimension=dimension)
-    for pole in (POLE_A, POLE_B):
-        if any(v == pole for v in gold.labels.values()):
-            metrics = pole_metrics(predictions, gold, pole)
-            if pole == POLE_A:
-                report.pole_a = metrics
-            else:
-                report.pole_b = metrics
+    in_gold = set(gold.labels.values())
+    poles = {pole: pole_metrics(predictions, gold, pole) for pole in (POLE_A, POLE_B)
+             if pole in in_gold}
+    report = EvalReport(dimension, poles)
     report.accuracy, report.soft_accuracy = accuracy_soft(predictions, gold)
     if annotations is not None:
         report.agreement = agreement(annotations)
@@ -233,8 +226,7 @@ def write_eval_reports(
         (
             [report.dimension, pole, m.precision, m.recall, m.pct_unknown, m.pct_incorrect]
             for report in reports
-            for pole, m in ((POLE_A, report.pole_a), (POLE_B, report.pole_b))
-            if m is not None
+            for pole, m in report.poles.items()
         ),
     )
     write_csv(

@@ -140,8 +140,10 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     """Read a token-per-line embedding file, keeping the first vocab_cap entries.
 
     The dimension is fixed by the first line; zero vectors are dropped with a
-    logged count. Values are parsed straight into one float64 buffer. A vector
-    the table rejects is a DataError naming the file and the token.
+    logged count. Values are parsed straight into one float64 buffer. A token
+    holding a tab, which the graph and lexicon files could not hold, is a
+    DataError naming the file and line; so is a vector the table rejects,
+    naming the file and the token.
     """
     vocab: list[str] = []
     flat = array.array("d")
@@ -155,6 +157,9 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
         if len(parts) < 2:
             raise DataError(f"{path}: line {lineno}: expected token and values")
         token = parts[0]
+        # the graph and lexicon files are tab-separated, one token per row
+        if "\t" in token:
+            raise DataError(f"{path}: line {lineno}: token {token!r} holds a tab")
         try:
             values = list(map(float, parts[1:]))
         except ValueError as exc:

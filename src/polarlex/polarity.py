@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
@@ -151,12 +152,8 @@ def overall_tally(
     """Count users and tweets per ternary class; exact percentages retained."""
     if not user_scores and not tweet_scores:
         return []
-    user_counts = {label: 0 for label in TERNARY_LABELS}
-    tweet_counts = {label: 0 for label in TERNARY_LABELS}
-    for s in user_scores.values():
-        user_counts[ternarize(s.value, scale)] += 1
-    for s in tweet_scores.values():
-        tweet_counts[ternarize(s.value, scale)] += 1
+    user_counts = Counter(ternarize(s.value, scale) for s in user_scores.values())
+    tweet_counts = Counter(ternarize(s.value, scale) for s in tweet_scores.values())
     n_users = len(user_scores)
     n_tweets = len(tweet_scores)
     return [

@@ -249,6 +249,77 @@ def unitwise_alpha(values_a: list[str], values_b: list[str]) -> float:
     return 1.0 - observed / expected
 
 
+
+def unitwise_pole_metrics(
+    predictions: dict[str, str], gold: dict[str, str], pole: str
+) -> tuple[float | None, float, float, float]:
+    """(precision, recall, pct_unknown, pct_incorrect) of one pole, counted by
+    one pass over the gold units per count."""
+    opposite = "pole_b" if pole == "pole_a" else "pole_a"
+    in_pole = [k for k, v in gold.items() if v == pole]
+    n_hit = sum(1 for k in in_pole if predictions[k] == pole)
+    n_unknown = sum(1 for k in in_pole if predictions[k] in ("neutral", "unclassified"))
+    n_incorrect = sum(1 for k in in_pole if predictions[k] == opposite)
+    n_predicted = sum(1 for k in gold if predictions[k] == pole)
+    return (
+        n_hit / n_predicted if n_predicted else None,
+        n_hit / len(in_pole),
+        n_unknown / len(in_pole),
+        n_incorrect / len(in_pole),
+    )
+
+
+def unitwise_accuracy_soft(
+    predictions: dict[str, str], gold: dict[str, str]
+) -> tuple[float, float]:
+    """(exact accuracy, soft accuracy) by one pass over the gold units: an
+    unclassified prediction matches gold neutral, and only a polar opposite
+    counts against the soft accuracy."""
+    n_exact = n_opposite = 0
+    for key, truth in gold.items():
+        pred = predictions[key]
+        if pred == truth or (pred == "unclassified" and truth == "neutral"):
+            n_exact += 1
+        if {pred, truth} == {"pole_a", "pole_b"}:
+            n_opposite += 1
+    n = len(gold)
+    return n_exact / n, (n - n_opposite) / n
+
+
+def unitwise_agreement(values_a: list[str], values_b: list[str]) -> tuple[float, float]:
+    """(percent agreement, polar-opposite agreement) by one pass over the items."""
+    n = len(values_a)
+    n_exact = sum(1 for a, b in zip(values_a, values_b) if a == b)
+    n_opposite = sum(1 for a, b in zip(values_a, values_b) if {a, b} == {"pole_a", "pole_b"})
+    return n_exact / n, (n - n_opposite) / n
+
+
+def unitwise_tally(
+    user_values: list[float | None], tweet_values: list[float | None], scale: tuple[float, float]
+) -> list[tuple[str, int, float, int, float]]:
+    """(label, users, % users, tweets, % tweets) per ternary class, each value
+    classed against the scale's midpoint by hand."""
+    mid = (scale[0] + scale[1]) / 2.0
+
+    def label(value: float | None) -> str:
+        if value is None:
+            return "unclassified"
+        return "pole_b" if value < mid else "pole_a" if value > mid else "neutral"
+
+    rows = []
+    for name in ("pole_a", "pole_b", "neutral", "unclassified"):
+        n_users = sum(1 for v in user_values if label(v) == name)
+        n_tweets = sum(1 for v in tweet_values if label(v) == name)
+        rows.append((
+            name,
+            n_users,
+            100.0 * n_users / len(user_values) if user_values else 0.0,
+            n_tweets,
+            100.0 * n_tweets / len(tweet_values) if tweet_values else 0.0,
+        ))
+    return rows
+
+
 def event_scan_edges(records) -> Counter:
     """Undirected interaction pair counts by a direct scan of record fields."""
     counts: Counter[tuple[str, str]] = Counter()

@@ -204,6 +204,8 @@ EDITS = [
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("graph-nodes", "negative-frequency", 1, 1, "-1", "line 2: frequency is negative"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
+    # the graph and lexicon files hold one tab-separated token per row
+    ("embeddings", "tab-in-token", 1, 0, "w\tfive", "line 2: token 'w\\tfive' holds a tab"),
     # every square underflows, so the norm is 0 though the vector is not zero
     ("embeddings", "norm-underflow", 2, 1, "1e-170", "token 'w02': vector norm underflows to zero"),
     ("gold", "duplicate-key", 2, 0, "u00000", "line 3: duplicate key 'u00000'"),

@@ -432,6 +432,16 @@ def test_invalid_synth_flag_is_named(tmp_path, capsys, flag, value, message):
     assert not out.exists()
 
 
+def test_synth_community_without_hashtags_exit_one(tmp_path, capsys):
+    # with within = cross = 0 every tweet draws only neutral hashtags
+    out = tmp_path / "o"
+    assert main(["synth", "--out-dir", str(out), "--within", "0", "--cross", "0",
+                 "--neutral-hashtags", "3", "--n-tweets", "50"]) == 1
+    assert ("config error: community pole_a has no hashtags in the generated corpus"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, value", BAD_VALUES)
 def test_invalid_value_is_named_and_leaves_out_dir(tmp_path, finished, capsys, name, value):
     out = tmp_path / "out"

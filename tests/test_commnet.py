@@ -215,6 +215,13 @@ class TestHomophily:
         with pytest.raises(DataError, match="no classified edges"):
             homophily_index(graph, "dim")
 
+    def test_unknown_dimension_rejected(self):
+        from polarlex.errors import ConfigError
+
+        graph = plain_graph("ab", [("a", "b")], labels={"a": POLE_A, "b": POLE_A})
+        with pytest.raises(ConfigError, match="^graph has no dimension 'other'$"):
+            homophily_index(graph, "other")
+
     def test_invariant_under_pole_swap(self):
         labels = {"a": POLE_A, "b": POLE_B, "c": POLE_A, "d": POLE_B, "e": POLE_A}
         pairs = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "e"), ("d", "e")]

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,10 +18,16 @@ from polarlex.evalkit import (
     write_eval_reports,
     write_gold,
 )
-from polarlex.polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED
+from polarlex.polarity import NEUTRAL, POLE_A, POLE_B, UNCLASSIFIED, PolarityScore, overall_tally
 from polarlex.synthgen import SynthSpec, generate
 
-from oracles import unitwise_alpha
+from oracles import (
+    unitwise_accuracy_soft,
+    unitwise_agreement,
+    unitwise_alpha,
+    unitwise_pole_metrics,
+    unitwise_tally,
+)
 
 LABELS3 = (POLE_A, POLE_B, NEUTRAL)
 PRED_LABELS = (POLE_A, POLE_B, NEUTRAL, UNCLASSIFIED)
@@ -273,3 +281,80 @@ class TestFilesAndReport:
         overall_lines = overall.read_text().splitlines()
         assert len(overall_lines) == 2
         assert overall_lines[1].startswith("dim,1.000000000,1.000000000,1.000000000")
+
+
+# Each check the library makes of its own arguments, which the file readers
+# never let reach it, and the start of its message.
+GUARDS = [
+    ("gold-label", lambda: GoldLabelSet({"g1": "sideways"}), "gold labels outside"),
+    ("annotation-lengths", lambda: AnnotationTable(["i1", "i2"], [POLE_A], [POLE_A, POLE_B]),
+     "annotation columns must have equal lengths"),
+    ("annotation-label", lambda: AnnotationTable(["i1"], [POLE_A], ["sideways"]),
+     "annotation labels outside"),
+    ("neutral-pole", lambda: pole_metrics({"g1": NEUTRAL}, gold_of({"g1": NEUTRAL}), NEUTRAL),
+     "pole must be pole_a or pole_b, got 'neutral'"),
+    ("empty-gold", lambda: accuracy_soft({}, gold_of({})), "gold set is empty"),
+    ("alpha-lengths", lambda: krippendorff_alpha([POLE_A, POLE_B], [POLE_A]),
+     "annotator sequences differ in length"),
+]
+
+
+@pytest.mark.parametrize("call, message", [g[1:] for g in GUARDS], ids=[g[0] for g in GUARDS])
+def test_argument_guards(call, message):
+    with pytest.raises(DataError, match="^" + re.escape(message)):
+        call()
+
+
+class TestUnitwiseReferences:
+    """Every metric equals, to the bit, a loop over the units one at a time."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(LABELS3),
+                st.sampled_from(PRED_LABELS),
+                st.sampled_from(LABELS3),
+                st.sampled_from(LABELS3),
+            ),
+            min_size=2,
+            max_size=60,
+        )
+    )
+    def test_eval_metrics(self, rows):
+        keys = [f"k{i}" for i in range(len(rows))]
+        gold = {k: row[0] for k, row in zip(keys, rows)}
+        predictions = {k: row[1] for k, row in zip(keys, rows)}
+        for pole in (POLE_A, POLE_B):
+            if pole in gold.values():
+                m = pole_metrics(predictions, gold_of(gold), pole)
+                assert (m.precision, m.recall, m.pct_unknown, m.pct_incorrect) == (
+                    unitwise_pole_metrics(predictions, gold, pole)
+                )
+        assert accuracy_soft(predictions, gold_of(gold)) == unitwise_accuracy_soft(
+            predictions, gold
+        )
+        a = [row[2] for row in rows]
+        b = [row[3] for row in rows]
+        stats = agreement(AnnotationTable(keys, a, b))
+        assert (stats.percent_agreement, stats.polar_opposite_agreement) == (
+            unitwise_agreement(a, b)
+        )
+        assert stats.krippendorff_alpha == unitwise_alpha(a, b)
+
+    @given(
+        st.lists(st.one_of(st.none(), st.sampled_from([-1.0, 0.0, 0.25, 1.0]),
+                           st.floats(-2.0, 2.0)), max_size=30),
+        st.lists(st.one_of(st.none(), st.floats(-2.0, 2.0)), max_size=30),
+        st.sampled_from([(-1.0, 1.0), (0.0, 0.5), (0.0, 1.0)]),
+    )
+    def test_overall_tally(self, user_values, tweet_values, scale):
+        users = {f"u{i}": PolarityScore(v, 0 if v is None else 1)
+                 for i, v in enumerate(user_values)}
+        tweets = {f"t{i}": PolarityScore(v, 0 if v is None else 1)
+                  for i, v in enumerate(tweet_values)}
+        rows = [(r.label, r.n_users, r.pct_users, r.n_tweets, r.pct_tweets)
+                for r in overall_tally(users, tweets, scale)]
+        if users or tweets:
+            assert rows == unitwise_tally(user_values, tweet_values, scale)
+        else:
+            assert rows == []

@@ -54,6 +54,10 @@ def unit_rows(raw):
 
 
 class TestBuildCooccurrence:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown graph mode 'embedding'$"):
+            build_cooccurrence([tt("t1", ["a", "b"])], "embedding")
+
     def test_repeated_pair_accumulates(self):
         tweets = [tt("t1", ["a", "b"]), tt("t2", ["a", "b"])]
         graph = build_cooccurrence(tweets, "hashtag")
@@ -334,6 +338,11 @@ class TestKnnGraph:
         table = EmbeddingTable(["a", "b"], np.eye(2))
         with pytest.raises(ConfigError):
             build_knn_graph(table, k=2)
+
+    def test_k_must_be_positive(self):
+        table = EmbeddingTable(["a", "b"], np.eye(2))
+        with pytest.raises(ConfigError, match="^knn_k must be >= 1$"):
+            build_knn_graph(table, k=0)
 
     def test_random_vectors_match_brute_force(self):
         rng = np.random.default_rng(42)

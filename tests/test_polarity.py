@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polarlex.corpus import TokenizedTweet, TweetRecord, parse_timestamp
-from polarlex.errors import DataError
+from polarlex.errors import ConfigError, DataError
 from polarlex.ioutil import MAX_MAGNITUDE
 from polarlex.polarity import (
     BY_ITEM,
@@ -62,6 +62,10 @@ class TestScoreTweets:
         assert scores["t1"].value == pytest.approx(0.75)
         assert scores["t1"].n_items == 2
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown scoring mode 'embedding'$"):
+            score_tweets([tt("t1", ["h1"])], lexicon_fixture(), mode="embedding")
+
     def test_token_mode_counts_repeats(self):
         tweets = [tt("t1", ["h1"], ["h1", "h1", "h2"])]
         scores = score_tweets(tweets, lexicon_fixture(), mode="token")
@@ -89,6 +93,10 @@ class TestScoreAggregate:
         }
         assert score_aggregate({"ta", "tb"}, tweet_scores, BY_ITEM).value == pytest.approx(1 / 3)
         assert score_aggregate({"ta", "tb"}, tweet_scores, BY_TWEET).value == pytest.approx(0.0)
+
+    def test_unknown_weighting_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown weighting 'by_day'$"):
+            score_aggregate({"t1"}, {"t1": PolarityScore(1.0, 1)}, "by_day")
 
     def test_all_unclassified(self):
         tweet_scores = {"t1": PolarityScore(None, 0)}
@@ -180,6 +188,10 @@ class TestOverallTally:
 
 
 class TestDailySeries:
+    def test_empty_corpus_gives_each_group_no_days(self):
+        series = daily_series([], {}, {"u1": "g2", "u2": "g1", "u3": "g2"})
+        assert [(s.group_name, s.days) for s in series] == [("g1", []), ("g2", [])]
+
     def test_single_value_day(self):
         records = [record("t1", "u1")]
         scores = {"t1": PolarityScore(0.4, 1)}

@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -339,6 +340,26 @@ def test_logs_seeds_in_graph(caplog, propagate):
     )
 
 
+# Each propagation parameter at the first value its propagator rejects, and
+# the message.
+BAD_PARAMETERS = [
+    (propagate_greedy, "max_outer", 0, "max_outer must be >= 1"),
+    (propagate_random_walk, "restart_prob", 0.0, "restart_prob must be in (0, 1)"),
+    (propagate_random_walk, "restart_prob", 1.0, "restart_prob must be in (0, 1)"),
+    (propagate_random_walk, "tol", 0.0, "tol must be positive"),
+    (propagate_random_walk, "max_iter", 0, "max_iter must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("propagate, name, value, message", BAD_PARAMETERS,
+                         ids=[f"{name}={value}" for _, name, value, _ in BAD_PARAMETERS])
+def test_bad_parameter_rejected(propagate, name, value, message):
+    graph = graph_of({("a", "b"): 1})
+    seeds = SeedLexicon("dim", {"a"}, {"b"}, 1.0, 0.0)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        propagate(graph, seeds, **{name: value})
+
+
 class TestPropagateRandomWalk:
     def test_mirror_symmetry_scores_sum_to_one(self):
         graph = graph_of({("a", "x"): 1, ("x", "y"): 1, ("y", "b"): 1})
@@ -514,6 +535,10 @@ class TestSeedFiles:
         path.write_text("#dimension=dim\tvalue_a=nan\tvalue_b=0.000000000\nx\tA\n")
         with pytest.raises(DataError, match="non-finite"):
             read_seed_lexicon(path)
+
+    def test_empty_pole_rejected(self):
+        with pytest.raises(DataError, match="^dim: both pole seed sets must be non-empty$"):
+            SeedLexicon("dim", set(), {"y"}, 1.0, -1.0)
 
     def test_overlapping_poles_rejected(self):
         with pytest.raises(DataError, match="both poles"):
