@@ -8,7 +8,7 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain, count, pairwise
+from itertools import chain, count, islice, pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import Sequence
@@ -24,8 +24,9 @@ log = logging.getLogger(__name__)
 
 # floor for k-NN edge weights so angular similarity never hits zero
 MIN_KNN_WEIGHT = 1e-6
-# bytes of float64 similarities computed per matrix product in build_knn_graph;
-# a block holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two
+# bytes of float64 similarities per matrix product in build_knn_graph: a block
+# holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two. The
+# product is float32, so the block buffer takes half these bytes
 KNN_BLOCK_BYTES = 32 << 20
 
 
@@ -140,11 +141,73 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
     """Read a token-per-line embedding file, keeping the first vocab_cap entries.
 
     The dimension is fixed by the first line; zero vectors are dropped with a
-    logged count. Values are parsed straight into one float64 buffer. A token
-    holding a tab, which the graph and lexicon files could not hold, is a
-    DataError naming the file and line; so is a vector the table rejects,
-    naming the file and the token.
+    logged count. An empty token, or one holding a tab, which the graph and
+    lexicon files could not hold, is a DataError naming the file and line; so
+    is a vector the table rejects, naming the file and the token.
+    A file in the plain layout is parsed in bulk (_plain_rows); any other goes
+    to the line reader (_line_rows), which gives the same rows for a plain
+    file, so every table, warning and error is the line reader's.
     """
+    vocab, vectors = _plain_rows(path, vocab_cap) or _line_rows(path, vocab_cap)
+    log.info("embeddings: kept %d tokens of dimension %d", *vectors.shape)
+    try:
+        return EmbeddingTable(vocabulary=vocab, vectors=vectors)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+# the bytes of a plain line's values: decimal digits, the point, signs, the
+# exponent mark and the space between fields; so no nan, inf, hex, '_' or
+# other whitespace, all of which float() takes
+_PLAIN_VALUES_BYTES = b"0123456789.+-eE "
+
+
+class _NotPlain(Exception):
+    """A line that _plain_rows leaves to the line reader."""
+
+
+def _plain_rows(path: str | Path, vocab_cap: int | None) -> tuple[list[str], np.ndarray] | None:
+    """The kept tokens and raw vectors of a plain embedding file, or None.
+
+    Plain: each of the first vocab_cap lines is a nonempty token without a
+    tab, one space, and the same number of fields of _PLAIN_VALUES_BYTES, one
+    space apart. np.loadtxt parses every field in one call, as float() does,
+    and rejects the fields float() rejects. The lines must also hold no
+    repeated token, zero vector or non-finite value, so that the line reader
+    would keep each of them as it stands. The lines stream into np.loadtxt,
+    so no copy of the whole file is held, and are read as the line reader
+    reads them, so a byte that is not UTF-8 stops both at the same point.
+    """
+    tokens: list[str] = []
+
+    def values(lines):
+        for line in lines:
+            token, _, rest = line.rstrip("\n").partition(" ")
+            if (not token or "\t" in token or not rest
+                    or rest.encode().translate(None, _PLAIN_VALUES_BYTES)):
+                raise _NotPlain
+            tokens.append(token)
+            yield rest
+        if not tokens:
+            raise _NotPlain
+
+    try:
+        with open(path, encoding="utf-8") as fh:
+            vectors = np.loadtxt(values(islice(fh, vocab_cap)), delimiter=" ", ndmin=2)
+            # the line reader reads on to the next line that is not blank
+            # before it stops at the cap
+            next((line for line in fh if not line.isspace()), None)
+    except (_NotPlain, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if (len(set(tokens)) < len(tokens) or not np.isfinite(vectors).all()
+            or not vectors.any(axis=1).all()):
+        return None
+    return tokens, vectors
+
+
+def _line_rows(path: str | Path, vocab_cap: int | None) -> tuple[list[str], np.ndarray]:
+    """The kept tokens and raw vectors of an embedding file, read line by
+    line; values are parsed straight into one float64 buffer."""
     vocab: list[str] = []
     flat = array.array("d")
     seen: set[str] = set()
@@ -157,7 +220,9 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
         if len(parts) < 2:
             raise DataError(f"{path}: line {lineno}: expected token and values")
         token = parts[0]
-        # the graph and lexicon files are tab-separated, one token per row
+        # the graph and lexicon files hold one token per tab-separated row
+        if not token:
+            raise DataError(f"{path}: line {lineno}: empty token")
         if "\t" in token:
             raise DataError(f"{path}: line {lineno}: token {token!r} holds a tab")
         try:
@@ -181,12 +246,7 @@ def load_embeddings(path: str | Path, vocab_cap: int | None = None) -> Embedding
         flat.extend(values)
     if n_zero:
         log.warning("dropped %d zero vectors from %s", n_zero, path)
-    vectors = np.frombuffer(flat, dtype=np.float64).reshape(len(vocab), dim or 0)
-    log.info("embeddings: kept %d tokens of dimension %d", len(vocab), dim or 0)
-    try:
-        return EmbeddingTable(vocabulary=vocab, vectors=vectors)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return vocab, np.frombuffer(flat, dtype=np.float64).reshape(len(vocab), dim or 0)
 
 
 def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
@@ -196,19 +256,23 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     clamped below at MIN_KNN_WEIGHT. Similarity ties go to the token that
     comes first in the table. Directed k-NN relations are unioned, keeping
     the larger weight.
-    Similarities take about KNN_BLOCK_BYTES at a time, in blocks of two rows
-    or more: numpy computes a one-row product as a matrix-vector product,
-    which rounds differently, so the weights do not depend on the block size.
+    A float32 matrix product only proposes each row's candidates, with a
+    margin that covers its rounding (_knn_margin). The candidates are ranked,
+    and weighted, by _fixed_order_cosines, a float64 dot product of the unit
+    rows in dimension order, so neither the neighbours nor the weights depend
+    on the BLAS kernel, its thread count or the block size. The product takes
+    blocks of KNN_BLOCK_BYTES // (8 * n) rows, at least two, into a float32
+    buffer of about half KNN_BLOCK_BYTES.
     """
     vocab, unit = table.vocabulary, table.vectors
-    n = len(vocab)
+    n, dim = unit.shape
     if k < 1:
         raise ConfigError("knn_k must be >= 1")
     if k >= n:
         raise ConfigError(f"knn_k={k} must be smaller than the vocabulary size {n}")
 
     best = np.empty((n, k), dtype=np.int64)
-    best_sim = np.empty((n, k))
+    best_cos = np.empty((n, k))
     block = min(n, max(2, KNN_BLOCK_BYTES // (8 * n)))
     # the last block takes the last row along if it would be left alone
     starts = range(0, n - 1, block)
@@ -219,21 +283,28 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     # candidates to rank, more chunks cost more to reduce than they save
     n_chunks = min(n, 4 * k)
     chunk_starts = np.arange(n_chunks) * (n // n_chunks)
+    margin = 2 * _knn_margin(dim)
+    unit32 = unit.astype(np.float32)
     # every block is computed into these buffers, so that the next block's
     # similarities are never allocated while the last one's are still held
-    buf = np.empty((min(n, block + 1), n), dtype=unit.dtype)
+    buf = np.empty((min(n, block + 1), n), dtype=np.float32)
     hits = np.empty(buf.shape, dtype=bool)
+    n_candidates = 0
     for start, stop in zip(starts, [*starts[1:], n]):
-        sims = np.matmul(unit[start:stop], unit.T, out=buf[: stop - start])
+        sims = np.matmul(unit32[start:stop], unit32.T, out=buf[: stop - start])
         rows = np.arange(len(sims))
         sims[rows, start + rows] = -np.inf
         # The chunks are disjoint, so their maxima are entries of the row in
         # distinct columns, and at least k entries are >= the k-th largest
-        # maximum. Hence so is the row's k-th largest entry, and so is every
-        # entry ranked above it or tied with it: the candidates, the entries
-        # >= that bound, hold the row's top k under any number of ties.
+        # maximum m. Each float32 entry is within half the margin of its
+        # fixed-order cosine, so at least k cosines are >= m - margin / 2.
+        # Hence so is the row's k-th largest cosine, and so is every cosine
+        # ranked above it or tied with it, and their float32 entries are
+        # >= m - margin: the candidates, the entries >= that bound, hold the
+        # row's top k under any number of ties.
         maxima = np.maximum.reduceat(sims, chunk_starts, axis=1)
-        bound = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
+        kth = np.partition(maxima, n_chunks - k, axis=1)[:, n_chunks - k]
+        bound = _float32_at_most(kth.astype(np.float64) - margin)
         mask = np.greater_equal(sims, bound[:, None], out=hits[: len(sims)])
         # Ties can give a row up to n candidates. Past one row's worth, the
         # maxima's size or a 64th of the block, whichever is largest,
@@ -246,21 +317,26 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
         for lo in range(0, len(sims), per):
             hi = min(lo + per, len(sims))
             flat = np.flatnonzero(mask[lo:hi])
-            sim = sims[lo:hi].ravel()[flat]
             row, col = divmod(flat, n)
+            cos = _fixed_order_cosines(unit, start + lo + row, col)
+            n_candidates += len(cos)
             # flatnonzero lists the candidates by row, then by column, and
             # lexsort is stable: it ranks each row's candidates by
-            # (-similarity, column) within the span of the list they held
-            order = np.lexsort((-sim, row))
+            # (-cosine, column) within the span of the list they held
+            order = np.lexsort((-cos, row))
             pick = order[np.searchsorted(row, rows[: hi - lo])[:, None] + np.arange(k)]
             best[start + lo : start + hi] = col[pick]
-            best_sim[start + lo : start + hi] = sim[pick]
-    del buf, hits, sims, mask
+            best_cos[start + lo : start + hi] = cos[pick]
+    del unit32, buf, hits, sims, mask
+    log.info("k-NN: %.2f candidates ranked per token", n_candidates / n)
     # math.acos, not np.arccos, whose last bits can differ; the view hands
-    # math.acos one cosine at a time, so no list of them is ever built
-    cos = np.clip(best_sim.ravel(), -1.0, 1.0)
-    angle = np.fromiter(map(math.acos, memoryview(cos)), np.float64, len(cos))
-    w = np.maximum(MIN_KNN_WEIGHT, 1.0 - angle / math.pi)
+    # math.acos one cosine at a time, so no list of them is ever built, and
+    # the rest is computed in place, so no other n * k array is
+    cos = np.clip(best_cos.ravel(), -1.0, 1.0, out=best_cos.ravel())
+    w = np.fromiter(map(math.acos, memoryview(cos)), np.float64, len(cos))
+    del best_cos, cos
+    w /= math.pi
+    np.maximum(MIN_KNN_WEIGHT, np.subtract(1.0, w, out=w), out=w)
     directed = sp.csr_matrix((w, (np.repeat(np.arange(n), k), best.ravel())), shape=(n, n))
     order = sorted(range(n), key=vocab.__getitem__)
     weights = directed.maximum(directed.T)[order][:, order]
@@ -268,6 +344,41 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     return CooccurrenceGraph(
         mode=TOKEN_MODE, nodes=[vocab[i] for i in order], frequency=[0] * n, weights=weights
     )
+
+
+def _knn_margin(dim: int) -> float:
+    """A bound on |s - c| for two unit rows x, y of dimension dim, where s is
+    any float32 matrix product's entry for them and c their
+    _fixed_order_cosines value.
+
+    Rounding x and y to float32 and summing dim float32 products in any order
+    leave s within gamma(dim + 2) * sum|x_i y_i| of x.y, with gamma(m) =
+    m u / (1 - m u) and u = 2**-24 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 3.1). The float64 loop leaves c
+    within gamma(dim) of x.y, with u = 2**-53. Unit rows have sum|x_i y_i|
+    <= 1. Underflow adds at most three errors of 2**-150 per term in float32,
+    and far less in float64: the last term covers both.
+    """
+    m32, m64 = (dim + 2) * 2.0**-24, dim * 2.0**-53
+    return m32 / (1 - m32) + m64 / (1 - m64) + dim * 2.0**-148
+
+
+def _float32_at_most(x: np.ndarray) -> np.ndarray:
+    """The largest float32 values <= x, so that a float32 entry is >= them
+    exactly when it is >= x."""
+    y = x.astype(np.float32)
+    return np.where(y > x, np.nextafter(y, np.float32(-np.inf)), y)
+
+
+def _fixed_order_cosines(unit: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """unit[rows[i]] . unit[cols[i]] for each i, in float64: one multiply and
+    one add per dimension, in dimension order, each rounded on its own. The
+    rows are unit, so these are the cosines, and their bits depend on the
+    vectors alone."""
+    total = np.zeros(len(rows))
+    for column in unit.T:
+        total += column[rows] * column[cols]
+    return total
 
 
 def write_graph(

@@ -172,6 +172,31 @@ def brute_force_knn(
     return edges
 
 
+def fixed_order_knn(
+    vocab: list[str], unit_rows: list[list[float]], k: int
+) -> dict[tuple[str, str], float]:
+    """Each row's k best neighbours by the dot product of unit rows, summed
+    one multiply and one add per dimension, in dimension order, ties to the
+    earlier row; union of those relations, keeping the larger angular weight."""
+    edges: dict[tuple[str, str], float] = {}
+    for i, x in enumerate(unit_rows):
+        ranked = []
+        for j, y in enumerate(unit_rows):
+            if i == j:
+                continue
+            cos = 0.0
+            for a, b in zip(x, y):
+                cos += a * b
+            ranked.append((-cos, j))
+        ranked.sort()
+        for neg_cos, j in ranked[:k]:
+            cos = min(1.0, max(-1.0, -neg_cos))
+            w = max(1e-6, 1.0 - math.acos(cos) / math.pi)
+            key = (vocab[i], vocab[j]) if vocab[i] < vocab[j] else (vocab[j], vocab[i])
+            edges[key] = max(edges.get(key, 0.0), w)
+    return edges
+
+
 def dense_restart_walk(
     nodes: list[str],
     edges: dict[tuple[str, str], float],
@@ -454,7 +479,7 @@ def list_load_embeddings(path, vocab_cap: int | None = None) -> tuple[list[str],
     """Read a token-per-line embedding file, keeping the first vocab_cap entries.
 
     The dimension is fixed by the first line; zero vectors are dropped with a
-    logged count.
+    logged count. A token must be nonempty and hold no tab.
     """
     vocab: list[str] = []
     rows: list[list[float]] = []
@@ -471,6 +496,10 @@ def list_load_embeddings(path, vocab_cap: int | None = None) -> tuple[list[str],
             if len(parts) < 2:
                 raise ValueError(f"{path}: line {lineno}: expected token and values")
             token = parts[0]
+            if not token:
+                raise ValueError(f"{path}: line {lineno}: empty token")
+            if "\t" in token:
+                raise ValueError(f"{path}: line {lineno}: token {token!r} holds a tab")
             try:
                 values = [float(v) for v in parts[1:]]
             except ValueError as exc:

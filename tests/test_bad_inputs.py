@@ -204,6 +204,8 @@ EDITS = [
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("graph-nodes", "negative-frequency", 1, 1, "-1", "line 2: frequency is negative"),
     ("embeddings", "no-values", 1, 1, None, "line 2: expected token and values"),
+    # a line that starts with a space would give the graph a node named ''
+    ("embeddings", "empty-token", 1, 0, "", "line 2: empty token"),
     # the graph and lexicon files hold one tab-separated token per row
     ("embeddings", "tab-in-token", 1, 0, "w\tfive", "line 2: token 'w\\tfive' holds a tab"),
     # every square underflows, so the norm is 0 though the vector is not zero

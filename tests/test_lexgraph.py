@@ -1,11 +1,13 @@
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polarlex import lexgraph
@@ -25,6 +27,7 @@ from graphs import adjacency, edge_dict, graph_of
 from oracles import (
     brute_force_knn,
     brute_force_pairs,
+    fixed_order_knn,
     list_load_embeddings,
     per_line_graph_files,
 )
@@ -184,6 +187,53 @@ def random_tweets(n_tweets, vocab, per_tweet):
     return [tt(f"t{i}", [f"w{j:04d}" for j in row]) for i, row in enumerate(draws)]
 
 
+# plain decimal value fields, and fields that float() reads otherwise or
+# rejects
+PLAIN_VALUES = st.one_of(
+    st.floats(-100, 100).map(repr),
+    st.floats(-100, 100).map("{:.6f}".format),
+    st.floats(-1e6, 1e6).map("{:.3e}".format),
+    st.integers(-9, 9).map(str),
+    st.sampled_from([".5", "5.", "-0", "-.25", "1E2", "1e-320", "1e200", "1e400"]),
+)
+ODD_VALUES = ["1_5", "+2", "nan", "inf", "0x1p3"]
+EMBEDDING_MUTATIONS = ["leading-space", "tab-in-token", "short-row", "duplicate-token",
+                       "odd-value", "zero-vector", "blank-line"]
+
+
+@st.composite
+def embedding_files(draw):
+    """The text of an embedding file of plain lines with up to two mutations,
+    its line ends LF or CRLF, and a vocab_cap."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    tokens = draw(st.lists(st.text("ab\u00e9#", min_size=1, max_size=3), min_size=n, max_size=n))
+    lines = [" ".join([token, *draw(st.lists(PLAIN_VALUES, min_size=dim, max_size=dim))])
+             for token in tokens]
+    for mutation in draw(st.lists(st.sampled_from(EMBEDDING_MUTATIONS), max_size=2)):
+        i = draw(st.integers(0, len(lines) - 1))
+        token, *values = lines[i].split(" ")
+        if mutation == "leading-space":
+            lines[i] = " " + lines[i]
+        elif mutation == "tab-in-token":
+            lines[i] = "w\t" + lines[i]
+        elif mutation == "short-row":
+            lines[i] = " ".join([token, *values[:-1]])
+        elif mutation == "duplicate-token":
+            lines[i] = " ".join([tokens[0], *values])
+        elif mutation == "odd-value" and values:
+            values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_VALUES))
+            lines[i] = " ".join([token, *values])
+        elif mutation == "zero-vector":
+            lines[i] = " ".join([token, *draw(st.lists(st.sampled_from(["0", "-0.0", "0e5"]),
+                                                       min_size=dim, max_size=dim))])
+        elif mutation == "blank-line":
+            lines.insert(i, draw(st.sampled_from(["", " \t "])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, draw(st.none() | st.integers(0, n + 1))
+
+
 class TestLoadEmbeddings:
     def test_basic_load(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -261,6 +311,58 @@ class TestLoadEmbeddings:
         assert table.vectors.dtype == unit.dtype == np.float64
         assert table.vectors.shape == unit.shape
         assert table.vectors.tobytes() == unit.tobytes()
+
+    @settings(max_examples=200)
+    @given(embedding_files())
+    @example(("a 1 2\nb 3 4\n", None))  # plain
+    @example((" 1 2\nb 3 4\n", None))  # a leading space: an empty token
+    @example(("a 1 2\n  3 4\n", None))  # two leading spaces
+    @example(("a 1 2\nb 1_5 4\n", None))  # float() takes '_', the bulk parse does not
+    @example(("a 1 2\nb 0x1p3 4\n", None))  # hex, which float() rejects
+    @example(("a 1 2\nb +2 4\nc 1 1e400\n", 2))  # a cap ahead of an overflow
+    def test_bulk_parse_matches_list_loader(self, tmp_path_factory, case):
+        # the bulk parse gives the line reader's rows or declines the file,
+        # and the loader gives the list loader's table or its error text
+        text, vocab_cap = case
+        path = tmp_path_factory.mktemp("emb") / "emb.txt"
+        path.write_bytes(text.encode())
+        try:
+            vocab, vectors = list_load_embeddings(path, vocab_cap)
+        except ValueError as exc:
+            assert lexgraph._plain_rows(path, vocab_cap) is None
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                load_embeddings(path, vocab_cap)
+            return
+        rows = lexgraph._plain_rows(path, vocab_cap)
+        if rows is not None:
+            assert rows[0] == vocab
+            assert rows[1].shape == vectors.shape
+            assert rows[1].tobytes() == vectors.tobytes()
+        error = table_error(vocab, vectors)
+        if error is not None:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {error}')}$"):
+                load_embeddings(path, vocab_cap)
+            return
+        table = load_embeddings(path, vocab_cap)
+        assert table.vocabulary == vocab
+        assert table.vectors.tobytes() == unit_rows(vectors).tobytes()
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_plain_file_takes_the_bulk_parse(self, tmp_path, monkeypatch, end):
+        # the benchmark's layout: six decimals, one space between fields
+        rng = np.random.default_rng(9)
+        path = tmp_path / "emb.txt"
+        path.write_bytes("".join(f"\u00e9{i:03d} " + " ".join(f"{v:.6f}" for v in row) + end
+                                 for i, row in enumerate(rng.standard_normal((50, 7)))).encode())
+        want = list_load_embeddings(path, 40)
+
+        def no_line_reader(*args):
+            raise AssertionError("the line reader was called")
+
+        monkeypatch.setattr(lexgraph, "_line_rows", no_line_reader)
+        table = load_embeddings(path, 40)
+        assert table.vocabulary == want[0]
+        assert table.vectors.tobytes() == unit_rows(want[1]).tobytes()
 
     def test_logs_tokens_kept_and_dimension(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
@@ -435,6 +537,30 @@ class TestKnnGraph:
         assert set(edges) == expected
         assert set(edges.values()) == {1.0}
 
+    @pytest.mark.parametrize(
+        ("first", "second", "float32_order"),
+        [([1.0, 1.0006, 0, 0], [1.0001, 1.0007, 0, 0], "reversed"),
+         ([1.0001, 1.0007, 0, 0], [1.0002, 1.0007, 0, 0], "tied")],
+        ids=["reversed", "tied"],
+    )
+    def test_float32_error_at_the_kth_place_keeps_the_fixed_order_top_k(
+        self, first, second, float32_order
+    ):
+        # q's unit row is all halves and each candidate's has two nonzero
+        # components, so each float32 product of q and a candidate is one
+        # rounding of an exact sum, whatever the kernel. The candidates'
+        # cosines with q differ by 6e-12 or 1e-8, under float32's spacing of
+        # 6e-8 there, and float32 ranks the nearer one, "c", below "b" or
+        # ties it with "b", which comes first
+        vocab = ["q", "b", "c"]
+        table = EmbeddingTable(vocab, np.array([[1.0, 1, 1, 1], first, second]))
+        single = table.vectors.astype(np.float32)
+        b, c = (single @ single.T)[0, 1:]
+        assert b > c if float32_order == "reversed" else b == c
+        expected = fixed_order_knn(vocab, table.vectors.tolist(), k=1)
+        assert ("c", "q") in expected and ("b", "q") not in expected
+        assert edge_dict(build_knn_graph(table, k=1)) == expected
+
     def test_degree_at_least_k(self):
         rng = np.random.default_rng(7)
         vocab = [f"w{i}" for i in range(30)]
@@ -446,13 +572,13 @@ class TestKnnGraph:
         assert all(d >= 3 for d in degree.values())
 
 
-# The k-NN similarities come from a BLAS matrix product, whose rounding
+# The k-NN candidates come from a float32 BLAS matrix product, whose rounding
 # depends on the kernel and thread count the BLAS picks at run time. The
-# in-memory weights do differ between OpenBLAS kernels and between 1 and 2
-# threads; the graph files are the same because write_graph rounds each
-# weight to 9 decimals, and a stage after build-graph reads that text back.
-# Byte-identical runs across machines rest on that rounding.
+# candidates are ranked and weighted by a fixed-order float64 loop, so neither
+# the in-memory weights nor the graph files depend on them. The script prints
+# the digest of the weights' indices and data, then writes the graph files.
 KNN_FILE_SCRIPT = """
+import hashlib
 import sys
 import numpy as np
 from polarlex.lexgraph import EmbeddingTable, build_knn_graph, write_graph
@@ -461,7 +587,9 @@ rng = np.random.default_rng(17)
 centers = 2.0 * rng.standard_normal((2, 100))
 vectors = centers[np.arange(3000) % 2] + rng.standard_normal((3000, 100))
 table = EmbeddingTable([f"t{i:04d}" for i in range(3000)], vectors)
-write_graph(build_knn_graph(table, 25), sys.argv[1], sys.argv[2])
+graph = build_knn_graph(table, 25)
+print(hashlib.sha256(graph.weights.indices.tobytes() + graph.weights.data.tobytes()).hexdigest())
+write_graph(graph, sys.argv[1], sys.argv[2])
 """
 # each forced OpenBLAS kernel, and the /proc/cpuinfo flag it needs
 OPENBLAS_KERNELS = {"Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
@@ -507,6 +635,24 @@ def test_knn_graph_files_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_e
             files[out.name] = ((out / "edges.tsv").read_bytes(), (out / "nodes.tsv").read_bytes())
     assert len(cores) == len(kernels)
     assert len(set(files.values())) == 1, sorted(files)
+
+
+def test_knn_weights_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_env):
+    kernels = _openblas_kernels()
+    if len(kernels) < 2:
+        pytest.skip("needs an OpenBLAS built with DYNAMIC_ARCH and two kernels to force")
+    digests = {}
+    for kernel in kernels:
+        for threads in ("1", "2"):
+            env = {**src_env, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", KNN_FILE_SCRIPT, tmp_path / "edges.tsv",
+                 tmp_path / "nodes.tsv"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests[f"{kernel}-{threads}"] = proc.stdout.strip()
+    assert len(set(digests.values())) == 1, digests
 
 
 def _file_graphs():
