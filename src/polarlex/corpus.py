@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .errors import DataError
-from .ioutil import read_lines, read_rows, unique_keys
+from .ioutil import NON_XML_CHAR, read_lines, read_rows, unique_keys
 
 REQUIRED_KEYS = ("tweet_id", "user_id", "timestamp", "text")
 
@@ -120,6 +120,10 @@ def record_from_json(obj: dict, strings: dict[str, str] | None = None) -> TweetR
     for key, value in fields.items():
         if isinstance(value, str) and _SURROGATE.search(value):
             raise DataError(f"{key} holds a lone surrogate, which is not Unicode text")
+    # the communication network's GraphML file names users by these ids
+    for key in ("user_id", "mentions", "retweet_of_user", "reply_to_user"):
+        if fields[key] and (bad := NON_XML_CHAR.search(fields[key])):
+            raise DataError(f"{key} holds {bad[0]!r}, which XML cannot hold")
     return TweetRecord(
         tweet_id=tweet_id,
         user_id=one(user_id, user_id),
@@ -133,9 +137,10 @@ def record_from_json(obj: dict, strings: dict[str, str] | None = None) -> TweetR
 
 
 # A line exactly as write_corpus writes it: json.dumps with sorted keys and the
-# default separators, every string free of '"', '\\' and control characters,
-# so that its raw text is its value. Any other line goes through json.loads.
-_CHARS = r'[^"\\\x00-\x1f]'
+# default separators, every string free of '"', '\\', control characters and
+# U+FFFE and U+FFFF, so that its raw text is its value and holds no character
+# record_from_json would reject. Any other line goes through json.loads.
+_CHARS = r'[^"\\\x00-\x1f\ufffe\uffff]'
 _WRITTEN_LINE = re.compile(
     r'\{"is_retweet": (null|true|false), '
     rf'"mentions": \[((?:"{_CHARS}*"(?:, "{_CHARS}*")*)?)\], '

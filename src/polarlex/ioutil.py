@@ -15,6 +15,10 @@ from .errors import DataError
 # and every squared difference of two, stays finite.
 MAX_MAGNITUDE = 1e100
 
+# A character outside XML 1.0's Char production, which no GraphML file can
+# hold. Surrogates are left out: no Unicode text holds one alone.
+NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
 
 def fmt9(x: float) -> str:
     """Fixed 9-decimal formatting used for every float we serialize."""
@@ -146,9 +150,13 @@ def read_rows(
 
 def check_dimension_name(path: str | Path, lineno: int, name: str) -> str:
     """name, read at line lineno of path, if it can be part of a dimension's
-    output file names: a name holding '/' or NUL is a data error."""
+    output file names and GraphML attribute names: a name holding '/', NUL
+    or another NON_XML_CHAR is a data error."""
     if "/" in name or "\0" in name:
         raise DataError(f"{path}: line {lineno}: dimension name holds '/' or NUL: {name!r}")
+    if bad := NON_XML_CHAR.search(name):
+        raise DataError(f"{path}: line {lineno}: dimension name holds {bad[0]!r}, "
+                        f"which XML cannot hold: {name!r}")
     return name
 
 

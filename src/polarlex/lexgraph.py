@@ -24,10 +24,9 @@ log = logging.getLogger(__name__)
 
 # floor for k-NN edge weights so angular similarity never hits zero
 MIN_KNN_WEIGHT = 1e-6
-# bytes of float64 similarities per matrix product in build_knn_graph: a block
-# holds KNN_BLOCK_BYTES // (8 * n) rows of n similarities, at least two. The
-# product is float32, so the block buffer takes half these bytes
-KNN_BLOCK_BYTES = 32 << 20
+# bytes of the float32 similarity block in build_knn_graph: a block holds
+# KNN_BLOCK_BYTES // (4 * n) rows of n similarities, at least one
+KNN_BLOCK_BYTES = 16 << 20
 
 
 @dataclass
@@ -104,13 +103,9 @@ def build_cooccurrence(
     np.cumsum(np.fromiter(map(len, map(items, tweets)), np.intp, len(tweets)), out=indptr[1:])
     cols = np.fromiter(map(index.__getitem__, chain.from_iterable(map(items, tweets))),
                        dtype=np.intp, count=indptr[-1])
-    names = list(index)
-    del index
     # then each column is renumbered to its item's rank in name order
-    order = sorted(range(len(names)), key=names.__getitem__)
-    nodes = [names[i] for i in order]
-    rank = np.empty(len(order), dtype=np.intp)
-    rank[order] = np.arange(len(order))
+    nodes, rank = _name_order(list(index))
+    del index
     cols = rank[cols]
     incidence = sp.csr_matrix(
         (np.ones(len(cols)), cols, indptr), shape=(len(tweets), len(nodes))
@@ -261,8 +256,8 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     and weighted, by _fixed_order_cosines, a float64 dot product of the unit
     rows in dimension order, so neither the neighbours nor the weights depend
     on the BLAS kernel, its thread count or the block size. The product takes
-    blocks of KNN_BLOCK_BYTES // (8 * n) rows, at least two, into a float32
-    buffer of about half KNN_BLOCK_BYTES.
+    blocks of KNN_BLOCK_BYTES // (4 * n) rows, at least one, into one float32
+    buffer of about KNN_BLOCK_BYTES.
     """
     vocab, unit = table.vocabulary, table.vectors
     n, dim = unit.shape
@@ -273,9 +268,8 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
 
     best = np.empty((n, k), dtype=np.int64)
     best_cos = np.empty((n, k))
-    block = min(n, max(2, KNN_BLOCK_BYTES // (8 * n)))
-    # the last block takes the last row along if it would be left alone
-    starts = range(0, n - 1, block)
+    block = min(n, max(1, KNN_BLOCK_BYTES // (4 * n)))
+    starts = range(0, n, block)
     log.info("k-NN: %d tokens, k=%d, %d rows per block in %d blocks",
              n, k, block, len(starts))
     # each row's candidates are bounded below by the maxima of 4k contiguous
@@ -285,15 +279,14 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     chunk_starts = np.arange(n_chunks) * (n // n_chunks)
     margin = 2 * _knn_margin(dim)
     unit32 = unit.astype(np.float32)
-    # every block is computed into these buffers, so that the next block's
-    # similarities are never allocated while the last one's are still held
-    buf = np.empty((min(n, block + 1), n), dtype=np.float32)
+    # every block is computed into the first rows of these buffers, so that the
+    # next block's similarities are never allocated while the last one's are held
+    buf = np.empty((block, n), dtype=np.float32)
     hits = np.empty(buf.shape, dtype=bool)
     n_candidates = 0
-    for start, stop in zip(starts, [*starts[1:], n]):
-        sims = np.matmul(unit32[start:stop], unit32.T, out=buf[: stop - start])
-        rows = np.arange(len(sims))
-        sims[rows, start + rows] = -np.inf
+    for start in starts:
+        sims = np.matmul(unit32[start : start + block], unit32.T, out=buf[: n - start])
+        np.fill_diagonal(sims[:, start:], -np.inf)
         # The chunks are disjoint, so their maxima are entries of the row in
         # distinct columns, and at least k entries are >= the k-th largest
         # maximum m. Each float32 entry is within half the margin of its
@@ -324,7 +317,7 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
             # lexsort is stable: it ranks each row's candidates by
             # (-cosine, column) within the span of the list they held
             order = np.lexsort((-cos, row))
-            pick = order[np.searchsorted(row, rows[: hi - lo])[:, None] + np.arange(k)]
+            pick = order[np.searchsorted(row, np.arange(hi - lo))[:, None] + np.arange(k)]
             best[start + lo : start + hi] = col[pick]
             best_cos[start + lo : start + hi] = cos[pick]
     del unit32, buf, hits, sims, mask
@@ -337,13 +330,19 @@ def build_knn_graph(table: EmbeddingTable, k: int) -> CooccurrenceGraph:
     del best_cos, cos
     w /= math.pi
     np.maximum(MIN_KNN_WEIGHT, np.subtract(1.0, w, out=w), out=w)
-    directed = sp.csr_matrix((w, (np.repeat(np.arange(n), k), best.ravel())), shape=(n, n))
-    order = sorted(range(n), key=vocab.__getitem__)
-    weights = directed.maximum(directed.T)[order][:, order]
+    nodes, rank = _name_order(vocab)
+    directed = sp.csr_matrix((w, (np.repeat(rank, k), rank[best.ravel()])), shape=(n, n))
+    weights = directed.maximum(directed.T)
     weights.sort_indices()
-    return CooccurrenceGraph(
-        mode=TOKEN_MODE, nodes=[vocab[i] for i in order], frequency=[0] * n, weights=weights
-    )
+    return CooccurrenceGraph(mode=TOKEN_MODE, nodes=nodes, frequency=[0] * n, weights=weights)
+
+
+def _name_order(names: list[str]) -> tuple[list[str], np.ndarray]:
+    """names sorted, and each name's rank in that order, by its index in names."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return [names[i] for i in order], rank
 
 
 def _knn_margin(dim: int) -> float:

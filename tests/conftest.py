@@ -11,7 +11,7 @@ settings.register_profile("default", deadline=None, max_examples=50)
 settings.load_profile("default")
 
 
-@pytest.fixture
+@pytest.fixture(scope="session")
 def src_env():
     """Environment for a child Python process that imports polarlex from src/."""
     env = dict(os.environ)

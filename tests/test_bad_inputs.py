@@ -187,6 +187,12 @@ EDITS = [
      "line 2: user_id must be a string or an integer"),
     ("corpus", "timestamp-number", 1, "timestamp", 20190214, "line 2: timestamp must be a string"),
     ("corpus", "text-object", 1, "text", {"x": "#d"}, "line 2: text must be a string"),
+    # the communication network's GraphML file could hold neither user id
+    ("corpus", "user-id-control-char", 1, "user_id", "u\x01",
+     "line 2: user_id holds '\\x01', which XML cannot hold"),
+    # a line in write_corpus's layout, which load_corpus matches by a pattern
+    ("corpus", "user-id-noncharacter", 1, "user_id", "u\ufffe",
+     "line 2: user_id holds '\\ufffe', which XML cannot hold"),
     ("lexicon", "bad-header", 0, 1, "scale=x", "line 1: bad scale 'x'"),
     ("lexicon", "scale-renamed", 0, 1, "range=-1.000000000,1.000000000",
      "line 1: expected the header '#dimension=<dimension>\\tscale=<scale>'"),
@@ -200,6 +206,8 @@ EDITS = [
      "line 1: dimension name holds '/' or NUL: 'a/b'"),
     ("seeds", "nul-in-dimension", 0, 0, "#dimension=a\0b",
      "line 1: dimension name holds '/' or NUL: 'a\\x00b'"),
+    ("seeds", "control-char-in-dimension", 0, 0, "#dimension=d\x02",
+     "line 1: dimension name holds '\\x02', which XML cannot hold: 'd\\x02'"),
     ("graph-edges", "unknown-mode", 0, 0, "#mode=foo", "line 1: mode must be hashtag or token"),
     ("graph-edges", "bad-weight", 1, 2, "x", "line 2: bad weight"),
     ("graph-nodes", "negative-frequency", 1, 1, "-1", "line 2: frequency is negative"),
@@ -225,12 +233,14 @@ def set_field(kind: Kind, line: int, field, value, text: str) -> bytes:
     if kind.sep is None:
         obj = json.loads(lines[line])
         obj[field] = value
-        lines[line] = json.dumps(obj) + "\n"  # a lone surrogate becomes its \ud800 escape
+        # other characters are written raw, as write_corpus writes them; a
+        # lone surrogate, which UTF-8 cannot encode, becomes its \ud800 escape
+        lines[line] = json.dumps(obj, ensure_ascii=False) + "\n"
     else:
         fields = lines[line].rstrip("\n").split(kind.sep)
         fields[field:] = [] if value is None else [value, *fields[field + 1:]]
         lines[line] = kind.sep.join(fields) + "\n"
-    return "".join(lines).encode()
+    return "".join(lines).encode(errors="backslashreplace")
 
 
 @pytest.mark.parametrize("kind_name, line, field, value, message",

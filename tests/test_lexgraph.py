@@ -471,12 +471,13 @@ class TestKnnGraph:
         assert edge_dict(graph) == expected
 
     @pytest.mark.parametrize(
-        ("budget", "rows", "blocks"), [(8 * 40 * 7, 7, 6), (8 * 40 * 3, 3, 13), (1, 2, 20)]
+        ("budget", "rows", "blocks"), [(4 * 40 * 7, 7, 6), (4 * 40 * 3, 3, 14), (1, 1, 40)]
     )
     def test_blocks_match_one_block_build(self, monkeypatch, caplog, budget, rows, blocks):
         # 7 rows per block leave a ragged last block of 5 rows; 3 rows per
-        # block would leave the last row alone, so the last block has 4; a
-        # budget smaller than a row still computes two rows per block
+        # block leave a last block of one row; a budget smaller than a row
+        # computes one row per block. A one-row product may round unlike a
+        # many-row one, which the fixed-order cosine keeps from the graph
         vocab = [f"w{i:02d}" for i in range(40)]
         vectors = np.random.default_rng(11).standard_normal((40, 5))
         table = EmbeddingTable(vocab, vectors)
@@ -498,8 +499,9 @@ class TestKnnGraph:
 
     @pytest.mark.parametrize("kind", ["random", "axes", "equal"])
     def test_holds_one_similarity_block_at_a_time(self, monkeypatch, kind):
-        # 400 rows of 2000 similarities per block, 6.4 MB; every other array
-        # of the build is under 0.1 MB, so two blocks held at once would show.
+        # 400 rows of 2000 float32 similarities per block, 3.2 MB, and their
+        # 0.8 MB mask; the build peaks near 5.1 MB, and a second block held
+        # at once would take it past twice the block's bytes.
         # On 5 axes each row ties with about 400 others, and on equal vectors
         # with all of them, so the candidates to rank are many times k.
         n, rows = 2000, 400
@@ -510,7 +512,7 @@ class TestKnnGraph:
             "equal": lambda: np.ones((n, 4)),
         }[kind]()
         table = EmbeddingTable([f"w{i:04d}" for i in range(n)], vectors)
-        monkeypatch.setattr(lexgraph, "KNN_BLOCK_BYTES", 8 * n * rows)
+        monkeypatch.setattr(lexgraph, "KNN_BLOCK_BYTES", 4 * n * rows)
         tracemalloc.start()
         try:
             graph = build_knn_graph(table, k=3)
@@ -518,7 +520,7 @@ class TestKnnGraph:
         finally:
             tracemalloc.stop()
         assert graph.num_nodes == n
-        assert peak < 1.5 * lexgraph.KNN_BLOCK_BYTES
+        assert peak < 2 * lexgraph.KNN_BLOCK_BYTES
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_many_tied_neighbors_go_to_the_lowest_indices(self, seed):
@@ -609,20 +611,18 @@ def _openblas_kernels() -> list[str]:
     return [kernel for kernel, flag in OPENBLAS_KERNELS.items() if flag in flags]
 
 
-def test_knn_graph_files_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_env):
-    import re
-    import subprocess
-    import sys
-
+@pytest.fixture(scope="module")
+def blas_runs(tmp_path_factory, src_env):
+    """KNN_FILE_SCRIPT run once under each forced kernel at 1 and 2 threads:
+    the run's name, the OpenBLAS core it named, its weights digest and the
+    bytes of the two graph files."""
     kernels = _openblas_kernels()
     if len(kernels) < 2:
         pytest.skip("needs an OpenBLAS built with DYNAMIC_ARCH and two kernels to force")
-    files = {}
-    cores = set()
+    runs = []
     for kernel in kernels:
         for threads in ("1", "2"):
-            out = tmp_path / f"{kernel}-{threads}"
-            out.mkdir()
+            out = tmp_path_factory.mktemp(f"{kernel}-{threads}-")
             env = {**src_env, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads,
                    "OPENBLAS_VERBOSE": "2"}
             proc = subprocess.run(
@@ -630,28 +630,22 @@ def test_knn_graph_files_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_e
                 capture_output=True, text=True, env=env, timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
-            # OpenBLAS names the kernel it runs; each forced one must differ
-            cores.add(re.search(r"Core: (\S+)", proc.stderr)[1])
-            files[out.name] = ((out / "edges.tsv").read_bytes(), (out / "nodes.tsv").read_bytes())
-    assert len(cores) == len(kernels)
-    assert len(set(files.values())) == 1, sorted(files)
+            files = ((out / "edges.tsv").read_bytes(), (out / "nodes.tsv").read_bytes())
+            core = re.search(r"Core: (\S+)", proc.stderr)[1]
+            runs.append((f"{kernel}-{threads}", core, proc.stdout.strip(), files))
+    return kernels, runs
 
 
-def test_knn_weights_do_not_depend_on_blas_kernel_or_threads(tmp_path, src_env):
-    kernels = _openblas_kernels()
-    if len(kernels) < 2:
-        pytest.skip("needs an OpenBLAS built with DYNAMIC_ARCH and two kernels to force")
-    digests = {}
-    for kernel in kernels:
-        for threads in ("1", "2"):
-            env = {**src_env, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": threads}
-            proc = subprocess.run(
-                [sys.executable, "-c", KNN_FILE_SCRIPT, tmp_path / "edges.tsv",
-                 tmp_path / "nodes.tsv"],
-                capture_output=True, text=True, env=env, timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests[f"{kernel}-{threads}"] = proc.stdout.strip()
+def test_knn_graph_files_do_not_depend_on_blas_kernel_or_threads(blas_runs):
+    kernels, runs = blas_runs
+    # OpenBLAS names the kernel it runs; each forced one must differ
+    assert len({core for _, core, _, _ in runs}) == len(kernels)
+    assert len({files for _, _, _, files in runs}) == 1, [name for name, *_ in runs]
+
+
+def test_knn_weights_do_not_depend_on_blas_kernel_or_threads(blas_runs):
+    _, runs = blas_runs
+    digests = {name: digest for name, _, digest, _ in runs}
     assert len(set(digests.values())) == 1, digests
 
 
