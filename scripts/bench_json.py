@@ -25,7 +25,10 @@ metric's better direction. Three verdicts go with each metric:
 
 Each workload also counts the pairs whose two runs wrote the same artifact
 digests, since a speed-up that changes an output byte does not count.
-Unpaired runs are listed, not summarized.
+Unpaired runs are listed, not summarized; so are the two runs of a pair that
+ran for different --seconds. Each workload lists the --seconds its result
+files give, and run_seconds is their one common value, or null when they
+differ.
 
     python3 scripts/bench_json.py --pr 6 --parent ../parent/.polarbench/out \\
         --change .polarbench/out
@@ -67,13 +70,16 @@ def summarize(parent: dict, change: dict, metrics: list[dict]) -> dict:
     workloads = sorted({w for w, _ in parent} | {w for w, _ in change})
     out = {}
     for workload in workloads:
-        seeds = sorted(s for w, s in parent.keys() & change.keys() if w == workload)
+        seeds = sorted(s for w, s in parent.keys() & change.keys()
+                       if w == workload and parent[w, s]["seconds"] == change[w, s]["seconds"])
         unpaired = {
             side: sorted(s for w, s in runs if w == workload and s not in seeds)
             for side, runs in (("parent", parent), ("change", change))
         }
         pairs = [(parent[(workload, s)], change[(workload, s)]) for s in seeds]
         entry = {
+            "seconds": sorted({d["seconds"] for runs in (parent, change)
+                               for (w, _), d in runs.items() if w == workload}),
             "seeds": seeds,
             "pairs": len(pairs),
             "unpaired_seeds": unpaired,
@@ -133,11 +139,12 @@ def main() -> int:
             print(f"bench_json: no result directory {side}", file=sys.stderr)
             return 1
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    parent, change = read_side(args.parent), read_side(args.change)
+    seconds = {d["seconds"] for runs in (parent, change) for d in runs.values()}
     summary = {
         "pr": args.pr,
-        "run_seconds": benchmark["run_seconds"],
-        "workloads": summarize(read_side(args.parent), read_side(args.change),
-                               benchmark["end_to_end"]),
+        "run_seconds": seconds.pop() if len(seconds) == 1 else None,
+        "workloads": summarize(parent, change, benchmark["end_to_end"]),
     }
     out = args.out or ROOT / f"BENCH_pr{args.pr}.json"
     out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -139,20 +139,26 @@ def record_from_json(obj: dict, strings: dict[str, str] | None = None) -> TweetR
 # A line exactly as write_corpus writes it: json.dumps with sorted keys and the
 # default separators, every string free of '"', '\\', control characters and
 # U+FFFE and U+FFFF, so that its raw text is its value and holds no character
-# record_from_json would reject. Any other line goes through json.loads.
+# record_from_json would reject, and the timestamp in isoformat's UTC layout
+# to the second, in ASCII digits. Any other line goes through json.loads.
 _CHARS = r'[^"\\\x00-\x1f\ufffe\uffff]'
 _WRITTEN_LINE = re.compile(
     r'\{"is_retweet": (null|true|false), '
     rf'"mentions": \[((?:"{_CHARS}*"(?:, "{_CHARS}*")*)?)\], '
     rf'"reply_to_user": (?:null|"({_CHARS}*)"), '
     rf'"retweet_of_user": (?:null|"({_CHARS}*)"), '
-    rf'"text": "({_CHARS}*)", "timestamp": "({_CHARS}*)", '
+    rf'"text": "({_CHARS}*)", '
+    r'"timestamp": "([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\+00:00)", '
     rf'"tweet_id": "({_CHARS}+)", "user_id": "({_CHARS}*)"\}}'
 )
 
 
 def _record_from_match(match: re.Match, strings: dict[str, str]) -> TweetRecord:
-    """The record of a _WRITTEN_LINE match, as record_from_json gives it."""
+    """The record of a _WRITTEN_LINE match, as record_from_json gives it.
+
+    fromisoformat gives a '+00:00' timestamp timezone.utc as its tzinfo, as
+    parse_timestamp's astimezone does.
+    """
     is_retweet, mentions, reply_to, retweet_of, text, timestamp, tweet_id, user_id = (
         match.groups()
     )
@@ -161,7 +167,7 @@ def _record_from_match(match: re.Match, strings: dict[str, str]) -> TweetRecord:
     return TweetRecord(
         tweet_id,
         one(user_id, user_id),
-        parse_timestamp(timestamp),
+        datetime.fromisoformat(timestamp),
         text,
         is_retweet == "true",
         one(retweet_of, retweet_of),

@@ -15,12 +15,15 @@ import math
 import unicodedata
 import xml.etree.ElementTree as ET
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
+import scipy.sparse as sp
 
-from polarlex.corpus import record_from_json
+from polarlex.corpus import HASHTAG_MODE, TOKEN_MODE, record_from_json
 from polarlex.errors import DataError
+from polarlex.ioutil import MAX_MAGNITUDE, read_rows
+from polarlex.lexgraph import CooccurrenceGraph
 
 log = logging.getLogger(__name__)
 
@@ -470,6 +473,57 @@ def per_line_graph_files(graph) -> tuple[str, str]:
                 edges.append(f"{a}\t{graph.nodes[j]}\t{float(w.data[k]):.9f}\n")
     nodes = [f"{node}\t{freq}\n" for node, freq in zip(graph.nodes, graph.frequency)]
     return "".join(edges), "".join(nodes)
+
+
+# The graph reader before edges were kept in flat arrays, verbatim except
+# that the symmetric weights are built inline: one dict entry per edge, so a
+# duplicate is found at its own line, and the CSR is one_way + one_way.T.
+def reference_read_graph(edges_path, nodes_path) -> CooccurrenceGraph:
+    """Read write_graph's files.
+
+    Line 1 of the edge file is the '#mode=' header. Rejects duplicate node
+    rows, negative frequencies, duplicate edges and edges between nodes the
+    node file lacks.
+    """
+    frequency: dict[str, int] = {}
+    for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2, key="node"):
+        try:
+            freq = frequency[node] = int(raw_freq)
+        except ValueError as exc:
+            raise DataError(f"{nodes_path}: line {lineno}: bad frequency") from exc
+        if freq < 0:
+            raise DataError(f"{nodes_path}: line {lineno}: frequency is negative")
+    nodes = sorted(frequency)
+    index = {node: i for i, node in enumerate(nodes)}
+    edge_rows = read_rows(edges_path, "\t", 3, header=("mode",))
+    _, (mode,) = next(edge_rows)
+    if mode not in (HASHTAG_MODE, TOKEN_MODE):
+        raise DataError(f"{edges_path}: line 1: mode must be {HASHTAG_MODE} or {TOKEN_MODE}")
+    edges: dict[tuple[int, int], float] = {}
+    for lineno, (a, b, raw_w) in edge_rows:
+        try:
+            w = float(raw_w)
+        except ValueError as exc:
+            raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
+        if a == b:
+            raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
+        if not 0 < w <= MAX_MAGNITUDE:
+            raise DataError(f"{edges_path}: line {lineno}: weight not in (0, {MAX_MAGNITUDE:g}]")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            missing = a if i is None else b
+            raise DataError(f"{edges_path}: line {lineno}: node {missing!r} not in {nodes_path}")
+        pair = (i, j) if i < j else (j, i)
+        if pair in edges:
+            raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
+        edges[pair] = w
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    upper = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
+    one_way = sp.csr_matrix((upper, (ends[0::2], ends[1::2])), shape=(len(nodes),) * 2)
+    weights = one_way + one_way.T
+    weights.sort_indices()
+    return CooccurrenceGraph(mode=mode, nodes=nodes, frequency=[frequency[n] for n in nodes],
+                             weights=weights)
 
 
 # The embedding loader before rows were parsed into one float64 buffer,

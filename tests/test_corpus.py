@@ -147,9 +147,10 @@ class TestLoadCorpus:
         path = tmp_path / "c.jsonl"
         write_corpus([make_record()], path)
         written = path.read_text().replace("2020-01-01T10:00:00+00:00", stamp)
-        assert corpus._WRITTEN_LINE.fullmatch(written.rstrip("\n"))
+        # write_corpus writes UTC, so its pattern leaves any other offset to json.loads
+        assert not corpus._WRITTEN_LINE.fullmatch(written.rstrip("\n"))
         other = json.dumps(base_row(timestamp=stamp)) + "\n"
-        for line in (written, other):  # write_corpus's pattern, then json.loads
+        for line in (written, other):  # write_corpus's key order, then another
             path.write_text(json.dumps(base_row(tweet_id="t0")) + "\n" + line)
             with pytest.raises(DataError, match="line 2: "):
                 load_corpus(path)
@@ -192,8 +193,15 @@ raw_strings = st.lists(st.sampled_from(RAW_PIECES), max_size=3).map("".join)
 escaped_strings = st.lists(
     st.sampled_from(RAW_PIECES + ESCAPED_PIECES), min_size=1, max_size=3
 ).map("".join)
+# write_corpus's layout first; then a Z suffix, other offsets, fractional
+# seconds, dates and times that do not exist, and digits that are not ASCII,
+# none of which the pattern takes
 TIMESTAMPS = ["2020-01-01T10:00:00+00:00", "2020-01-02T01:00:00+05:00", "2020-01-01T10:00:00Z",
-              " 2020-01-01 ", "2020-01-01"]
+              " 2020-01-01 ", "2020-01-01", "2020-01-01T10:00:00-00:00",
+              "2020-01-01T10:00:00+05:30", "2020-01-01T10:00:00.250000+00:00",
+              "2020-01-01T10:00:00.5+00:00", "2021-02-29T00:00:00+00:00",
+              "2020-01-01T24:00:00+00:00", "\u0662\u0660\u0662\u0660-01-01T10:00:00+00:00",
+              "2020-01-01T10:00:00+\uff10\uff10:00"]
 MISSING = object()
 odd_values = escaped_strings | st.sampled_from(
     [MISSING, None, 7, True, False, 1.5, "", "2020-13-01", "x", ["u1", 7], [None], [True], {}]
@@ -264,12 +272,19 @@ class TestLoadCorpusMatchesJsonOracle:
     @example([written_line().replace("}\n", "}\x0b\n")], True)
     @example([written_line(), written_line(tweet_id="")], True)
     @example([written_line(), "\n", written_line()], True)
+    @example([written_line(tweet_id=f"t{i}", timestamp=stamp)
+              for i, stamp in enumerate(TIMESTAMPS[:9])], True)
+    @example([written_line(timestamp="2021-02-29T00:00:00+00:00")], True)
+    @example([written_line(timestamp="\u0662\u0660\u0662\u0660-01-01T10:00:00+00:00")], True)
     def test_same_records_or_same_error(self, tmp_path_factory, lines, include_retweets):
         path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(line if line.endswith("\n") else line + "\n" for line in lines))
         want = load_outcome(oracles.json_load_corpus, path, include_retweets)
-        assert load_outcome(load_corpus, path, include_retweets) == want
+        got = load_outcome(load_corpus, path, include_retweets)
+        assert got == want
+        if isinstance(got, list):
+            assert all(record.timestamp.tzinfo is timezone.utc for record in got)
 
     def test_written_corpus_takes_the_pattern(self, tmp_path, monkeypatch):
         synth = tmp_path / "synth"

@@ -30,6 +30,7 @@ from oracles import (
     fixed_order_knn,
     list_load_embeddings,
     per_line_graph_files,
+    reference_read_graph,
 )
 
 
@@ -724,6 +725,22 @@ class TestGraphFiles:
         w = graph.weights
         assert peak < 0.5 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
 
+    def test_reads_without_a_python_object_per_edge(self, tmp_path):
+        # 318k stored weights (3.8 MB in CSR). A dict entry per edge, as the
+        # reader held before edges were kept in flat arrays, costs over 7x that.
+        graph = build_cooccurrence(random_tweets(6000, 600, 12), "hashtag")
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        write_graph(graph, edges, nodes)
+        tracemalloc.start()
+        try:
+            back = read_graph(edges, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        w = back.weights
+        assert w.nnz == graph.weights.nnz >= 300_000
+        assert peak < 4 * (w.data.nbytes + w.indices.nbytes + w.indptr.nbytes)
+
     def test_self_loop_rejected(self, tmp_path):
         edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
         edges.write_text("#mode=hashtag\na\ta\t1.000000000\n")
@@ -760,3 +777,112 @@ class TestGraphFiles:
         nodes.write_text("a\t1\nb\tx\n")
         with pytest.raises(DataError, match=r"g\.nodes\.tsv: line 2: bad frequency"):
             read_graph(edges, nodes)
+
+
+# What a graph file mutation does to write_graph's lines; k and p pick the
+# edge line it acts on and the other line or position it uses, both modulo
+# the number of choices. Every mutation but a blank line, a CRLF line end and
+# moved lines is a fault of its own.
+GRAPH_MUTATIONS = ["duplicate", "swap", "reverse", "blank", "crlf", "drop-node", "weight",
+                   "self-loop", "extra-field"]
+
+
+def mutate_graph_lines(edge_lines, node_lines, kind, k, p):
+    """Apply one mutation to the edge lines (line 0 the header) or node lines."""
+    if kind == "drop-node":
+        if node_lines:
+            del node_lines[p % len(node_lines)]
+        return
+    if kind == "blank":
+        edge_lines.insert(1 + p % len(edge_lines), ("\n", "  \n", "\r\n")[k % 3])
+        return
+    edge_rows = [i for i, line in enumerate(edge_lines) if i and line.count("\t") >= 2]
+    if not edge_rows:
+        return
+    k = edge_rows[k % len(edge_rows)]
+    body = edge_lines[k].rstrip("\r\n")
+    a, b, w, *rest = body.split("\t")
+    end = edge_lines[k][len(body):]
+    if kind == "duplicate":
+        edge_lines.insert(1 + p % len(edge_lines), edge_lines[k])
+    elif kind == "swap":
+        j = 1 + p % (len(edge_lines) - 1)
+        edge_lines[k], edge_lines[j] = edge_lines[j], edge_lines[k]
+    else:
+        fields = {
+            "reverse": [b, a, w, *rest],
+            "crlf": [a, b, w, *rest],
+            "weight": [a, b, ("0", "nan", "1e101", "0.000000000")[p % 4], *rest],
+            "self-loop": [a, a, w, *rest],
+            "extra-field": [a, b, w, *rest, "1"],
+        }[kind]
+        edge_lines[k] = "\t".join(fields) + ("\r\n" if kind == "crlf" else end)
+
+
+@st.composite
+def mutated_graphs(draw):
+    """A small graph with whole and fractional weights, and up to three
+    mutations of its files' lines."""
+    names = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "#x", "\u00e9"]),
+                          min_size=2, max_size=6, unique=True))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique_by=frozenset, max_size=len(pairs)))
+    weights = st.sampled_from([1.0, 3.0, 0.5, 2.5000000004, 1e6, 1e100])
+    graph = graph_of({pair: draw(weights) for pair in chosen}, extra_nodes=names)
+    mutations = draw(st.lists(st.tuples(st.sampled_from(GRAPH_MUTATIONS), st.integers(0, 20),
+                                        st.integers(0, 20)), max_size=3))
+    return graph, mutations
+
+
+def graph_outcome(read, edges, nodes):
+    """What read gives for the files: the graph's mode, nodes, frequencies and
+    CSR buffers as (dtype, bytes), or the DataError's text."""
+    try:
+        graph = read(edges, nodes)
+    except DataError as exc:
+        return str(exc)
+    w = graph.weights
+    buffers = [(a.dtype.str, a.tobytes()) for a in (w.indptr, w.indices, w.data)]
+    return graph.mode, graph.nodes, graph.frequency, buffers
+
+
+THREE_EDGES = graph_of({("a", "b"): 1.0, ("b", "c"): 2.0, ("c", "d"): 0.5})
+
+
+class TestReadGraphMatchesDictOracle:
+    @settings(max_examples=300)
+    @given(mutated_graphs())
+    # lines 2-4 hold a-b, b-c and c-d: two faults, a-b again at line 4 before
+    # a nan weight on c-d at line 5, and a nan weight on b-c at line 3 before
+    # a-b again at line 5
+    @example((THREE_EDGES, [("weight", 2, 1), ("duplicate", 0, 2)]))
+    @example((THREE_EDGES, [("weight", 1, 1), ("duplicate", 0, 3)]))
+    @example((THREE_EDGES, [("reverse", 1, 0), ("swap", 0, 2), ("crlf", 2, 0)]))
+    @example((THREE_EDGES, [("reverse", 0, 0), ("duplicate", 0, 4)]))
+    def test_same_graph_or_same_error(self, tmp_path_factory, case):
+        graph, mutations = case
+        path = tmp_path_factory.mktemp("graph")
+        edges, nodes = path / "g.edges.tsv", path / "g.nodes.tsv"
+        write_graph(graph, edges, nodes)
+        edge_lines = edges.read_text(encoding="utf-8").splitlines(keepends=True)
+        node_lines = nodes.read_text(encoding="utf-8").splitlines(keepends=True)
+        for kind, k, p in mutations:
+            mutate_graph_lines(edge_lines, node_lines, kind, k, p)
+        edges.write_bytes("".join(edge_lines).encode())
+        nodes.write_bytes("".join(node_lines).encode())
+        want = graph_outcome(reference_read_graph, edges, nodes)
+        assert graph_outcome(read_graph, edges, nodes) == want
+
+    @pytest.mark.parametrize("text, error", [
+        ("a\tb\t1\nb\ta\t2\na\tc\tnan\n", "line 3: duplicate edge 'b' 'a'"),
+        ("a\tb\t1\na\tc\tnan\nb\ta\t2\n", "line 3: weight not in (0, 1e+100]"),
+        ("b\tc\t1\na\tb\t1\nc\tb\t2\na\tb\t3\nx\n", "line 4: duplicate edge 'c' 'b'"),
+        ("a\tb\t1\nb\tc\t1\na\tc\t1\nb\tc\t1\tx\n",
+         "line 5: expected 3 fields, got 4"),
+    ])
+    def test_earlier_fault_reported_first(self, tmp_path, text, error):
+        edges, nodes = tmp_path / "g.edges.tsv", tmp_path / "g.nodes.tsv"
+        edges.write_text("#mode=hashtag\n" + text)
+        nodes.write_text("a\t1\nb\t1\nc\t1\n")
+        for read in (read_graph, reference_read_graph):
+            assert graph_outcome(read, edges, nodes) == f"{edges}: {error}"

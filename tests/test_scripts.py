@@ -45,11 +45,11 @@ def test_run_synthetic_pipeline_script(tmp_path, src_env):
     assert run_demo(src_env, "--seed-fraction", "7", "--out-dir", str(tmp_path / "bad")).returncode == 1
 
 
-def bench_result(wall, failed=0, digests=None):
+def bench_result(wall, failed=0, digests=None, seconds=25.0):
     """A polarbench result file's details, with digests if given."""
     metrics = {"wall_s": wall, "tweets_per_s": 100 / wall, "peak_rss_mb": 50.0,
                "user_accuracy": 1.0, "setup_s": 0.5}
-    details = {"result": {"attempted": 4, "failed": failed, "metrics": {
+    details = {"seconds": seconds, "result": {"attempted": 4, "failed": failed, "metrics": {
         name: {"value": value, "unit": "x"} for name, value in metrics.items()}}}
     if digests is not None:
         details["digests"] = digests
@@ -91,6 +91,31 @@ def test_bench_json_pairs_runs_by_workload_and_seed(tmp_path):
     assert (wall["change_wins"], wall["change_losses"], wall["ties"]) == (1, 1, 1)
     tweets = entry["metrics"]["tweets_per_s"]
     assert (tweets["change_wins"], tweets["change_losses"]) == (1, 1)
+
+
+def test_bench_json_records_the_seconds_the_runs_used(tmp_path):
+    # hashtag-100k's seed 102 ran for 25 s on one side and 10 s on the other
+    seconds = {"parent": {("hashtag-100k", 101): 25.0, ("hashtag-100k", 102): 25.0,
+                          ("token-zipf", 101): 10.0},
+               "change": {("hashtag-100k", 101): 25.0, ("hashtag-100k", 102): 10.0,
+                          ("token-zipf", 101): 10.0}}
+    for side, runs in seconds.items():
+        (tmp_path / side).mkdir()
+        for (workload, seed), length in runs.items():
+            (tmp_path / side / f"{workload}-seed{seed}-trace0.json").write_text(
+                json.dumps(bench_result(2.0, seconds=length)))
+    summary = run_bench_json(tmp_path, 34)
+    assert summary["run_seconds"] is None
+    entry = summary["workloads"]["hashtag-100k"]
+    assert entry["seconds"] == [10.0, 25.0]
+    assert (entry["seeds"], entry["pairs"]) == ([101], 1)
+    assert entry["unpaired_seeds"] == {"parent": [102], "change": [102]}
+    assert summary["workloads"]["token-zipf"]["seconds"] == [10.0]
+    # files that agree give their common value
+    for name in ("parent", "change"):
+        (tmp_path / name / "hashtag-100k-seed102-trace0.json").unlink()
+        (tmp_path / name / "token-zipf-seed101-trace0.json").unlink()
+    assert run_bench_json(tmp_path, 34)["run_seconds"] == 25.0
 
 
 def test_bench_json_counts_pairs_that_wrote_the_same_bytes(tmp_path):
