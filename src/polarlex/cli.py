@@ -317,9 +317,9 @@ def stage_score(run: _Runner) -> None:
         dim = lexicon.dimension_name
         tweet_scores[dim] = polarity.score_tweets(tweets, lexicon, mode=cfg.item_mode)
         user_scores[dim] = polarity.score_users(records, tweet_scores[dim], cfg.weighting)
-    order = [r.tweet_id for r in records]
+    # score_tweets keeps the corpus order, score_users sorts the users
     run.kept["tweet_scores"] = polarity.write_score_csv(
-        tweet_scores, run.write("tweet_scores.csv"), "tweet_id", order
+        tweet_scores, run.write("tweet_scores.csv"), "tweet_id"
     )
     run.kept["user_scores"] = polarity.write_score_csv(
         user_scores, run.write("user_scores.csv"), "user_id"

@@ -230,7 +230,7 @@ def write_tokenized(tweets: Iterable[TokenizedTweet], path: str | Path) -> None:
 
 
 def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
-    """Read write_tokenized's rows.
+    """Read write_tokenized's rows; a repeated tweet_id is a data error.
 
     Every occurrence of an item is the same str object, so the tweets hold
     one copy per distinct item, not one per occurrence.
@@ -245,7 +245,7 @@ def read_tokenized(path: str | Path) -> list[TokenizedTweet]:
         hashtags = items(tags)
         return TokenizedTweet(tweet_id, hashtags, hashtags if tokens == tags else items(tokens))
 
-    return [tweet(*row) for _, row in read_rows(path, "\t", 3)]
+    return [tweet(*row) for _, row in read_rows(path, "\t", 3, key="tweet_id")]
 
 
 def _is_punct(ch: str) -> bool:

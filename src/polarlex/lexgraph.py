@@ -457,11 +457,12 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
     """Read write_graph's files.
 
     Line 1 of the edge file is the '#mode=' header. Rejects duplicate node
-    rows, negative frequencies, duplicate edges and edges between nodes the
-    node file lacks. Of two faults, the one on the earlier line is reported.
-    Each edge is kept in flat arrays: its two node indices as written, its
-    weight and its line. _upper_pairs finds duplicates once every line is
-    read, or before a line's own fault is reported.
+    rows, negative frequencies and edges between nodes the node file lacks.
+    Edges must come in write_graph's layout: each as a < b, with pair codes
+    a * n + b strictly increasing. A code equal to the previous line's is a
+    duplicate edge, any other break of that order an edge out of order. Each
+    line is checked as it is read, so the first faulty line is the one
+    reported, and the edges fill the one-way CSR in the order they come.
     """
     frequency: dict[str, int] = {}
     for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2, key="node"):
@@ -472,64 +473,40 @@ def read_graph(edges_path: str | Path, nodes_path: str | Path) -> CooccurrenceGr
         if freq < 0:
             raise DataError(f"{nodes_path}: line {lineno}: frequency is negative")
     nodes = sorted(frequency)
+    n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
     edge_rows = read_rows(edges_path, "\t", 3, header=("mode",))
     _, (mode,) = next(edge_rows)
     if mode not in (HASHTAG_MODE, TOKEN_MODE):
         raise DataError(f"{edges_path}: line 1: mode must be {HASHTAG_MODE} or {TOKEN_MODE}")
-    ends, weights, lines = array.array("q"), array.array("d"), array.array("q")
-    try:
-        for lineno, (a, b, raw_w) in edge_rows:
-            try:
-                w = float(raw_w)
-            except ValueError as exc:
-                raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
-            if a == b:
-                raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
-            if not 0 < w <= MAX_MAGNITUDE:
-                raise DataError(
-                    f"{edges_path}: line {lineno}: weight not in (0, {MAX_MAGNITUDE:g}]")
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                missing = a if i is None else b
-                raise DataError(
-                    f"{edges_path}: line {lineno}: node {missing!r} not in {nodes_path}")
-            ends.append(i)
-            ends.append(j)
-            weights.append(w)
-            lines.append(lineno)
-    except DataError:
-        # a duplicate among the lines before this fault comes first
-        _upper_pairs(ends, lines, nodes, edges_path)
-        raise
-    rows, columns = _upper_pairs(ends, lines, nodes, edges_path)
-    # each buffer goes once used: the one-way and symmetric CSRs set the peak
-    del ends, lines
-    one_way = sp.csr_matrix((np.frombuffer(weights), (rows, columns)), shape=(len(nodes),) * 2)
-    del rows, columns, weights
-    return CooccurrenceGraph(mode=mode, nodes=nodes, frequency=[frequency[n] for n in nodes],
+    columns, weights = array.array("q"), array.array("d")
+    row_sizes, last = [0] * (n + 1), -1
+    for lineno, (a, b, raw_w) in edge_rows:
+        try:
+            w = float(raw_w)
+        except ValueError as exc:
+            raise DataError(f"{edges_path}: line {lineno}: bad weight") from exc
+        if a == b:
+            raise DataError(f"{edges_path}: line {lineno}: self-loop {a!r}")
+        if not 0 < w <= MAX_MAGNITUDE:
+            raise DataError(f"{edges_path}: line {lineno}: weight not in (0, {MAX_MAGNITUDE:g}]")
+        i, j = index.get(a), index.get(b)
+        if i is None or j is None:
+            missing = a if i is None else b
+            raise DataError(f"{edges_path}: line {lineno}: node {missing!r} not in {nodes_path}")
+        code = i * n + j
+        if i > j or code < last:
+            raise DataError(f"{edges_path}: line {lineno}: edge {a!r} {b!r} out of order")
+        if code == last:
+            raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
+        last = code
+        row_sizes[i + 1] += 1
+        columns.append(j)
+        weights.append(w)
+    one_way = sp.csr_matrix((np.frombuffer(weights), np.frombuffer(columns, dtype=np.int64),
+                             np.cumsum(row_sizes)), shape=(n, n))
+    # the CSR holds its own copy of the columns, in int32 where they fit; the
+    # int64 ones go before the symmetric CSR, which sets the peak, is built
+    del columns
+    return CooccurrenceGraph(mode=mode, nodes=nodes, frequency=[frequency[x] for x in nodes],
                              weights=_symmetric(one_way))
-
-
-def _upper_pairs(ends: array.array, lines: array.array, nodes: list[str],
-                 edges_path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """The (a, b) with a < b of read_graph's edges, in line order.
-
-    Each edge's pair is coded as min * n + max. Codes that strictly
-    increase, as write_graph's do, hold no duplicate and need no sort; others
-    are sorted stably, so that the first repeat of a code in line order is
-    the first duplicate line, a DataError naming its nodes as written.
-    """
-    pairs = np.frombuffer(ends, dtype=np.int64).reshape(-1, 2)
-    rows, columns = pairs.min(axis=1), pairs.max(axis=1)
-    codes = rows * len(nodes)
-    codes += columns
-    if not (codes[1:] > codes[:-1]).all():
-        order = np.argsort(codes, kind="stable")
-        codes = codes[order]
-        repeats = order[1:][codes[1:] == codes[:-1]]
-        if repeats.size:
-            k = int(repeats.min())
-            a, b = (nodes[i] for i in pairs[k])
-            raise DataError(f"{edges_path}: line {lines[k]}: duplicate edge {a!r} {b!r}") from None
-    return rows, columns

@@ -228,9 +228,8 @@ def write_score_csv(
     scores_by_dim: Mapping[str, Mapping[str, PolarityScore]],
     path: str | Path,
     key_column: str,
-    key_order: Sequence[str] | None = None,
 ) -> dict[str, Mapping[str, PolarityScore]]:
-    """One row per dimension and key: keys in key_order, else sorted.
+    """One row per dimension and key: dimensions sorted, keys in each mapping's order.
 
     Values must be at most ioutil.MAX_MAGNITUDE in magnitude, as
     read_score_csv reads no larger one; means of lexicon scores always are.
@@ -242,8 +241,7 @@ def write_score_csv(
         for dim in sorted(scores_by_dim):
             scores = scores_by_dim[dim]
             dim_field = csv_field(dim)
-            for key in key_order if key_order is not None else sorted(scores):
-                s = scores[key]
+            for key, s in scores.items():
                 text = ""
                 if s.value is not None:
                     text = fmt9(s.value)

@@ -476,14 +476,16 @@ def per_line_graph_files(graph) -> tuple[str, str]:
 
 
 # The graph reader before edges were kept in flat arrays, verbatim except
-# that the symmetric weights are built inline: one dict entry per edge, so a
-# duplicate is found at its own line, and the CSR is one_way + one_way.T.
+# that the symmetric weights are built inline and that edges must come in
+# write_graph's layout: one dict entry per edge, so a duplicate is found at
+# its own line, and the CSR is one_way + one_way.T.
 def reference_read_graph(edges_path, nodes_path) -> CooccurrenceGraph:
     """Read write_graph's files.
 
     Line 1 of the edge file is the '#mode=' header. Rejects duplicate node
-    rows, negative frequencies, duplicate edges and edges between nodes the
-    node file lacks.
+    rows, negative frequencies, duplicate edges, edges between nodes the
+    node file lacks, and edges that are not a < b or come before the
+    previous line's pair in (a, b) order.
     """
     frequency: dict[str, int] = {}
     for lineno, (node, raw_freq) in read_rows(nodes_path, "\t", 2, key="node"):
@@ -500,6 +502,7 @@ def reference_read_graph(edges_path, nodes_path) -> CooccurrenceGraph:
     if mode not in (HASHTAG_MODE, TOKEN_MODE):
         raise DataError(f"{edges_path}: line 1: mode must be {HASHTAG_MODE} or {TOKEN_MODE}")
     edges: dict[tuple[int, int], float] = {}
+    previous = (-1, -1)
     for lineno, (a, b, raw_w) in edge_rows:
         try:
             w = float(raw_w)
@@ -513,10 +516,13 @@ def reference_read_graph(edges_path, nodes_path) -> CooccurrenceGraph:
         if i is None or j is None:
             missing = a if i is None else b
             raise DataError(f"{edges_path}: line {lineno}: node {missing!r} not in {nodes_path}")
-        pair = (i, j) if i < j else (j, i)
+        pair = (i, j)
+        if i > j or pair < previous:
+            raise DataError(f"{edges_path}: line {lineno}: edge {a!r} {b!r} out of order")
         if pair in edges:
             raise DataError(f"{edges_path}: line {lineno}: duplicate edge {a!r} {b!r}")
         edges[pair] = w
+        previous = pair
     ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
     upper = np.fromiter(edges.values(), dtype=np.float64, count=len(edges))
     one_way = sp.csr_matrix((upper, (ends[0::2], ends[1::2])), shape=(len(nodes),) * 2)
@@ -611,7 +617,7 @@ def json_load_corpus(path, include_retweets: bool = True) -> list:
     return records
 
 
-def csv_write_score_csv(scores_by_dim, path, key_column: str, key_order=None) -> None:
+def csv_write_score_csv(scores_by_dim, path, key_column: str) -> None:
     """write_score_csv as one csv.writer row per score, each value formatted
     twice: rounded to its 9-decimal text and back to a float, then formatted
     again as it is written. Leaves the scores as they are.
@@ -621,8 +627,8 @@ def csv_write_score_csv(scores_by_dim, path, key_column: str, key_order=None) ->
         writer.writerow([key_column, "dimension", "value", "n_items"])
         for dim in sorted(scores_by_dim):
             scores = scores_by_dim[dim]
-            for key in key_order if key_order is not None else sorted(scores):
-                value, n_items = scores[key].value, scores[key].n_items
+            for key, score in scores.items():
+                value, n_items = score.value, score.n_items
                 if value is not None:
                     value = f"{float(f'{value:.9f}'):.9f}"
                 writer.writerow([key, dim, value, n_items])

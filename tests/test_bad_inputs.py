@@ -266,6 +266,19 @@ def repeat_line_2(text: str) -> str:
     return "".join([*lines[:2], *lines[1:]])
 
 
+def reverse_line_2(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    a, b, rest = lines[1].split("\t", 2)
+    lines[1] = f"{b}\t{a}\t{rest}"
+    return "".join(lines)
+
+
+def swap_lines_2_and_3(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[1], lines[2] = lines[2], lines[1]
+    return "".join(lines)
+
+
 def repeat_user_id(text: str) -> str:
     lines = text.splitlines(keepends=True)
     lines[1] = lines[1].rstrip("\n")[:-1] + ', "user_id": "zzz"}\n'
@@ -285,6 +298,12 @@ LINE_EDITS = [
      "'#dimension=<dimension>\\tvalue_a=<value_a>\\tvalue_b=<value_b>'"),
     ("tweet-scores", "row-repeated", repeat_line_2,
      "line 3: duplicate tweet_id 't0000000' in 'community'"),
+    ("tokenized", "row-repeated", repeat_line_2, "line 3: duplicate tweet_id 't0000001'"),
+    # write_graph writes each edge as a < b, the edges in (a, b) order
+    ("graph-edges", "endpoints-reversed", reverse_line_2,
+     "line 2: edge 'ha0001' 'ha0000' out of order"),
+    ("graph-edges", "lines-swapped", swap_lines_2_and_3,
+     "line 3: edge 'ha0000' 'ha0001' out of order"),
 ]
 
 
